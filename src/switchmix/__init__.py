@@ -60,6 +60,7 @@ from .irreducibility import (
 from .statespace import (
     DEFAULT_CAP,
     CapExceededError,
+    NoMixingError,
     StateSpaceAnalysis,
     analyze,
     enum_good_encodings,

@@ -38,7 +38,7 @@ from .encoding import RepairStuckError, load_encoding, repair
 from .encoding import validate as validate_encoding
 from .graph import Digraph, Graph, read_digraph, read_graph, write_edge_list
 from .irreducibility import find_useful, induced_triangles, switch_connectivity
-from .statespace import DEFAULT_CAP, CapExceededError, analyze
+from .statespace import DEFAULT_CAP, CapExceededError, NoMixingError, analyze
 
 SCHEMA_VERSION = 1
 
@@ -225,10 +225,16 @@ def _cmd_analyze(args):
     curve = an.tv_curve(horizon)
     eps = Fraction(str(args.eps))
     mixing = None
-    if len(an.states) <= args.mixing_cap:
-        mixing = an.exact_mixing_time(eps)
+    if an.irreducible and len(an.states) <= args.mixing_cap:
+        try:
+            mixing = an.exact_mixing_time(eps)
+        except NoMixingError:  # a periodic chain never gets within eps
+            pass
     return {
         "states": len(an.states),
+        "nnz": an.nnz,
+        "orbits": len(an.start_orbits),
+        "irreducible": an.irreducible,
         "symmetric": an.is_symmetric(),
         "rows_sum_to_one": an.rows_sum_to_one(),
         "uniform_stationary": an.uniform_is_stationary(),

@@ -10,12 +10,12 @@ a connectivity obstruction.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .chain import switch_neighbour_states
 from .degseq import DirectedDegreeSequence
 from .graph import Digraph
-from .statespace import DEFAULT_CAP, enum_states
+from .statespace import DEFAULT_CAP, components, enum_states, switch_rows
 
 
 @dataclass
@@ -133,47 +133,11 @@ def induced_triangles(dg: Digraph):
     return out
 
 
-# Optional sequence-level decision procedure.  Connectivity here is decided
-# by exhaustive enumeration; a constructive decider working from the degree
-# sequence alone can be plugged in without touching callers.
-sequence_level_decider = None
-
-
-def decide_switch_irreducible(seq, cap: int = DEFAULT_CAP) -> bool:
-    """Switch-irreducibility of a directed degree sequence.
-
-    Uses the registered sequence-level decider when one is installed,
-    otherwise falls back to the enumeration oracle.
-    """
-    if sequence_level_decider is not None:
-        return bool(sequence_level_decider(seq))
-    return switch_connectivity(seq, cap)["irreducible"]
-
-
 def switch_connectivity(seq, cap: int = DEFAULT_CAP) -> dict:
     """Component structure of the switch graph over all realizations."""
     states = enum_states(seq, cap)
-    directed = isinstance(seq, DirectedDegreeSequence)
-    index = {s: i for i, s in enumerate(states)}
-    parent = list(range(len(states)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, st in enumerate(states):
-        for nb in switch_neighbour_states(st, directed):
-            j = index[nb]
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    sizes = {}
-    for i in range(len(states)):
-        r = find(i)
-        sizes[r] = sizes.get(r, 0) + 1
-    component_sizes = sorted(sizes.values(), reverse=True)
+    roots = components(switch_rows(states, isinstance(seq, DirectedDegreeSequence)))
+    component_sizes = sorted(Counter(roots).values(), reverse=True)
     return {
         "component_count": len(component_sizes),
         "component_sizes": component_sizes,

@@ -2,18 +2,21 @@
 
 Transition matrices and total-variation curves are kept in exact rational
 arithmetic (integer numerators over a power of the one-step denominator);
-floating point appears only in the spectral gap, which is computed by power
-iteration to tolerance 1e-12.
+the matrix is held as sparse integer rows, so propagation touches only the
+non-zeros.  Floating point appears only in the spectral gap, which comes from
+numpy.linalg.eigvalsh on the symmetric matrix.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
+from itertools import combinations, islice
 
 from .chain import VARIANT_EXACT, switch_neighbour_states
 from .construct import realize, realize_directed
-from .degseq import DirectedDegreeSequence
+from .degseq import DegreeSequence, DirectedDegreeSequence
 from .graph import Digraph, Graph
 
 DEFAULT_CAP = 10**6
@@ -32,8 +35,8 @@ def _enum_graph_states(degrees, cap):
 
     Vertices are processed in index order; vertex u picks its neighbours
     among higher-indexed vertices with residual degree (its edges to lower
-    vertices are already fixed).  Residual Erdos-Gallai feasibility prunes
-    dead branches.
+    vertices are already fixed).  The Erdos-Gallai test on the residual
+    degrees of the later vertices prunes dead branches.
     """
     n = len(degrees)
     if sum(degrees) % 2:
@@ -41,20 +44,6 @@ def _enum_graph_states(degrees, cap):
     states = []
     res = list(degrees)
     chosen = []
-
-    def residual_feasible(lo):
-        sub = sorted((res[v] for v in range(lo, n)), reverse=True)
-        total = sum(sub)
-        if total % 2:
-            return False
-        k_len = len(sub)
-        prefix = 0
-        for k in range(1, k_len + 1):
-            prefix += sub[k - 1]
-            tail = sum(min(k, sub[i]) for i in range(k, k_len))
-            if prefix > k * (k - 1) + tail:
-                return False
-        return True
 
     def rec(u):
         while u < n and res[u] == 0:
@@ -73,7 +62,7 @@ def _enum_graph_states(degrees, cap):
             for v in pick:
                 res[v] -= 1
                 chosen.append((u, v))
-            if residual_feasible(u + 1):
+            if u + 1 == n or DegreeSequence(res[u + 1 :]).is_graphical():
                 rec(u + 1)
             for v in pick:
                 res[v] += 1
@@ -149,12 +138,80 @@ def enum_states(seq, cap: int = DEFAULT_CAP) -> list:
 # Exact analysis
 
 
+def switch_rows(states, directed: bool = False) -> list:
+    """Off-diagonal switch transitions of every state, as sparse integer rows.
+
+    Row i maps the index of each switch neighbour of ``states[i]`` to the
+    number of proposals reaching it.  The exact analysis adds the holding
+    mass; connectivity needs only the keys.
+    """
+    index = {s: i for i, s in enumerate(states)}
+    return [Counter(index[nb] for nb in switch_neighbour_states(st, directed)) for st in states]
+
+
+def _roots(count: int, links) -> list:
+    """Union-find root of each of ``count`` elements after merging every (i, j)."""
+    parent = list(range(count))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in links:
+        parent[find(i)] = find(j)
+    return [find(i) for i in range(count)]
+
+
+def components(rows) -> list:
+    """Component root of every state in the switch graph given by ``rows``."""
+    return _roots(len(rows), ((i, j) for i, row in enumerate(rows) for j in row))
+
+
+def relabelling_orbits(seq, states) -> list:
+    """Orbit root of every state under degree-preserving vertex relabellings.
+
+    Such relabellings commute with the switch chain, so states of one orbit
+    have identical TV curves.  Adjacent transpositions inside each degree
+    class ((in, out) class when directed) generate the group, so union-find
+    over their images gives the orbits without an isomorphism test.
+    """
+    directed = isinstance(seq, DirectedDegreeSequence)
+    classes = {}
+    for v, label in enumerate(seq.pairs if directed else seq.degrees):
+        classes.setdefault(label, []).append(v)
+    swaps = [(vs[k], vs[k + 1]) for vs in classes.values() for k in range(len(vs) - 1)]
+    index = {s: i for i, s in enumerate(states)}
+
+    def swapped(state, u, v):
+        perm = {u: v, v: u}
+        out = []
+        for x, y in state:
+            x, y = perm.get(x, x), perm.get(y, y)
+            out.append((x, y) if directed or x < y else (y, x))
+        return index[tuple(sorted(out))]
+
+    links = ((i, swapped(st, u, v)) for i, st in enumerate(states) for u, v in swaps)
+    return _roots(len(states), links)
+
+
+def _fraction(x) -> Fraction:
+    """Exact value of a tolerance; floats are read by their shortest repr."""
+    return Fraction(str(x)) if isinstance(x, float) else Fraction(x)
+
+
+class NoMixingError(RuntimeError):
+    """The chain does not converge to uniform (reducible, or periodic)."""
+
+
 class StateSpaceAnalysis:
     """Exact chain diagnostics over a fully enumerated state space.
 
-    The transition matrix is held as integer numerators over a common
-    denominator (3a, 3*binom(E,2) or binom(m,2)), so propagation is pure
-    integer arithmetic and every reported TV value is an exact Fraction.
+    The transition matrix is held as sparse integer rows (``{j: numerator}``,
+    holding mass on the diagonal) over a common denominator (3a,
+    3*binom(E,2) or binom(m,2)), so propagation is pure integer arithmetic
+    over the non-zeros and every reported TV value is an exact Fraction.
     """
 
     def __init__(self, seq, states, start_state, variant=VARIANT_EXACT, eps=Fraction(1, 100)):
@@ -166,13 +223,12 @@ class StateSpaceAnalysis:
         if start_state not in self.index:
             raise ValueError("start state does not realize the degree sequence")
         self.start_index = self.index[start_state]
-        self.eps = Fraction(str(eps)) if isinstance(eps, float) else Fraction(eps)
+        self.eps = _fraction(eps)
         self._gap = None
         self._fraction_matrix = None
         self._build()
 
     def _build(self):
-        count = len(self.states)
         if self.directed:
             m = self.seq.m
             denom = m * (m - 1) // 2 if m >= 2 else 1
@@ -182,41 +238,48 @@ class StateSpaceAnalysis:
         else:
             half = self.seq.M // 2
             denom = 3 * (half * (half - 1) // 2) if half >= 2 else 1
-        num = [[0] * count for _ in range(count)]
-        for i, st in enumerate(self.states):
-            off = 0
-            for nb in switch_neighbour_states(st, self.directed):
-                j = self.index[nb]
-                num[i][j] += 1
-                off += 1
-            num[i][i] = denom - off
-            if num[i][i] < 0:
+        rows = switch_rows(self.states, self.directed)
+        for i, row in enumerate(rows):
+            hold = denom - sum(row.values())
+            if hold < 0:
                 raise AssertionError("negative holding mass; denominator too small")
-        self._num = num
+            if hold:
+                row[i] = hold
+        self._rows = rows
         self._denom = denom
 
     @property
     def transition_matrix(self):
         """The exact matrix as Fractions (built on first use)."""
         if self._fraction_matrix is None:
-            d = self._denom
-            self._fraction_matrix = [
-                [Fraction(x, d) for x in row] for row in self._num
-            ]
+            rows, count, d = self._rows, len(self._rows), self._denom
+            self._fraction_matrix = [[Fraction(r.get(j, 0), d) for j in range(count)] for r in rows]
         return self._fraction_matrix
 
+    @property
+    def nnz(self) -> int:
+        """Non-zero entries of the transition matrix."""
+        return sum(len(row) for row in self._rows)
+
+    @cached_property
+    def irreducible(self) -> bool:
+        """Whether the switch graph over the states is connected."""
+        return len(set(components(self._rows))) == 1
+
+    @cached_property
+    def start_orbits(self) -> list:
+        """One state index (the union-find root) per relabelling orbit, ascending."""
+        return sorted(set(relabelling_orbits(self.seq, self.states)))
+
     def is_symmetric(self) -> bool:
-        num = self._num
-        count = len(num)
-        return all(
-            num[i][j] == num[j][i] for i in range(count) for j in range(i + 1, count)
-        )
+        rows = self._rows
+        return all(rows[j].get(i) == c for i, row in enumerate(rows) for j, c in row.items())
 
     def rows_sum_to_one(self) -> bool:
-        return all(sum(row) == self._denom for row in self._num)
+        return all(sum(row.values()) == self._denom for row in self._rows)
 
     def min_diagonal(self) -> Fraction:
-        return Fraction(min(self._num[i][i] for i in range(len(self._num))), self._denom)
+        return Fraction(min(row.get(i, 0) for i, row in enumerate(self._rows)), self._denom)
 
     def laziness_floor(self) -> Fraction:
         """Guaranteed lower bound on every diagonal entry.
@@ -240,105 +303,78 @@ class StateSpaceAnalysis:
 
     def uniform_is_stationary(self) -> bool:
         """Column sums equal the common denominator (exact check)."""
-        count = len(self._num)
-        return all(
-            sum(self._num[i][j] for i in range(count)) == self._denom
-            for j in range(count)
-        )
+        col = [0] * len(self._rows)
+        for row in self._rows:
+            for j, c in row.items():
+                col[j] += c
+        return all(c == self._denom for c in col)
 
-    def _step(self, vec):
-        num = self._num
-        count = len(num)
-        return [
-            sum(vec[i] * num[i][j] for i in range(count) if vec[i])
-            for j in range(count)
-        ]
+    def _tvs(self, start: int):
+        """Exact TV to uniform after t = 0, 1, 2, ... steps from state ``start``.
 
-    def _tv(self, vec, den) -> Fraction:
-        count = len(vec)
-        return Fraction(sum(abs(count * v - den) for v in vec), 2 * count * den)
+        The distribution is kept as integer numerators over ``denom**t``, and
+        each step scatters only the non-zeros of the occupied rows.
+        """
+        rows, count = self._rows, len(self._rows)
+        vec, den = [0] * count, 1
+        vec[start] = 1
+        while True:
+            yield Fraction(sum(abs(count * v - den) for v in vec), 2 * count * den)
+            nxt = [0] * count
+            for v, row in zip(vec, rows):
+                if v:
+                    for j, c in row.items():
+                        nxt[j] += v * c
+            vec, den = nxt, den * self._denom
 
     def tv_curve(self, horizon: int, start_index: int | None = None) -> list:
         """TV(0..horizon) to uniform from the designated start, exact."""
-        count = len(self.states)
-        vec = [0] * count
-        vec[self.start_index if start_index is None else start_index] = 1
-        den = 1
-        curve = [self._tv(vec, den)]
-        for _ in range(horizon):
-            vec = self._step(vec)
-            den *= self._denom
-            curve.append(self._tv(vec, den))
-        return curve
+        start = self.start_index if start_index is None else start_index
+        return list(islice(self._tvs(start), horizon + 1))
 
     def exact_mixing_time(self, eps=None, max_steps: int = 100000) -> int:
         """Least T with TV(t) <= eps for all t >= T, from the worst start.
 
         TV to stationarity is non-increasing in t, so per start this is the
-        first crossing time.  Cost grows with the state count; intended for
-        small spaces.  Defaults to the tolerance the analysis was built with.
+        first crossing time; states in one relabelling orbit cross together,
+        so one start per orbit suffices.  Defaults to the tolerance the
+        analysis was built with.  Raises NoMixingError up front on a
+        reducible space, and after ``max_steps`` on a periodic one.
         """
-        if eps is None:
-            eps = self.eps
-        elif isinstance(eps, float):
-            eps = Fraction(str(eps))
-        else:
-            eps = Fraction(eps)
+        eps = self.eps if eps is None else _fraction(eps)
         if not 0 < eps < 1:
             raise ValueError("eps must lie in (0,1)")
-        count = len(self.states)
+        if not self.irreducible:
+            raise NoMixingError("the switch chain is reducible: TV to uniform does not vanish")
         worst = 0
-        for s0 in range(count):
-            vec = [0] * count
-            vec[s0] = 1
-            den = 1
-            t = 0
-            while self._tv(vec, den) > eps:
-                vec = self._step(vec)
-                den *= self._denom
-                t += 1
-                if t > max_steps:
-                    raise RuntimeError(f"no mixing within {max_steps} steps")
+        for s0 in self.start_orbits:
+            for t, tv in enumerate(self._tvs(s0)):
+                if tv <= eps:
+                    break
+                if t >= max_steps:
+                    raise NoMixingError(f"no mixing within {max_steps} steps")
             worst = max(worst, t)
         return worst
 
     @property
     def spectral_gap(self) -> float:
-        """1 minus the second-largest eigenvalue modulus, by power iteration."""
+        """1 - max(|lambda_min|, lambda_2), from numpy.linalg.eigvalsh.
+
+        Exactly 0.0 on a reducible space and 1.0 on a single state.
+        """
         if self._gap is None:
-            self._gap = self._power_iteration_gap()
+            count = len(self._rows)
+            self._gap = float(self.irreducible)
+            if self.irreducible and count > 1:
+                import numpy as np
+
+                P = np.zeros((count, count))
+                for i, row in enumerate(self._rows):
+                    P[i, list(row)] = list(row.values())
+                P /= self._denom
+                vals = np.linalg.eigvalsh(P)
+                self._gap = float(1.0 - max(abs(vals[0]), vals[-2]))
         return self._gap
-
-    def _power_iteration_gap(self, tol=1e-12, max_iter=1_000_000) -> float:
-        import numpy as np
-
-        count = len(self.states)
-        if count == 1:
-            return 1.0
-        P = np.array(self._num, dtype=float) / float(self._denom)
-        B = P - 1.0 / count
-        rng = np.random.default_rng(0xC0FFEE)
-        v = rng.standard_normal(count)
-        v -= v.mean()
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
-            v = np.ones(count)
-            v[0] = -(count - 1)
-            norm = float(np.linalg.norm(v))
-        v /= norm
-        lam = 0.0
-        for _ in range(max_iter):
-            w = B @ v
-            w -= w.mean()
-            nw = float(np.linalg.norm(w))
-            if nw < 1e-250:
-                return 1.0
-            if abs(nw - lam) < tol:
-                lam = nw
-                break
-            lam = nw
-            v = w / nw
-        return 1.0 - lam
 
 
 def analyze(

@@ -1,11 +1,13 @@
 """Shared brute-force oracles, independent of the library's own algorithms."""
 
+import math
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from switchmix import DegreeSequence, Graph
+from switchmix import DegreeSequence, DirectedDegreeSequence, Graph
 
 
 def count_nonadjacent_edge_pairs(g: Graph) -> int:
@@ -92,6 +94,40 @@ def random_graphical_sequence(rng: random.Random, n: int, p: float = 0.5) -> Deg
                 degrees[u] += 1
                 degrees[v] += 1
     return DegreeSequence(degrees)
+
+
+def random_digraph_sequence(rng: random.Random, n: int, p: float = 0.5) -> DirectedDegreeSequence:
+    """(in, out) pairs of a random digraph: digraphical by construction."""
+    pairs = [[0, 0] for _ in range(n)]
+    for u in range(n):
+        for v in range(n):
+            if u != v and rng.random() < p:
+                pairs[v][0] += 1
+                pairs[u][1] += 1
+    return DirectedDegreeSequence(pairs)
+
+
+def dense_tv_curve(matrix, horizon: int, start: int) -> list:
+    """Exact TV to uniform over 0..horizon steps by dense propagation.
+
+    The Fraction matrix is scaled to integer numerators over the lcm of its
+    denominators, and every step sums over all states, zero entries included.
+    """
+    count = len(matrix)
+    den_step = math.lcm(*(x.denominator for row in matrix for x in row))
+    num = [[int(x * den_step) for x in row] for row in matrix]
+    vec, den = [0] * count, 1
+    vec[start] = 1
+    curve = []
+    for t in range(horizon + 1):
+        curve.append(Fraction(sum(abs(count * v - den) for v in vec), 2 * count * den))
+        if t < horizon:
+            vec = [
+                sum(vec[i] * num[i][j] for i in range(count) if vec[i])
+                for j in range(count)
+            ]
+            den *= den_step
+    return curve
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:

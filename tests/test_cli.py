@@ -85,6 +85,36 @@ def test_analyze_report(capsys):
     assert res["tv_curve"][0] == 0.5
 
 
+def test_analyze_reports_sizes(capsys):
+    code, doc = run_cli(capsys, "analyze", "--degrees", "2,2,2,2,2,2", "--horizon", "3")
+    assert code == 0
+    res = doc["result"]
+    assert res["states"] == 70 and res["nnz"] == 970 and res["orbits"] == 2
+    assert res["irreducible"] is True
+
+
+def test_analyze_reducible_space_has_null_mixing_time(capsys):
+    code, doc = run_cli(
+        capsys, "analyze", "--directed", "--degrees", "1:1,1:1,1:1", "--mixing-cap", "100"
+    )
+    assert code == 0
+    res = doc["result"]
+    assert res["irreducible"] is False and res["exact_mixing_time"] is None
+    assert res["spectral_gap"] == 0.0 and res["tv_final_exact"] == "1/2"
+
+
+def test_analyze_periodic_space_has_null_mixing_time(capsys):
+    # two sources and two sinks: every state moves, so the chain has period 2
+    code, doc = run_cli(
+        capsys, "analyze", "--directed", "--degrees", "0:1,1:0,0:1,1:0", "--horizon", "4"
+    )
+    assert code == 0
+    res = doc["result"]
+    assert res["irreducible"] is True and res["exact_mixing_time"] is None
+    assert res["min_diagonal"] == "0" and res["tv_curve"] == [0.5] * 5
+    assert abs(res["spectral_gap"]) < 1e-12  # eigenvalue -1
+
+
 def test_analyze_cap_exit(capsys, monkeypatch):
     monkeypatch.setenv("SWITCHMIX_CAP", "5")
     code, doc = run_cli(capsys, "analyze", "--degrees", "2,2,2,2,2,2")

@@ -1,17 +1,38 @@
+import json
+import math
+import pathlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from conftest import dense_tv_curve, random_digraph_sequence, random_graphical_sequence
 from switchmix import (
     CapExceededError,
     DegreeSequence,
     Digraph,
     DirectedDegreeSequence,
     Graph,
+    NoMixingError,
     analyze,
     enum_good_encodings,
     enum_states,
 )
+
+GOLDEN_CASES = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "analyze_exact.json").read_text()
+)
+
+# Spaces whose power-iteration gap once missed 1e-12: mixed6, two6, three6,
+# mixed7, dir6, two7.
+GAP_SPACES = [
+    DegreeSequence([1, 1, 2, 2, 3, 3]),
+    DegreeSequence([2] * 6),
+    DegreeSequence([3] * 6),
+    DegreeSequence([1, 1, 1, 2, 2, 2, 3]),
+    DirectedDegreeSequence([(1, 1)] * 5 + [(2, 2)]),
+    DegreeSequence([2] * 7),
+]
 
 
 def test_enum_counts():
@@ -156,3 +177,108 @@ def test_valid_encoding_enumeration_directed():
 def test_good_encoding_guard():
     with pytest.raises(CapExceededError):
         enum_good_encodings(Graph(8, [(i, i + 1) for i in range(7)]))
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_CASES))
+def test_exact_outputs_match_golden(key):
+    """TV(50) and worst-start mixing times recorded from the dense engine."""
+    case = GOLDEN_CASES[key]
+    if case["directed"]:
+        seq = DirectedDegreeSequence(case["degrees"])
+    else:
+        seq = DegreeSequence(case["degrees"])
+    an = analyze(seq, variant=case["variant"])
+    assert len(an.states) == case["states"]
+    assert an.tv_curve(50)[-1] == Fraction(case["tv_final_exact_50"])
+    assert an.exact_mixing_time(Fraction(1, 100)) == case["exact_mixing_time_1_100"]
+    assert an.exact_mixing_time(Fraction(1, 4)) == case["exact_mixing_time_1_4"]
+
+
+def _random_spaces(rng, directed, wanted, max_states=40):
+    spaces = []
+    while len(spaces) < wanted:
+        n = rng.randint(4, 6)
+        p = rng.uniform(0.2, 0.7)
+        seq = random_digraph_sequence(rng, n, p) if directed else random_graphical_sequence(rng, n, p)
+        if directed and seq.sum_in < 2:
+            continue
+        if not directed and not seq.a:
+            continue
+        if 2 <= len(enum_states(seq)) <= max_states:
+            spaces.append(analyze(seq))
+    return spaces
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_sparse_engine_matches_dense_oracle(rng, directed):
+    """Sparse TV curves equal dense propagation from every start; the
+    orbit-reduced worst start equals the maximum over all states."""
+    for an in _random_spaces(rng, directed, 10):
+        P = an.transition_matrix
+        count = len(an.states)
+        assert an.nnz == sum(1 for row in P for x in row if x)
+        curves = [dense_tv_curve(P, 25, s) for s in range(count)]
+        for s, curve in enumerate(curves):
+            assert an.tv_curve(25, start_index=s) == curve
+        if not an.irreducible:
+            with pytest.raises(NoMixingError):
+                an.exact_mixing_time(Fraction(1, 4))
+            continue
+        if an.min_diagonal() == 0:  # possibly periodic
+            continue
+        for eps in (Fraction(1, 4), Fraction(1, 100)):
+            firsts = []
+            for s in range(count):
+                curve = curves[s]
+                while curve[-1] > eps:
+                    curve = dense_tv_curve(P, 2 * len(curve), s)
+                firsts.append(next(t for t, v in enumerate(curve) if v <= eps))
+            assert an.exact_mixing_time(eps) == max(firsts)
+
+
+def test_orbits_collapse_relabelled_starts():
+    an = analyze(DegreeSequence([2] * 7))
+    assert len(an.states) == 465
+    assert len(an.start_orbits) == 2  # C7 and C3 + C4
+    assert an.exact_mixing_time(Fraction(1, 4)) == max(
+        next(t for t, v in enumerate(an.tv_curve(60, start_index=s)) if v <= Fraction(1, 4))
+        for s in an.start_orbits
+    )
+    # relabelling the start within a degree class leaves the curve unchanged
+    an6 = analyze(DegreeSequence([1, 1, 2, 2, 3, 3]))
+    swap = {0: 1, 1: 0}
+    for i, st in enumerate(an6.states):
+        moved = tuple(sorted(tuple(sorted((swap.get(u, u), swap.get(v, v)))) for u, v in st))
+        assert an6.tv_curve(8, start_index=i) == an6.tv_curve(8, start_index=an6.index[moved])
+
+
+def test_reducible_space_has_no_mixing_time():
+    an = analyze(DirectedDegreeSequence([(1, 1)] * 3))
+    assert not an.irreducible
+    # detected up front: TV stays at 1/2, below this eps, yet no mixing time exists
+    with pytest.raises(NoMixingError, match="reducible"):
+        an.exact_mixing_time(Fraction(3, 5))
+
+
+def _eigvalsh_gap(an):
+    vals = np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in an.transition_matrix]))
+    return 1.0 - max(abs(vals[0]), vals[-2])
+
+
+@pytest.mark.parametrize("seq", GAP_SPACES, ids=repr)
+def test_spectral_gap_matches_dense_eigvalsh(seq):
+    an = analyze(seq)
+    assert abs(an.spectral_gap - _eigvalsh_gap(an)) <= 1e-12
+
+
+@pytest.mark.parametrize("seq", [DegreeSequence([1, 2, 2, 1]), *GAP_SPACES], ids=repr)
+def test_mixing_time_within_relaxation_sandwich(seq):
+    """(t_rel - 1) ln(1/2eps) <= t_mix(eps) <= t_rel ln(1/(eps pi_min)), with
+    t_rel the inverse absolute spectral gap (Levin-Peres-Wilmer, ch. 12)."""
+    an = analyze(seq)
+    t_rel = 1.0 / an.spectral_gap
+    for eps in (Fraction(1, 4), Fraction(1, 100)):
+        t_mix = an.exact_mixing_time(eps)
+        assert (t_rel - 1) * math.log(1 / (2 * eps)) <= t_mix
+        assert t_mix <= t_rel * math.log(len(an.states) / eps)
+
