@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .graph import Digraph, Graph
 
@@ -48,6 +49,30 @@ def derive_seed(seed: int, stream: int) -> int:
     return x
 
 
+def _disjoint_pair(g, rng, a=None):
+    """Endpoints ``x, y, z, w`` of two distinct edges drawn uniformly, if disjoint.
+
+    With ``a`` (the exact variant's count of non-adjacent pairs) the draw is
+    repeated until the edges are disjoint, which ends almost surely because
+    a > 0.  Without it an adjacent draw returns None: the lazy chains hold.
+    With fewer than two edges, or a == 0, no switch can ever apply and
+    FrozenChainError is raised, for every variant alike.
+    """
+    edges = g.edges
+    if len(edges) < 2 or a == 0:
+        raise FrozenChainError(
+            "no pair of non-adjacent edges exists; the chain has no moves"
+        )
+    while True:
+        i, j = g.random_edge_index_pair(rng)
+        x, y = edges[i]
+        z, w = edges[j]
+        if x != z and x != w and y != z and y != w:
+            return x, y, z, w
+        if a is None:
+            return None
+
+
 def step_undirected(g: Graph, rng, variant: str = VARIANT_EXACT, a: int | None = None) -> bool:
     """Advance one transition in place; True when the state changed.
 
@@ -55,48 +80,21 @@ def step_undirected(g: Graph, rng, variant: str = VARIANT_EXACT, a: int | None =
     every step (it depends only on the degree sequence).
 
     The exact variant draws uniformly among non-adjacent pairs, realized by
-    rejection resampling over all distinct pairs; a retry cap of
-    10*ceil(total/a) guards degenerate inputs, after which the non-adjacent
-    pairs are enumerated explicitly.  The all-pairs variant draws among all
-    distinct pairs and holds on adjacent ones (a lazier chain).
+    rejection resampling over all distinct pairs.  The all-pairs variant
+    draws among all distinct pairs and holds on adjacent ones (a lazier
+    chain).
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    edges = g.edges
-    count = len(edges)
     if variant == VARIANT_EXACT:
         if a is None:
             a = g.degree_sequence().a
-        if not a:
-            raise FrozenChainError(
-                "no pair of non-adjacent edges exists; the chain has no moves"
-            )
-        total = count * (count - 1) // 2
-        cap = 10 * (-(-total // a))
-        for _ in range(cap):
-            i, j = g.random_edge_index_pair(rng)
-            x, y = edges[i]
-            z, w = edges[j]
-            if x != z and x != w and y != z and y != w:
-                break
-        else:
-            pool = [
-                (i, j)
-                for i in range(count)
-                for j in range(i + 1, count)
-                if not set(edges[i]) & set(edges[j])
-            ]
-            i, j = pool[rng.randrange(len(pool))]
-            x, y = edges[i]
-            z, w = edges[j]
+    elif variant == VARIANT_ALL_PAIRS:
+        a = None
     else:
-        if count < 2:
-            raise ValueError("need at least 2 edges")
-        i, j = g.random_edge_index_pair(rng)
-        x, y = edges[i]
-        z, w = edges[j]
-        if x == z or x == w or y == z or y == w:
-            return False
+        raise ValueError(f"unknown variant {variant!r}")
+    pair = _disjoint_pair(g, rng, a)
+    if pair is None:
+        return False
+    x, y, z, w = pair
     k = rng.randrange(3)
     if k == 0:
         return False  # the original matching: hold
@@ -106,22 +104,19 @@ def step_undirected(g: Graph, rng, variant: str = VARIANT_EXACT, a: int | None =
         f1, f2 = (x, w), (y, z)
     if g.has_edge(*f1) or g.has_edge(*f2):
         return False
-    g.replace_edges(((x, y), (z, w)), (f1, f2))
+    g.switch((x, y), (z, w), f1, f2)
     return True
 
 
 def step_directed(dg: Digraph, rng) -> bool:
     """Advance one directed transition in place; True when the state changed."""
-    if len(dg.arcs) < 2:
-        raise ValueError("need at least 2 arcs")
-    i, j = dg.random_arc_index_pair(rng)
-    a, b = dg.arcs[i]
-    c, d = dg.arcs[j]
-    if a == c or a == d or b == c or b == d:
+    pair = _disjoint_pair(dg, rng)
+    if pair is None:
         return False
-    if dg.has_arc(a, d) or dg.has_arc(c, b):
+    a, b, c, d = pair
+    if dg.has_edge(a, d) or dg.has_edge(c, b):
         return False
-    dg.replace_arcs(((a, b), (c, d)), ((a, d), (c, b)))
+    dg.switch((a, b), (c, d), (a, d), (c, b))
     return True
 
 
@@ -160,26 +155,17 @@ def sample(run: ChainRun, count: int, stream: int = 0) -> list:
         return []
     g = run.start.copy()
     rng = random.Random(derive_seed(run.seed, stream))
-    out = []
-    if isinstance(g, Digraph):
-        for _ in range(run.steps):
-            step_directed(g, rng)
-        for _ in range(count):
-            for _ in range(run.thinning):
-                step_directed(g, rng)
-            out.append(g.canonical())
+    if g.directed:
+        step = step_directed
     else:
-        a = g.degree_sequence().a
-        if run.variant == VARIANT_EXACT and not a:
-            raise FrozenChainError(
-                "no pair of non-adjacent edges exists; the chain has no moves"
-            )
-        for _ in range(run.steps):
-            step_undirected(g, rng, run.variant, a)
-        for _ in range(count):
-            for _ in range(run.thinning):
-                step_undirected(g, rng, run.variant, a)
-            out.append(g.canonical())
+        step = partial(step_undirected, variant=run.variant, a=g.degree_sequence().a)
+    for _ in range(run.steps):
+        step(g, rng)
+    out = []
+    for _ in range(count):
+        for _ in range(run.thinning):
+            step(g, rng)
+        out.append(g.canonical())
     return out
 
 
@@ -189,66 +175,33 @@ def sample(run: ChainRun, count: int, stream: int = 0) -> list:
 
 def switch_neighbour_states(state: tuple, directed: bool = False):
     """All states one switch away from a canonical state, with repetition-free
-    proposals: each neighbour appears exactly once."""
+    proposals: each neighbour appears exactly once.
+
+    Disjoint edges (x, y), (z, w) switch to (x, w), (z, y) and, when
+    undirected, also to (x, z), (y, w).
+    """
+    key = (Digraph if directed else Graph)._key
+    present = set(state)
     out = []
-    if directed:
-        arcs = state
-        aset = set(arcs)
-        m = len(arcs)
-        for i in range(m):
-            a, b = arcs[i]
-            for j in range(i + 1, m):
-                c, d = arcs[j]
-                if a == c or a == d or b == c or b == d:
-                    continue
-                if (a, d) in aset or (c, b) in aset:
-                    continue
-                nxt = [arc for k, arc in enumerate(arcs) if k != i and k != j]
-                nxt.extend(((a, d), (c, b)))
-                out.append(tuple(sorted(nxt)))
-        return out
-    edges = state
-    eset = set(edges)
-    count = len(edges)
-    for i in range(count):
-        x, y = edges[i]
-        for j in range(i + 1, count):
-            z, w = edges[j]
+    for i, (x, y) in enumerate(state):
+        for j in range(i + 1, len(state)):
+            z, w = state[j]
             if x == z or x == w or y == z or y == w:
                 continue
-            for p1, p2 in (((x, z), (y, w)), ((x, w), (y, z))):
-                e1 = p1 if p1[0] < p1[1] else (p1[1], p1[0])
-                e2 = p2 if p2[0] < p2[1] else (p2[1], p2[0])
-                if e1 in eset or e2 in eset:
+            matchings = (((x, w), (z, y)),) if directed else (((x, z), (y, w)), ((x, w), (z, y)))
+            for p1, p2 in matchings:
+                e1, e2 = key(*p1), key(*p2)
+                if e1 in present or e2 in present:
                     continue
-                nxt = [e for k, e in enumerate(edges) if k != i and k != j]
-                nxt.append(e1)
-                nxt.append(e2)
+                nxt = [e for k, e in enumerate(state) if k != i and k != j]
+                nxt += (e1, e2)
                 out.append(tuple(sorted(nxt)))
     return out
 
 
 def switch_neighbours(g):
     """Neighbour states of a Graph or Digraph, as canonical tuples."""
-    return switch_neighbour_states(g.canonical(), directed=isinstance(g, Digraph))
-
-
-def _is_one_switch(state_x: tuple, state_y: tuple, directed: bool) -> bool:
-    sx, sy = set(state_x), set(state_y)
-    removed = sx - sy
-    added = sy - sx
-    if len(removed) != 2 or len(added) != 2:
-        return False
-    if directed:
-        (a, b), (c, d) = sorted(removed)
-        if len({a, b, c, d}) != 4:
-            return False
-        return added == {(a, d), (c, b)}
-    (x, y), (z, w) = sorted(removed)
-    verts = {x, y, z, w}
-    if len(verts) != 4:
-        return False
-    return all(u in verts and v in verts for u, v in added)
+    return switch_neighbour_states(g.canonical(), directed=g.directed)
 
 
 def transition_probability(x, y, variant: str = VARIANT_EXACT) -> Fraction:
@@ -259,8 +212,8 @@ def transition_probability(x, y, variant: str = VARIANT_EXACT) -> Fraction:
     states differ by exactly one switch, and 0 otherwise.  The diagonal is
     1 minus the off-diagonal row sum.
     """
-    directed = isinstance(x, Digraph)
-    if directed != isinstance(y, Digraph):
+    directed = x.directed
+    if directed != y.directed:
         raise TypeError("cannot mix graphs and digraphs")
     ds_x, ds_y = x.degree_sequence(), y.degree_sequence()
     if ds_x != ds_y:
@@ -279,9 +232,7 @@ def transition_probability(x, y, variant: str = VARIANT_EXACT) -> Fraction:
             count = len(x.edges)
             denom = 3 * (count * (count - 1) // 2)
     cx, cy = x.canonical(), y.canonical()
+    neighbours = switch_neighbour_states(cx, directed)
     if cx == cy:
-        neighbours = switch_neighbour_states(cx, directed)
-        return Fraction(1) - Fraction(len(neighbours), denom)
-    if _is_one_switch(cx, cy, directed):
-        return Fraction(1, denom)
-    return Fraction(0)
+        return 1 - Fraction(len(neighbours), denom)
+    return Fraction(int(cy in neighbours), denom)

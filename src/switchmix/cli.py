@@ -17,7 +17,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -36,7 +35,7 @@ from .construct import realize, realize_directed
 from .degseq import NotRealizableError, load_degrees
 from .encoding import RepairStuckError, load_encoding, repair
 from .encoding import validate as validate_encoding
-from .graph import Digraph, Graph, read_digraph, read_graph, write_edge_list
+from .graph import Digraph, read_digraph, read_graph, write_edge_list
 from .irreducibility import find_useful, induced_triangles, switch_connectivity
 from .statespace import DEFAULT_CAP, CapExceededError, NoMixingError, analyze
 
@@ -157,13 +156,12 @@ def _cmd_validate(args):
 def _cmd_realize(args):
     seq = _load_seq(args)
     g = realize_directed(seq) if args.directed else realize(seq)
-    pairs = g.arcs if args.directed else g.edges
     if args.out:
         write_edge_list(g, args.out)
         args._out_handled = True
     return {
         "n": g.n,
-        "edges" if not args.directed else "arcs": [list(e) for e in pairs],
+        "edges" if not args.directed else "arcs": [list(e) for e in g.edges],
         "written_to": args.out,
     }
 
@@ -178,19 +176,7 @@ def _cmd_sample(args):
         variant=args.variant,
         thinning=args.thin,
     )
-    replica_states = []
-    if args.count > 0:
-        if args.replicas == 1:
-            replica_states = [sample(run, args.count, stream=0)]
-        else:
-            with ThreadPoolExecutor(max_workers=min(args.replicas, 8)) as pool:
-                futures = [
-                    pool.submit(sample, run, args.count, stream=r)
-                    for r in range(args.replicas)
-                ]
-                replica_states = [f.result() for f in futures]
-    else:
-        replica_states = [[] for _ in range(args.replicas)]
+    replica_states = [sample(run, args.count, stream=r) for r in range(args.replicas)]
     result = {
         "replicas": args.replicas,
         "count": args.count,
@@ -207,15 +193,14 @@ def _cmd_sample(args):
         for r, states in enumerate(replica_states):
             for i, state in enumerate(states):
                 name = f"sample_r{r:02d}_{i:05d}.txt"
-                g = (Digraph if args.directed else Graph)(start.n, state)
-                write_edge_list(g, outdir / name)
+                write_edge_list(type(start)(start.n, state), outdir / name)
                 result["files"].append(name)
     else:
         result["states"] = [
             [[list(e) for e in state] for state in states]
             for states in replica_states
         ]
-    return result, replica_states
+    return result
 
 
 def _cmd_analyze(args):
@@ -320,7 +305,6 @@ def _cmd_repair_encoding(args):
             "stuck_profile": list(exc.profile),
             "switch_log": [[ph, list(t)] for ph, t in exc.log],
         }
-    pairs = res.result.arcs if isinstance(res.result, Digraph) else res.result.edges
     if args.out:
         write_edge_list(res.result, args.out)
         args._out_handled = True
@@ -330,11 +314,23 @@ def _cmd_repair_encoding(args):
         "repaired": True,
         "switches": len(res.switch_log),
         "switch_log": [[ph, list(t)] for ph, t in res.switch_log],
-        "result_edges": [list(e) for e in pairs],
+        "result_edges": [list(e) for e in res.result.edges],
     }
 
 
 # -- argument wiring ----------------------------------------------------------
+
+
+def _at_least(low):
+    """argparse type: an integer no smaller than ``low`` (else a usage error)."""
+
+    def count(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return count
 
 
 def _build_parser() -> _Parser:
@@ -351,7 +347,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--steps", type=int, default=0, help="burn-in steps")
             p.add_argument("--thin", type=int, default=1)
             p.add_argument("--count", type=int, default=1)
-            p.add_argument("--replicas", type=int, default=1)
+            p.add_argument("--replicas", type=_at_least(1), default=1)
             p.add_argument(
                 "--variant",
                 choices=["exact", "all-pairs"],
@@ -361,7 +357,6 @@ def _build_parser() -> _Parser:
             p.add_argument("--eps", type=float, default=0.01)
         if cap:
             p.add_argument("--cap", type=int, default=None)
-        p.add_argument("--json", action="store_true", help="machine output (default)")
 
     p = sub.add_parser("validate", help="graphicality and applicability flags")
     common(p)
@@ -377,7 +372,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("analyze", help="exact transition-matrix diagnostics")
     common(p, eps=True, cap=True)
-    p.add_argument("--horizon", type=int, default=200)
+    p.add_argument("--horizon", type=_at_least(0), default=200)
     p.add_argument(
         "--mixing-cap",
         type=int,
@@ -391,7 +386,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("irreducible", help="switch-graph connectivity report")
     common(p, cap=True)
-    p.add_argument("--witness-states", type=int, default=5)
+    p.add_argument("--witness-states", type=_at_least(0), default=5)
     p.set_defaults(func=_cmd_irreducible)
 
     p = sub.add_parser("bound", help="closed-form mixing-time bounds")
@@ -403,7 +398,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--sidecar", default=None, help="JSON sidecar (default CSV+.json)")
     p.add_argument("--z", default=None, help="reference state edge list")
     p.add_argument("--out", default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_repair_encoding)
 
     return parser
@@ -419,11 +413,8 @@ def main(argv=None) -> int:
     if hasattr(args, "variant"):
         args.variant = VARIANT_EXACT if args.variant == "exact" else VARIANT_ALL_PAIRS
     try:
-        out = args.func(args)
-        extra_states = None
-        if isinstance(out, tuple):
-            out, extra_states = out
-        document = {"manifest": _manifest(args), "result": out}
+        result = args.func(args)  # runs first: it may set args._out_handled
+        document = {"manifest": _manifest(args), "result": result}
         if args.subcommand == "sample" and args.out:
             outdir = Path(args.out)
             outdir.mkdir(parents=True, exist_ok=True)

@@ -66,7 +66,7 @@ def realize_directed(dd: DirectedDegreeSequence) -> Digraph:
         if len(targets) < out_res[s]:
             raise AssertionError("greedy step starved on a digraphical sequence")
         for t in targets[: out_res[s]]:
-            dg.add_arc(s, t)
+            dg.add_edge(s, t)
             in_res[t] -= 1
         out_res[s] = 0
     assert dg.in_degree == [a for a, _ in dd.pairs]

@@ -304,7 +304,7 @@ class Encoding:
         enc = cls(MODE_DIRECTED, target or g.degree_sequence())
         if enc.n != g.n:
             raise ValueError("vertex count mismatch")
-        for u, v in g.arcs:
+        for u, v in g.edges:
             enc._set(u, v, 1)
         if g.in_degree != [a for a, _ in enc.target.pairs] or g.out_degree != [
             b for _, b in enc.target.pairs
@@ -373,14 +373,13 @@ class Encoding:
         return [(u, v) for u in range(n) for v in range(n) if u != v and mat[u][v] == 1]
 
     def is_consistent_with(self, Z) -> bool:
-        has = Z.has_arc if self.mode == MODE_DIRECTED else Z.has_edge
         if Z.n != self.n:
             return False
         for u in range(self.n):
             for v in range(self.n):
                 if u == v:
                     continue
-                if not 0 <= self.matrix[u][v] + (1 if has(u, v) else 0) <= 2:
+                if not 0 <= self.matrix[u][v] + (1 if Z.has_edge(u, v) else 0) <= 2:
                     return False
         return True
 
@@ -473,19 +472,16 @@ class Encoding:
 
 def encode(G, Gp, Z) -> Encoding:
     """Entrywise L = G + G' - Z over states sharing a degree sequence."""
-    directed = isinstance(G, Digraph)
-    if isinstance(Gp, Digraph) != directed or isinstance(Z, Digraph) != directed:
+    directed = G.directed
+    if Gp.directed != directed or Z.directed != directed:
         raise TypeError("all three states must be graphs or all digraphs")
     ds = G.degree_sequence()
     if Gp.degree_sequence() != ds or Z.degree_sequence() != ds:
         raise ValueError("degree sequences differ")
     n = G.n
-    has_g = G.has_arc if directed else G.has_edge
-    has_gp = Gp.has_arc if directed else Gp.has_edge
-    has_z = Z.has_arc if directed else Z.has_edge
     matrix = [
         [
-            (has_g(u, v) + has_gp(u, v) - has_z(u, v)) if u != v else 0
+            (G.has_edge(u, v) + Gp.has_edge(u, v) - Z.has_edge(u, v)) if u != v else 0
             for v in range(n)
         ]
         for u in range(n)
@@ -750,13 +746,11 @@ def _scrambled_copy(g, rng, steps):
     from . import chain
 
     out = g.copy()
-    if isinstance(out, Digraph):
-        if len(out.arcs) >= 2:
-            for _ in range(steps):
+    if len(out.edges) >= 2:
+        for _ in range(steps):
+            if out.directed:
                 chain.step_directed(out, rng)
-    else:
-        if len(out.edges) >= 2:
-            for _ in range(steps):
+            else:
                 chain.step_undirected(out, rng, chain.VARIANT_ALL_PAIRS)
     return out
 
@@ -784,7 +778,7 @@ def _plan_layout(L: Encoding, Z, rng, profile, level):
     if p + q == 0:
         return []
     directed = L.mode == MODE_DIRECTED
-    has_z = Z.has_arc if directed else Z.has_edge
+    has_z = Z.has_edge
     mat = L.matrix
     n = L.n
     if directed:
@@ -794,7 +788,7 @@ def _plan_layout(L: Encoding, Z, rng, profile, level):
             for v in range(n)
             if u != v and mat[u][v] == 1 and not has_z(u, v)
         ]
-        minus_pool = [(u, v) for (u, v) in Z.arcs if mat[u][v] == 0]
+        minus_pool = [(u, v) for (u, v) in Z.edges if mat[u][v] == 0]
     else:
         two_pool = [
             (u, v)
@@ -928,7 +922,7 @@ def _inject_at(L: Encoding, Z, kind: str, pos, rng, protected, tries: int = 400)
     mat = L.matrix
     n = L.n
     directed = L.mode == MODE_DIRECTED
-    has_z = Z.has_arc if directed else Z.has_edge
+    has_z = Z.has_edge
     key = L._key
 
     def free(u, v):
@@ -1035,7 +1029,7 @@ def make_test_encoding(
     "good" (undirected) or "valid" the result passes the catalog filter;
     level None places defects freely.
     """
-    directed = isinstance(Z, Digraph)
+    directed = Z.directed
     if level == "good" and directed:
         level = "valid"
     allowed = DIRECTED_PROFILES if directed else UNDIRECTED_PROFILES
@@ -1044,7 +1038,7 @@ def make_test_encoding(
         p, q = profile
         if level is not None and (p, q) not in allowed:
             raise ValueError(f"profile {profile} not achievable by a valid layout")
-    edge_count = len(Z.arcs) if directed else len(Z.edges)
+    edge_count = len(Z.edges)
     steps = scramble_steps if scramble_steps is not None else max(20, 2 * edge_count)
     target = Z.degree_sequence()
     check = {

@@ -1,9 +1,12 @@
 """Simple graph and digraph stores tuned for switch-chain stepping.
 
-Edges live in an indexed array so a uniform random edge is one randrange
-call, with a hash index beside it for O(1) membership tests and O(1)
-deletion by swap-with-last.  Vertices are 0-indexed everywhere, including
-file I/O.
+Both kinds share one store: edges live in an indexed array so a uniform
+random edge is one randrange call, with a key -> index dict beside it for
+O(1) membership tests and O(1) deletion by swap-with-last.  ``Graph`` and
+``Digraph`` differ only in how a vertex pair is keyed (unordered as
+``(min, max)``, or ordered) and in which degrees a switch must keep.
+Degrees are counted from the edge array on demand, so they cannot drift
+from it.  Vertices are 0-indexed everywhere, including file I/O.
 """
 
 from __future__ import annotations
@@ -11,10 +14,10 @@ from __future__ import annotations
 from .degseq import DegreeSequence, DirectedDegreeSequence
 
 
-class Graph:
-    """Simple undirected graph; no loops, no parallel edges."""
+class _EdgeStore:
+    __slots__ = ("n", "edges", "_pos")
 
-    __slots__ = ("n", "edges", "_pos", "degree")
+    directed = False
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -22,13 +25,8 @@ class Graph:
         self.n = n
         self.edges = []
         self._pos = {}
-        self.degree = [0] * n
         for u, v in edges:
             self.add_edge(u, v)
-
-    @staticmethod
-    def _key(u, v):
-        return (u, v) if u < v else (v, u)
 
     def has_edge(self, u, v) -> bool:
         return self._key(u, v) in self._pos
@@ -43,48 +41,61 @@ class Graph:
             raise ValueError(f"duplicate edge {key}")
         self._pos[key] = len(self.edges)
         self.edges.append(key)
-        self.degree[u] += 1
-        self.degree[v] += 1
 
     def remove_edge(self, u, v):
         key = self._key(u, v)
-        pos = self._pos.pop(key, None)
-        if pos is None:
+        if key not in self._pos:
             raise ValueError(f"edge {key} not present")
+        self._delete(key)
+
+    def _delete(self, key):
+        pos = self._pos.pop(key)
         last = self.edges.pop()
         if last != key:
             self.edges[pos] = last
             self._pos[last] = pos
-        self.degree[key[0]] -= 1
-        self.degree[key[1]] -= 1
+
+    def switch(self, r1, r2, a1, a2):
+        """Replace stored edges ``r1``, ``r2`` by the pairs ``a1``, ``a2``; unchecked.
+
+        The chain kernel calls this after its own collision test: ``r1`` and
+        ``r2`` must be distinct stored keys and ``a1``, ``a2`` absent pairs
+        that keep every degree.  Removal and insertion order fix the edge
+        array, which is part of a seeded trajectory.
+        """
+        a1, a2 = self._key(*a1), self._key(*a2)
+        self._delete(r1)
+        self._delete(r2)
+        pos, edges = self._pos, self.edges
+        pos[a1] = len(edges)
+        edges.append(a1)
+        pos[a2] = len(edges)
+        edges.append(a2)
 
     def replace_edges(self, remove, add):
         """Swap two edges for two others, atomically.
 
-        Validates everything before touching the graph: removed edges must be
-        present and distinct, added edges distinct and absent (unless they
-        coincide with removed ones), and the endpoint multiset must be
-        preserved so degrees cannot drift.
+        Validates everything before touching the store: removed edges must be
+        present and distinct, added edges distinct, loop-free and absent
+        (unless they coincide with removed ones), and the exchange must keep
+        every degree.
         """
-        (r1, r2) = (self._key(*remove[0]), self._key(*remove[1]))
-        (a1, a2) = (self._key(*add[0]), self._key(*add[1]))
+        r1, r2 = self._key(*remove[0]), self._key(*remove[1])
+        a1, a2 = self._key(*add[0]), self._key(*add[1])
         if r1 == r2 or a1 == a2:
             raise ValueError("edge pairs must be distinct")
         if r1 not in self._pos or r2 not in self._pos:
             raise ValueError("removed edge not present")
         removed = {r1, r2}
         for e in (a1, a2):
+            if e[0] == e[1]:
+                raise ValueError(f"added edge {e} is a loop")
             if e not in removed and e in self._pos:
                 raise ValueError(f"added edge {e} already present")
-        ends = sorted(r1 + r2)
-        if sorted(a1 + a2) != ends:
+        if not self._keeps_degrees(r1, r2, a1, a2):
             raise ValueError("exchange does not preserve degrees")
-        if removed == {a1, a2}:
-            return self
-        self.remove_edge(*r1)
-        self.remove_edge(*r2)
-        self.add_edge(*a1)
-        self.add_edge(*a2)
+        if removed != {a1, a2}:
+            self.switch(r1, r2, a1, a2)
         return self
 
     def random_edge_index_pair(self, rng):
@@ -98,37 +109,31 @@ class Graph:
             j += 1
         return i, j
 
-    def copy(self) -> "Graph":
-        g = Graph.__new__(Graph)
-        g.n = self.n
+    def copy(self):
+        g = type(self)(self.n)
         g.edges = list(self.edges)
         g._pos = dict(self._pos)
-        g.degree = list(self.degree)
         return g
-
-    def degree_sequence(self) -> DegreeSequence:
-        return DegreeSequence(self.degree)
-
-    def edge_set(self) -> frozenset:
-        return frozenset(self.edges)
 
     def canonical(self) -> tuple:
         return tuple(sorted(self.edges))
 
-    def audit(self):
-        """Debug consistency check between the edge array and the counters."""
+    def _tally(self, ends) -> list:
         deg = [0] * self.n
-        for idx, (u, v) in enumerate(self.edges):
-            assert u < v and 0 <= u and v < self.n
-            assert self._pos[(u, v)] == idx
-            deg[u] += 1
+        for v in ends:
             deg[v] += 1
-        assert deg == self.degree
+        return deg
+
+    def audit(self):
+        """Debug consistency check between the edge array and the index."""
         assert len(self._pos) == len(self.edges)
+        for idx, (u, v) in enumerate(self.edges):
+            assert u != v and 0 <= u < self.n and 0 <= v < self.n
+            assert self._key(u, v) == (u, v) and self._pos[(u, v)] == idx
 
     def __eq__(self, other):
         return (
-            isinstance(other, Graph)
+            type(other) is type(self)
             and self.n == other.n
             and set(self.edges) == set(other.edges)
         )
@@ -137,133 +142,71 @@ class Graph:
         return hash((self.n, frozenset(self.edges)))
 
     def __repr__(self):
-        return f"Graph(n={self.n}, edges={sorted(self.edges)!r})"
+        return f"{type(self).__name__}(n={self.n}, edges={sorted(self.edges)!r})"
 
 
-class Digraph:
-    """Simple digraph; no loops, no parallel arcs, antiparallel pairs allowed."""
+class Graph(_EdgeStore):
+    """Simple undirected graph; no loops, no parallel edges."""
 
-    __slots__ = ("n", "arcs", "_pos", "in_degree", "out_degree")
+    __slots__ = ()
 
-    def __init__(self, n, arcs=()):
-        if n < 0:
-            raise ValueError("negative vertex count")
-        self.n = n
-        self.arcs = []
-        self._pos = {}
-        self.in_degree = [0] * n
-        self.out_degree = [0] * n
-        for u, v in arcs:
-            self.add_arc(u, v)
+    # Each class keeps ``canonical`` in its own namespace so tools that wrap
+    # methods per class (bench/tracing.py) see both kinds.
+    canonical = _EdgeStore.canonical
 
-    def has_arc(self, u, v) -> bool:
-        return (u, v) in self._pos
+    @staticmethod
+    def _key(u, v):
+        return (u, v) if u < v else (v, u)
 
-    def add_arc(self, u, v):
-        if u == v:
-            raise ValueError(f"loop at vertex {u}")
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"arc ({u},{v}) out of range")
-        if (u, v) in self._pos:
-            raise ValueError(f"duplicate arc ({u},{v})")
-        self._pos[(u, v)] = len(self.arcs)
-        self.arcs.append((u, v))
-        self.out_degree[u] += 1
-        self.in_degree[v] += 1
+    @staticmethod
+    def _keeps_degrees(r1, r2, a1, a2):
+        return sorted(r1 + r2) == sorted(a1 + a2)
 
-    def remove_arc(self, u, v):
-        pos = self._pos.pop((u, v), None)
-        if pos is None:
-            raise ValueError(f"arc ({u},{v}) not present")
-        last = self.arcs.pop()
-        if last != (u, v):
-            self.arcs[pos] = last
-            self._pos[last] = pos
-        self.out_degree[u] -= 1
-        self.in_degree[v] -= 1
+    @property
+    def degree(self) -> list:
+        return self._tally(v for e in self.edges for v in e)
 
-    def replace_arcs(self, remove, add):
-        """Directed analogue of :meth:`Graph.replace_edges`."""
-        r1, r2 = tuple(remove[0]), tuple(remove[1])
-        a1, a2 = tuple(add[0]), tuple(add[1])
-        if r1 == r2 or a1 == a2:
-            raise ValueError("arc pairs must be distinct")
-        if r1 not in self._pos or r2 not in self._pos:
-            raise ValueError("removed arc not present")
-        removed = {r1, r2}
-        for e in (a1, a2):
-            if e not in removed and e in self._pos:
-                raise ValueError(f"added arc {e} already present")
-        if sorted((r1[0], r2[0])) != sorted((a1[0], a2[0])) or sorted(
-            (r1[1], r2[1])
-        ) != sorted((a1[1], a2[1])):
-            raise ValueError("exchange does not preserve in/out degrees")
-        if removed == {a1, a2}:
-            return self
-        self.remove_arc(*r1)
-        self.remove_arc(*r2)
-        self.add_arc(*a1)
-        self.add_arc(*a2)
-        return self
+    def degree_sequence(self) -> DegreeSequence:
+        return DegreeSequence(self.degree)
 
-    def random_arc_index_pair(self, rng):
-        count = len(self.arcs)
-        if count < 2:
-            raise ValueError("need at least 2 arcs")
-        i = rng.randrange(count)
-        j = rng.randrange(count - 1)
-        if j >= i:
-            j += 1
-        return i, j
 
-    def copy(self) -> "Digraph":
-        g = Digraph.__new__(Digraph)
-        g.n = self.n
-        g.arcs = list(self.arcs)
-        g._pos = dict(self._pos)
-        g.in_degree = list(self.in_degree)
-        g.out_degree = list(self.out_degree)
-        return g
+class Digraph(_EdgeStore):
+    """Simple digraph; no loops, no parallel arcs, antiparallel pairs allowed.
+
+    ``arcs`` and the ``*_arc`` methods are aliases of the edge names.
+    """
+
+    __slots__ = ()
+
+    directed = True
+    canonical = _EdgeStore.canonical
+
+    @staticmethod
+    def _key(u, v):
+        return (u, v)
+
+    @staticmethod
+    def _keeps_degrees(r1, r2, a1, a2):
+        tails = sorted((r1[0], r2[0])) == sorted((a1[0], a2[0]))
+        return tails and sorted((r1[1], r2[1])) == sorted((a1[1], a2[1]))
+
+    @property
+    def in_degree(self) -> list:
+        return self._tally(v for _, v in self.edges)
+
+    @property
+    def out_degree(self) -> list:
+        return self._tally(u for u, _ in self.edges)
 
     def degree_sequence(self) -> DirectedDegreeSequence:
         return DirectedDegreeSequence(zip(self.in_degree, self.out_degree))
 
-    def arc_set(self) -> frozenset:
-        return frozenset(self.arcs)
-
-    def canonical(self) -> tuple:
-        return tuple(sorted(self.arcs))
-
-    def audit(self):
-        din = [0] * self.n
-        dout = [0] * self.n
-        for idx, (u, v) in enumerate(self.arcs):
-            assert u != v and 0 <= u < self.n and 0 <= v < self.n
-            assert self._pos[(u, v)] == idx
-            dout[u] += 1
-            din[v] += 1
-        assert din == self.in_degree and dout == self.out_degree
-        assert len(self._pos) == len(self.arcs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Digraph)
-            and self.n == other.n
-            and set(self.arcs) == set(other.arcs)
-        )
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.arcs)))
-
-    def __repr__(self):
-        return f"Digraph(n={self.n}, arcs={sorted(self.arcs)!r})"
-
-
-def random_distinct_edge_pair(g, rng):
-    """Uniform unordered pair of distinct edge (or arc) indices of g."""
-    if isinstance(g, Digraph):
-        return g.random_arc_index_pair(rng)
-    return g.random_edge_index_pair(rng)
+    arcs = property(lambda self: self.edges)
+    has_arc = _EdgeStore.has_edge
+    add_arc = _EdgeStore.add_edge
+    remove_arc = _EdgeStore.remove_edge
+    replace_arcs = _EdgeStore.replace_edges
+    random_arc_index_pair = _EdgeStore.random_edge_index_pair
 
 
 def write_edge_list(g, path):
@@ -274,29 +217,25 @@ def write_edge_list(g, path):
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"n {g.n}\n")
-        pairs = g.arcs if isinstance(g, Digraph) else g.edges
-        for u, v in pairs:
+        for u, v in g.edges:
             fh.write(f"{u} {v}\n")
 
 
-def _read_pairs(path):
+def _read(path, cls):
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.strip() for line in fh if line.strip()]
     if not lines or not lines[0].startswith("n "):
         raise ValueError(f"{path}: missing 'n <count>' header")
-    n = int(lines[0].split()[1])
-    pairs = []
+    g = cls(int(lines[0].split()[1]))
     for line in lines[1:]:
         u, v = line.split()
-        pairs.append((int(u), int(v)))
-    return n, pairs
+        g.add_edge(int(u), int(v))
+    return g
 
 
 def read_graph(path) -> Graph:
-    n, pairs = _read_pairs(path)
-    return Graph(n, pairs)
+    return _read(path, Graph)
 
 
 def read_digraph(path) -> Digraph:
-    n, pairs = _read_pairs(path)
-    return Digraph(n, pairs)
+    return _read(path, Digraph)

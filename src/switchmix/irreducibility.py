@@ -46,7 +46,7 @@ def _check_triangle(dg: Digraph, U):
     U = tuple(U)
     if len(set(U)) != 3:
         raise ValueError("U must contain three distinct vertices")
-    inside = [(u, v) for u in U for v in U if u != v and dg.has_arc(u, v)]
+    inside = [(u, v) for u in U for v in U if u != v and dg.has_edge(u, v)]
     if len(inside) != 3:
         raise ValueError("U does not induce a directed 3-cycle")
     outs = {u: v for u, v in inside}
@@ -63,8 +63,8 @@ def lamar_classes(dg: Digraph, U) -> LamarPartition:
     for x in range(dg.n):
         if x in uset:
             continue
-        outgoing = sum(1 for u in U if dg.has_arc(x, u))
-        incoming = sum(1 for u in U if dg.has_arc(u, x))
+        outgoing = sum(1 for u in U if dg.has_edge(x, u))
+        incoming = sum(1 for u in U if dg.has_edge(u, x))
         if outgoing == 0 and incoming == 0:
             u0.append(x)
         elif outgoing == 3 and incoming == 0:
@@ -100,13 +100,13 @@ def find_useful(dg: Digraph, U) -> UsefulWitness | None:
     dst_i = sorted(part.U0 + part.Uminus)
     for x in src_i:
         for y in dst_i:
-            if x != y and dg.has_arc(x, y):
+            if x != y and dg.has_edge(x, y):
                 return UsefulWitness("arc", (x, y), "i")
     src_ii = sorted(part.Uminus + part.Upm)
     dst_ii = sorted(part.Uplus + part.Upm)
     for x in src_ii:
         for y in dst_ii:
-            if x != y and not dg.has_arc(x, y):
+            if x != y and not dg.has_edge(x, y):
                 return UsefulWitness("arc", (x, y), "ii")
     return None
 
@@ -118,15 +118,15 @@ def induced_triangles(dg: Digraph):
     for a in range(n):
         for b in range(a + 1, n):
             for c in range(b + 1, n):
-                fwd = dg.has_arc(a, b) and dg.has_arc(b, c) and dg.has_arc(c, a)
-                bwd = dg.has_arc(b, a) and dg.has_arc(c, b) and dg.has_arc(a, c)
+                fwd = dg.has_edge(a, b) and dg.has_edge(b, c) and dg.has_edge(c, a)
+                bwd = dg.has_edge(b, a) and dg.has_edge(c, b) and dg.has_edge(a, c)
                 if fwd == bwd:  # either no cycle, or extra arcs spoil inducedness
                     continue
                 arcs = sum(
                     1
                     for u in (a, b, c)
                     for v in (a, b, c)
-                    if u != v and dg.has_arc(u, v)
+                    if u != v and dg.has_edge(u, v)
                 )
                 if arcs == 3:
                     out.append((a, b, c))

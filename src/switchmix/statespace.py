@@ -339,13 +339,16 @@ class StateSpaceAnalysis:
         first crossing time; states in one relabelling orbit cross together,
         so one start per orbit suffices.  Defaults to the tolerance the
         analysis was built with.  Raises NoMixingError up front on a
-        reducible space, and after ``max_steps`` on a periodic one.
+        reducible space and, for eps < 1/2, on a periodic one; otherwise
+        after ``max_steps``.
         """
         eps = self.eps if eps is None else _fraction(eps)
         if not 0 < eps < 1:
             raise ValueError("eps must lie in (0,1)")
         if not self.irreducible:
             raise NoMixingError("the switch chain is reducible: TV to uniform does not vanish")
+        if eps < Fraction(1, 2) and self._periodic():
+            raise NoMixingError("the switch chain is periodic: TV to uniform stays at least 1/2")
         worst = 0
         for s0 in self.start_orbits:
             for t, tv in enumerate(self._tvs(s0)):
@@ -355,6 +358,29 @@ class StateSpaceAnalysis:
                     raise NoMixingError(f"no mixing within {max_steps} steps")
             worst = max(worst, t)
         return worst
+
+    def _periodic(self) -> bool:
+        """Period 2 test for the (symmetric, irreducible) chain.
+
+        Such a chain is periodic exactly when no state holds and the switch
+        graph is bipartite.  Its two sides then have equal size (uniform is
+        stationary and all mass crosses each step), so from any start the
+        mass sits on one side and TV to uniform never falls below 1/2.
+        """
+        rows = self._rows
+        if any(i in row for i, row in enumerate(rows)):
+            return False
+        side = [None] * len(rows)
+        side[0] = 0
+        queue = [0]
+        for i in queue:
+            for j in rows[i]:
+                if side[j] is None:
+                    side[j] = 1 - side[i]
+                    queue.append(j)
+                elif side[j] == side[i]:
+                    return False
+        return True
 
     @property
     def spectral_gap(self) -> float:
@@ -429,11 +455,11 @@ def enum_good_encodings(
     """
     from .encoding import Encoding, MODE_DIRECTED, MODE_UNDIRECTED
 
-    directed = isinstance(Z, Digraph)
+    directed = Z.directed
     if require_good is None:
         require_good = not directed
     n = Z.n
-    edge_count = len(Z.arcs) if directed else len(Z.edges)
+    edge_count = len(Z.edges)
     if n > max_n or edge_count > max_edges:
         raise CapExceededError(
             f"instance too large for exhaustive encoding search (n={n}, edges={edge_count})"
@@ -452,8 +478,7 @@ def enum_good_encodings(
         positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
         p_cap, q_cap, total_cap = 2, 3, 4
 
-    has = Z.has_arc if directed else Z.has_edge
-    allowed = [(-1, 0, 1) if has(i, j) else (0, 1, 2) for (i, j) in positions]
+    allowed = [(-1, 0, 1) if Z.has_edge(i, j) else (0, 1, 2) for (i, j) in positions]
 
     # suffix bounds on how much each row can still gain/lose
     row_lo = [[0] * (len(positions) + 1) for _ in range(n)]

@@ -60,6 +60,11 @@ def test_frozen_chain_reported():
         sample(run, 5)
     # the state is absorbing in the exact law
     assert transition_probability(tri, tri) == 1
+    # a single edge or arc freezes every variant alike
+    with pytest.raises(FrozenChainError):
+        step_undirected(Graph(2, [(0, 1)]), rng, VARIANT_ALL_PAIRS)
+    with pytest.raises(FrozenChainError):
+        step_directed(Digraph(2, [(0, 1)]), rng)
 
 
 def test_directed_three_cycle_always_holds():

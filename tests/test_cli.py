@@ -49,6 +49,22 @@ def test_sample_count_zero(capsys):
 def test_sample_frozen_chain(capsys):
     code, doc = run_cli(capsys, "sample", "--degrees", "2,2,2", "--count", "3")
     assert code == 2 and "no pair" in doc["error"]["reason"]
+    # fewer than two edges: frozen in every variant and in directed mode
+    for extra in (["--degrees", "1,1"], ["--degrees", "1,1", "--variant", "all-pairs"],
+                  ["--directed", "--degrees", "1:0,0:1"]):
+        code, doc = run_cli(capsys, "sample", "--count", "3", *extra)
+        assert code == 2 and "no pair" in doc["error"]["reason"]
+
+
+def test_bad_counts_are_usage_errors(capsys):
+    for argv in (
+        ["analyze", "--degrees", "1,2,2,1", "--horizon", "-1"],
+        ["irreducible", "--directed", "--degrees", "1:1,1:1,1:1", "--witness-states", "-1"],
+        ["sample", "--degrees", "2,2,1,1", "--replicas", "0"],
+        ["sample", "--degrees", "2,2,1,1", "--replicas", "-1"],
+        ["sample", "--degrees", "2,2,1,1", "--count", "-1"],
+    ):
+        assert run_cli(capsys, *argv) == (1, None), argv
 
 
 def test_sample_determinism_and_files(tmp_path, capsys):

@@ -41,6 +41,8 @@ def test_replace_edges_errors_leave_graph_untouched():
         g.replace_edges(((0, 1), (1, 2)), ((0, 2), (1, 2)))  # duplicate add
     with pytest.raises(ValueError):
         g.replace_edges(((0, 1), (2, 3)), ((0, 2), (2, 3)))  # degree drift
+    with pytest.raises(ValueError):
+        g.replace_edges(((0, 1), (1, 2)), ((1, 1), (0, 2)))  # loop, degrees kept
     assert set(g.edges) == before
     g.audit()
 
@@ -69,19 +71,16 @@ def test_random_edge_pair_needs_two_edges():
 def test_random_edge_pair_k4_chi_square():
     from scipy import stats
 
-    from switchmix.graph import random_distinct_edge_pair
-
-    g = Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
-    rng = random.Random(2)
-    counts = Counter(
-        tuple(sorted(random_distinct_edge_pair(g, rng))) for _ in range(100000)
-    )
-    assert len(counts) == 15
-    _, p = stats.chisquare(list(counts.values()))
-    assert p > 0.001
-
-    dg = Digraph(3, [(0, 1), (1, 2), (2, 0)])
-    assert sorted(random_distinct_edge_pair(dg, rng)) != []
+    k4 = Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+    arcs = Digraph(4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 0), (0, 2)])
+    for g, seed in ((k4, 2), (arcs, 3)):
+        rng = random.Random(seed)
+        counts = Counter(
+            tuple(sorted(g.random_edge_index_pair(rng))) for _ in range(100000)
+        )
+        assert len(counts) == 15
+        _, p = stats.chisquare(list(counts.values()))
+        assert p > 0.001
 
 
 def test_degree_counters_after_mutation_storm(rng):
@@ -122,6 +121,10 @@ def test_digraph_replace_arcs():
     with pytest.raises(ValueError):
         dg.replace_arcs(((0, 3), (2, 1)), ((0, 1), (1, 2)))  # head multiset drifts
     dg.audit()
+    path = Digraph(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError):
+        path.replace_arcs(((0, 1), (1, 2)), ((0, 2), (1, 1)))  # loop, degrees kept
+    assert path.arcs == [(0, 1), (1, 2)]
 
 
 def test_edge_list_round_trip(tmp_path):

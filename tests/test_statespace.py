@@ -260,6 +260,18 @@ def test_reducible_space_has_no_mixing_time():
         an.exact_mixing_time(Fraction(3, 5))
 
 
+def test_periodic_space_detected_up_front():
+    # two sources and two sinks: no state holds and the switch graph is bipartite
+    an = analyze(DirectedDegreeSequence([(0, 1), (1, 0), (0, 1), (1, 0)]))
+    assert an.irreducible and an.min_diagonal() == 0
+    assert min(np.linalg.eigvalsh(np.array(an.transition_matrix, dtype=float))) == pytest.approx(-1)
+    # propagating would run all max_steps before giving up
+    with pytest.raises(NoMixingError, match="periodic"):
+        an.exact_mixing_time(Fraction(1, 100))
+    # TV sits at exactly 1/2 from the start, so eps = 1/2 is met at once
+    assert an.exact_mixing_time(Fraction(1, 2)) == 0
+
+
 def _eigvalsh_gap(an):
     vals = np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in an.transition_matrix]))
     return 1.0 - max(abs(vals[0]), vals[-2])
