@@ -75,7 +75,9 @@ def _digest(path) -> str:
 
 def _manifest(args, extra=None) -> dict:
     flags = {
-        k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None
+        k: v
+        for k, v in sorted(vars(args).items())
+        if k != "func" and not k.startswith("_") and v is not None
     }
     digests = {}
     for key in ("degrees", "encoding", "sidecar", "z"):

@@ -50,16 +50,26 @@ class DegreeSequence:
         return f"DegreeSequence({list(self.degrees)!r})"
 
     def is_graphical(self) -> bool:
-        """Erdos-Gallai test (with the even-sum requirement)."""
+        """Erdos-Gallai test (with the even-sum requirement) in O(n log n).
+
+        With d sorted in non-increasing order, the tail sum_{i >= k} min(k, d_i)
+        is k * max(0, p - k) + suffix[max(k, p)], where p = #{i : d_i >= k}
+        only falls as k grows and suffix[j] = sum_{i >= j} d_i.
+        """
         if self.M % 2:
             return False
         d = sorted(self.degrees, reverse=True)
         n = self.n
+        suffix = [0] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            suffix[i] = suffix[i + 1] + d[i]
+        p = n
         prefix = 0
         for k in range(1, n + 1):
             prefix += d[k - 1]
-            tail = sum(min(k, d[i]) for i in range(k, n))
-            if prefix > k * (k - 1) + tail:
+            while p and d[p - 1] < k:
+                p -= 1
+            if prefix > k * (k - 1) + k * max(0, p - k) + suffix[max(k, p)]:
                 return False
         return True
 
@@ -117,23 +127,35 @@ class DirectedDegreeSequence:
         return self.sum_in
 
     def is_digraphical(self) -> bool:
-        """Fulkerson/Gale-Ryser style condition for zero-diagonal 0-1 matrices.
+        """Fulkerson/Gale-Ryser style condition for zero-diagonal 0-1 matrices, in O(n log n).
 
         Vertices are taken in non-increasing (out, in) order; the first k
         out-degree stubs must fit under the heads' capacity, where a head
         inside the prefix can absorb at most k-1 arcs (no loops) and one
-        outside at most k.
+        outside at most k.  That capacity is sum_i min(in_i, k) minus
+        #{i < k : in_i >= k}; both terms are kept incrementally from
+        in-degree counts clamped at n, so no list is sized by a degree.
         """
         if self.sum_in != self.sum_out:
             return False
         ps = sorted(self.pairs, key=lambda p: (p[1], p[0]), reverse=True)
         n = self.n
+        count = [0] * (n + 1)  # count[j]: heads with in-degree j (n means >= n)
+        for a, _ in ps:
+            count[min(a, n)] += 1
+        seen = [0] * (n + 1)  # the same counts over the first k - 1 vertices
+        at_least_k = n  # #{i : in_i >= k}
+        capacity = 0  # sum_i min(in_i, k)
+        inside = 0  # #{i < k : in_i >= k}
         prefix_out = 0
         for k in range(1, n + 1):
-            prefix_out += ps[k - 1][1]
-            cap = sum(min(ps[i][0], k - 1) for i in range(k))
-            cap += sum(min(ps[i][0], k) for i in range(k, n))
-            if prefix_out > cap:
+            a, b = ps[k - 1]
+            at_least_k -= count[k - 1]
+            capacity += at_least_k
+            inside += (a >= k) - seen[k - 1]
+            seen[min(a, n)] += 1
+            prefix_out += b
+            if prefix_out > capacity - inside:
                 return False
         return True
 

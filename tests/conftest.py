@@ -130,6 +130,90 @@ def dense_tv_curve(matrix, horizon: int, start: int) -> list:
     return curve
 
 
+def erdos_gallai_quadratic(degrees) -> bool:
+    """The quadratic Erdos-Gallai loop: every k re-sums the whole tail."""
+    if sum(degrees) % 2:
+        return False
+    d = sorted(degrees, reverse=True)
+    n = len(d)
+    prefix = 0
+    for k in range(1, n + 1):
+        prefix += d[k - 1]
+        tail = sum(min(k, d[i]) for i in range(k, n))
+        if prefix > k * (k - 1) + tail:
+            return False
+    return True
+
+
+def fulkerson_quadratic(pairs) -> bool:
+    """The quadratic Fulkerson loop over (in, out) pairs in descending (out, in) order."""
+    if sum(a for a, _ in pairs) != sum(b for _, b in pairs):
+        return False
+    ps = sorted(pairs, key=lambda p: (p[1], p[0]), reverse=True)
+    n = len(ps)
+    prefix_out = 0
+    for k in range(1, n + 1):
+        prefix_out += ps[k - 1][1]
+        cap = sum(min(ps[i][0], k - 1) for i in range(k))
+        cap += sum(min(ps[i][0], k) for i in range(k, n))
+        if prefix_out > cap:
+            return False
+    return True
+
+
+def havel_hakimi_sorting(degrees):
+    """Stored-order edge array of the greedy realization, one full sort per vertex.
+
+    The largest residual (lowest index on ties) is joined to the next
+    ``res[u]`` residuals in ``(-res, v)`` order.  None when the greedy
+    step starves.
+    """
+    n = len(degrees)
+    res = list(degrees)
+    edges = []
+    while True:
+        u = max(range(n), key=lambda v: (res[v], -v))
+        if res[u] == 0:
+            return edges
+        others = sorted(
+            (v for v in range(n) if v != u and res[v] > 0),
+            key=lambda v: (-res[v], v),
+        )
+        if len(others) < res[u]:
+            return None
+        for v in others[: res[u]]:
+            edges.append((min(u, v), max(u, v)))
+            res[v] -= 1
+        res[u] = 0
+
+
+def kleitman_wang_sorting(pairs):
+    """Stored-order arc array of the greedy directed realization, one full sort per source.
+
+    Sources go in ``(out, in, -v)`` order; each sends its arcs to the
+    targets first in ``(-in, -out, v)`` order.  None when the greedy step
+    starves.
+    """
+    n = len(pairs)
+    in_res = [a for a, _ in pairs]
+    out_res = [b for _, b in pairs]
+    arcs = []
+    while True:
+        s = max(range(n), key=lambda v: (out_res[v], in_res[v], -v))
+        if out_res[s] == 0:
+            return arcs if not any(in_res) else None
+        targets = sorted(
+            (v for v in range(n) if v != s and in_res[v] > 0),
+            key=lambda v: (-in_res[v], -out_res[v], v),
+        )
+        if len(targets) < out_res[s]:
+            return None
+        for t in targets[: out_res[s]]:
+            arcs.append((s, t))
+            in_res[t] -= 1
+        out_res[s] = 0
+
+
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     g = Graph(n)
     for u in range(n):

@@ -1,8 +1,14 @@
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 from switchmix import DegreeSequence, make_test_encoding, realize, save_encoding
 from switchmix.cli import main
+
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(capsys, *argv):
@@ -211,3 +217,34 @@ def test_bound_output_matches_golden_file(capsys):
     code, doc = run_cli(capsys, "bound", "--degrees", "3,3,3,3", "--eps", "0.01")
     assert code == 0
     assert strip_timestamp(doc) == golden
+
+
+def test_huge_degrees_exit_2_without_traceback():
+    # no list may be sized by a degree value: each call answers at once
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    for argv in (
+        ["validate", "--directed", "--degrees", "100000000000000:1,1:100000000000000"],
+        ["realize", "--directed", "--degrees", "100000000000000:1,1:100000000000000"],
+        ["realize", "--degrees", "100000000000001,1"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "switchmix.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, argv
+        assert json.loads(proc.stdout)["error"]["reason"], argv
+
+
+def test_manifest_flags_hold_no_private_attributes(tmp_path, capsys):
+    enc = tmp_path / "enc.csv"
+    save_encoding(make_test_encoding(realize(DegreeSequence([3] * 12)), random.Random(5), profile=(1, 1)), enc)
+    for argv in (
+        ["realize", "--degrees", "2,2,1,1", "--out", str(tmp_path / "g.txt")],
+        ["sample", "--degrees", "2,2,2,2,2,2", "--out", str(tmp_path / "s")],
+        ["repair-encoding", "--encoding", str(enc), "--out", str(tmp_path / "r.txt")],
+    ):
+        code, doc = run_cli(capsys, *argv)
+        assert code == 0, argv
+        assert not [k for k in doc["manifest"]["flags"] if k.startswith("_")], argv
+        assert doc["manifest"]["flags"]["out"], argv

@@ -11,7 +11,14 @@ from switchmix import (
     realize_directed,
 )
 
-from conftest import random_graphical_sequence
+from conftest import (
+    erdos_gallai_quadratic,
+    fulkerson_quadratic,
+    havel_hakimi_sorting,
+    kleitman_wang_sorting,
+    random_digraph_sequence,
+    random_graphical_sequence,
+)
 
 
 def test_realize_path():
@@ -81,3 +88,57 @@ def test_realize_directed_randomized(rng):
         dd = DirectedDegreeSequence(zip(din, dout))
         dg = realize_directed(dd)
         assert dg.in_degree == din and dg.out_degree == dout
+
+
+def test_realize_matches_sorting_oracle_and_graphicality():
+    # graphical <=> realize succeeds, and then the stored edge array is the oracle's
+    rng = random.Random(53)
+    sizes = [rng.randint(1, 30) for _ in range(500)] + [rng.randint(100, 300) for _ in range(8)]
+    realized = 0
+    for n in sizes:
+        d = list(random_graphical_sequence(rng, n, rng.uniform(0.02, 0.98)).degrees)
+        for _ in range(rng.choice((0, 1, 2, n // 4))):  # units moved onto a largest degree
+            if any(d):
+                d[rng.choice([v for v in range(n) if d[v]])] -= 1
+                d[d.index(max(d))] += 1
+        seq = DegreeSequence(d)
+        if erdos_gallai_quadratic(d):
+            assert realize(seq).edges == havel_hakimi_sorting(d), d
+            realized += 1
+        else:
+            with pytest.raises(NotRealizableError):
+                realize(seq)
+    assert min(realized, len(sizes) - realized) > 80, realized
+
+
+def test_realize_directed_matches_sorting_oracle_and_digraphicality():
+    rng = random.Random(59)
+    sizes = [rng.randint(1, 30) for _ in range(500)] + [rng.randint(100, 300) for _ in range(8)]
+    realized = 0
+    for n in sizes:
+        pairs = [list(p) for p in random_digraph_sequence(rng, n, rng.uniform(0.02, 0.98)).pairs]
+        for _ in range(rng.choice((0, 1, 2, n // 4))):  # out-units moved onto a largest pair
+            if any(b for _, b in pairs):
+                pairs[rng.choice([v for v in range(n) if pairs[v][1]])][1] -= 1
+                pairs[max(range(n), key=lambda v: pairs[v])][1] += 1
+        dd = DirectedDegreeSequence(pairs)
+        if fulkerson_quadratic(pairs):
+            assert realize_directed(dd).edges == kleitman_wang_sorting(pairs), pairs
+            realized += 1
+        else:
+            with pytest.raises(NotRealizableError):
+                realize_directed(dd)
+    assert min(realized, len(sizes) - realized) > 80, realized
+
+
+def test_realize_edge_cases_match_oracle():
+    for degrees in ([0], [0, 0, 0], [1, 1, 0], [3, 3, 3, 3], [4, 1, 1, 1, 1], [0, 2, 2, 2, 0]):
+        assert realize(DegreeSequence(degrees)).edges == havel_hakimi_sorting(degrees)
+    for degrees in ([1], [2], [2, 0], [10**14 + 1, 1], [5, 3, 1, 1]):
+        with pytest.raises(NotRealizableError):
+            realize(DegreeSequence(degrees))
+    for pairs in ([(0, 0)], [(0, 0), (1, 1), (1, 1)], [(0, 1), (1, 0), (0, 0)], [(2, 2)] * 3):
+        assert realize_directed(DirectedDegreeSequence(pairs)).edges == kleitman_wang_sorting(pairs)
+    for pairs in ([(1, 1)], [(3, 3)] * 3, [(10**14, 1), (1, 10**14)]):
+        with pytest.raises(NotRealizableError):
+            realize_directed(DirectedDegreeSequence(pairs))

@@ -1,11 +1,19 @@
 import itertools
+import random
 
 import pytest
 
 from switchmix import DegreeSequence, DirectedDegreeSequence, classify, classify_directed, stats
 from switchmix.degseq import load_degrees, parse_degrees, read_degree_file
 
-from conftest import digraphical_by_search, graphical_by_search
+from conftest import (
+    digraphical_by_search,
+    erdos_gallai_quadratic,
+    fulkerson_quadratic,
+    graphical_by_search,
+    random_digraph_sequence,
+    random_graphical_sequence,
+)
 
 
 def test_stats_examples():
@@ -113,3 +121,139 @@ def test_parsing(tmp_path):
 
     assert load_degrees(str(f)).degrees == (3, 3, 3, 3)
     assert load_degrees("2,2,2").degrees == (2, 2, 2)
+
+
+def _eg_violations(degrees):
+    """The k at which the quadratic Erdos-Gallai inequality fails."""
+    d = sorted(degrees, reverse=True)
+    n = len(d)
+    return [
+        k
+        for k in range(1, n + 1)
+        if sum(d[:k]) > k * (k - 1) + sum(min(k, x) for x in d[k:])
+    ]
+
+
+def _fulkerson_violations(pairs):
+    """The k at which the quadratic Fulkerson inequality fails."""
+    ps = sorted(pairs, key=lambda p: (p[1], p[0]), reverse=True)
+    n = len(ps)
+    return [
+        k
+        for k in range(1, n + 1)
+        if sum(b for _, b in ps[:k])
+        > sum(min(a, k - 1) for a, _ in ps[:k]) + sum(min(a, k) for a, _ in ps[k:])
+    ]
+
+
+def _moved_unit(rng, degrees):
+    """The same degrees with one unit moved to a random vertex or to a largest one."""
+    d = list(degrees)
+    src = rng.choice([v for v in range(len(d)) if d[v]])
+    d[src] -= 1
+    d[rng.choice((rng.randrange(len(d)), d.index(max(d))))] += 1
+    return d
+
+
+def test_graphical_matches_quadratic_oracle_random():
+    rng = random.Random(41)
+    sizes = [rng.randint(1, 40) for _ in range(400)] + [rng.randint(100, 300) for _ in range(12)]
+    outcomes = {True: 0, False: 0}
+    for n in sizes:
+        d = list(random_graphical_sequence(rng, n, rng.uniform(0.02, 0.98)).degrees)
+        for _ in range(rng.randint(0, 3)):
+            if any(d):
+                d = _moved_unit(rng, d)
+        if rng.random() < 0.2:
+            d[rng.randrange(n)] += 2 * rng.randint(1, n)
+        expected = erdos_gallai_quadratic(d)
+        assert DegreeSequence(d).is_graphical() == expected, d
+        outcomes[expected] += 1
+    assert min(outcomes.values()) > 100, outcomes
+
+
+def test_digraphical_matches_quadratic_oracle_random():
+    rng = random.Random(43)
+    sizes = [rng.randint(1, 40) for _ in range(400)] + [rng.randint(100, 300) for _ in range(12)]
+    outcomes = {True: 0, False: 0}
+    for n in sizes:
+        pairs = [list(p) for p in random_digraph_sequence(rng, n, rng.uniform(0.02, 0.98)).pairs]
+        for _ in range(rng.randint(0, 3)):
+            side = rng.randrange(2)
+            if any(p[side] for p in pairs):
+                for p, x in zip(pairs, _moved_unit(rng, [p[side] for p in pairs])):
+                    p[side] = x
+        if rng.random() < 0.2:
+            v, extra = rng.randrange(n), rng.randint(1, n + 2)
+            pairs[v][0] += extra
+            pairs[rng.randrange(n)][1] += extra
+        expected = fulkerson_quadratic(pairs)
+        assert DirectedDegreeSequence(pairs).is_digraphical() == expected, pairs
+        outcomes[expected] += 1
+    assert min(outcomes.values()) > 100, outcomes
+
+
+def test_graphical_single_violation_boundary():
+    # graphical sequences with one unit of degree moved so that exactly one k fails
+    rng = random.Random(47)
+    found = 0
+    for _ in range(3000):
+        n = rng.randint(3, 14)
+        d = list(random_graphical_sequence(rng, n, rng.uniform(0.1, 0.9)).degrees)
+        if not any(d):
+            continue
+        moved = _moved_unit(rng, d)
+        if len(_eg_violations(moved)) == 1:
+            found += 1
+            assert not DegreeSequence(moved).is_graphical(), moved
+            assert not erdos_gallai_quadratic(moved)
+    assert found > 50
+
+
+def test_digraphical_single_violation_boundary():
+    # digraphical sequences with one out-unit moved so that exactly one k fails
+    rng = random.Random(61)
+    found = 0
+    for _ in range(3000):
+        n = rng.randint(3, 12)
+        pairs = [list(p) for p in random_digraph_sequence(rng, n, rng.uniform(0.1, 0.9)).pairs]
+        if not any(b for _, b in pairs):
+            continue
+        for p, b in zip(pairs, _moved_unit(rng, [b for _, b in pairs])):
+            p[1] = b
+        if len(_fulkerson_violations(pairs)) == 1:
+            found += 1
+            assert not DirectedDegreeSequence(pairs).is_digraphical(), pairs
+            assert not fulkerson_quadratic(pairs)
+    assert found > 50
+
+
+def test_degree_layer_edge_cases():
+    for degrees, expected in [
+        ([0], True),
+        ([1], False),
+        ([2], False),
+        ([0] * 6, True),
+        ([0, 0, 1, 1], True),
+        ([0, 0, 2, 0], False),
+        ([3, 3, 3, 3], True),
+        ([4, 1, 1, 1, 1], True),
+        ([5, 1, 1, 1, 1, 1, 0], True),
+        ([6, 2, 1, 1, 1, 1], False),  # degree >= n
+        ([10**14 + 1, 1], False),
+        ([10**14, 10**14], False),
+    ]:
+        assert DegreeSequence(degrees).is_graphical() is expected, degrees
+        assert erdos_gallai_quadratic(degrees) is expected, degrees
+    for pairs, expected in [
+        ([(0, 0)], True),
+        ([(1, 1)], False),
+        ([(0, 0)] * 5, True),
+        ([(0, 1), (1, 0), (0, 0)], True),
+        ([(2, 2)] * 3, True),
+        ([(3, 3)] * 3, False),  # semi-degree >= n
+        ([(10**14, 1), (1, 10**14)], False),
+        ([(10**14, 10**14), (10**14, 10**14)], False),
+    ]:
+        assert DirectedDegreeSequence(pairs).is_digraphical() is expected, pairs
+        assert fulkerson_quadratic(pairs) is expected, pairs
