@@ -40,6 +40,7 @@ from .encoding import (
     choice_count_and_bound,
     defect_profile,
     encode,
+    enum_good_encodings,
     find_phase_switch,
     load_encoding,
     make_test_encoding,
@@ -63,7 +64,6 @@ from .statespace import (
     NoMixingError,
     StateSpaceAnalysis,
     analyze,
-    enum_good_encodings,
     enum_states,
 )
 

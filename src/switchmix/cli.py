@@ -292,7 +292,7 @@ def _cmd_bound(args):
 def _cmd_repair_encoding(args):
     L = load_encoding(args.encoding, args.sidecar)
     if args.z is not None:
-        Z = read_graph(args.z) if L.mode == "undirected" else read_digraph(args.z)
+        Z = read_digraph(args.z) if L.directed else read_graph(args.z)
         flags = validate_encoding(L, Z)
     else:
         flags = {"valid": L.is_valid(), "good": L.is_good()}

@@ -1,13 +1,16 @@
 """Defect encodings: integer matrices that interpolate between graph states.
 
 An encoding L is an integer matrix with entries in {-1, 0, 1, 2}, zero
-diagonal, and row sums (plus column sums, in the directed mode) equal to the
-target degrees.  Entries equal to -1 or 2 are defects.  L is *consistent*
-with a reference state Z when L + Z stays inside {0, 1, 2}; it is *valid*
-when its defect edges form a labelled subgraph of a small fixed catalog of
-configurations, and (undirected mode) *good* when defect incidences also
-respect minimum-degree conditions.  A defect-free encoding is just a graph
-with the target degrees.
+diagonal, row sums equal to the target out-degrees and column sums equal to
+the target in-degrees.  Entries equal to -1 or 2 are defects.  One store
+serves both modes: an undirected encoding is the symmetric directed one, in
+which each unordered pair is two mirrored entries, every degree is both an
+in- and an out-degree and the in-side defect counters are the out-side ones.
+L is *consistent* with a reference state Z when L + Z stays inside
+{0, 1, 2}; it is *valid* when its defect edges form a labelled subgraph of a
+small fixed catalog of configurations, and (undirected mode) *good* when
+defect incidences also respect minimum-degree conditions.  A defect-free
+encoding is just a graph with the target degrees.
 
 3-switches walk a 6-cycle pattern on six distinct vertices, decrementing
 three entries and incrementing three others, so they preserve every row and
@@ -21,9 +24,13 @@ import csv
 import json
 import random
 from dataclasses import dataclass
+from itertools import permutations, product
+from typing import NamedTuple
 
+from . import chain
 from .degseq import DegreeSequence, DirectedDegreeSequence
 from .graph import Digraph, Graph
+from .statespace import DEFAULT_CAP, CapExceededError
 
 MODE_UNDIRECTED = "undirected"
 MODE_DIRECTED = "directed"
@@ -59,81 +66,92 @@ _DIRECTED_TEMPLATES = (
 )
 
 
-def _expand_undirected_catalog():
+def _expand_catalog(templates, letter_groups, directed):
+    """Every concrete labelling of the templates, duplicates dropped.
+
+    The letters of each group take the values {2, -1} in either order (a
+    one-letter group takes either value); directed templates also appear
+    arc-reversed.
+    """
     out = []
     seen = set()
-    for tpl in _UNDIRECTED_TEMPLATES:
-        for q_label in (2, -1):
-            concrete = tuple(
-                (u, v, q_label if lab == "?" else lab) for (u, v, lab) in tpl
-            )
-            key = frozenset((frozenset((u, v)), lab) for u, v, lab in concrete)
-            if key not in seen:
-                seen.add(key)
-                out.append(concrete)
+    for tpl in templates:
+        for values in product(*(permutations((2, -1), len(g)) for g in letter_groups)):
+            sub = {c: val for g, vals in zip(letter_groups, values) for c, val in zip(g, vals)}
+            concrete = tuple((u, v, sub.get(lab, lab)) for (u, v, lab) in tpl)
+            for flip in (False, True) if directed else (False,):
+                arcs = tuple(
+                    (v, u, lab) if flip else (u, v, lab) for (u, v, lab) in concrete
+                )
+                key = frozenset(
+                    ((u, v) if directed else frozenset((u, v)), lab) for u, v, lab in arcs
+                )
+                if key not in seen:
+                    seen.add(key)
+                    out.append(arcs)
     return tuple(out)
 
 
-def _expand_directed_catalog():
-    out = []
-    seen = set()
-    for tpl in _DIRECTED_TEMPLATES:
-        for mu, nu in ((2, -1), (-1, 2)):
-            for xi, om in ((2, -1), (-1, 2)):
-                sub = {"m": mu, "n": nu, "x": xi, "w": om}
-                concrete = tuple((u, v, sub[lab]) for (u, v, lab) in tpl)
-                for flip in (False, True):
-                    arcs = tuple(
-                        (v, u, lab) if flip else (u, v, lab) for (u, v, lab) in concrete
-                    )
-                    key = frozenset(arcs)
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(arcs)
-    return tuple(out)
+_CATALOG_UNDIRECTED = _expand_catalog(_UNDIRECTED_TEMPLATES, ("?",), directed=False)
+_CATALOG_DIRECTED = _expand_catalog(_DIRECTED_TEMPLATES, ("mn", "xw"), directed=True)
+_CATALOGS = {False: _CATALOG_UNDIRECTED, True: _CATALOG_DIRECTED}
+# per mode: each template's arcs grouped by label, the embedding candidates
+_TEMPLATE_ARCS = {
+    directed: tuple(
+        {lab: [(x, y) for x, y, tlab in tpl if tlab == lab] for lab in (2, -1)}
+        for tpl in catalog
+    )
+    for directed, catalog in _CATALOGS.items()
+}
+# per mode: (most 2-defects, most (-1)-defects, most defects) in one template
+_DEFECT_CAPS = {False: (2, 3, 4), True: (3, 3, 5)}
 
 
-_CATALOG_UNDIRECTED = _expand_undirected_catalog()
-_CATALOG_DIRECTED = _expand_directed_catalog()
+def _orientations(pos, directed):
+    """The ordered pairs a position stands for: both, for an undirected pair."""
+    return (pos,) if directed else (pos, (pos[1], pos[0]))
 
 
-def _embeds(defects, template, directed):
-    """Injective label-preserving embedding of defect edges into a template."""
+def _embed(arcs, candidates_by_label, directed, accept=None):
+    """Injective, label-preserving map of ``arcs`` onto candidate arcs.
 
-    def extend(idx, mapping, used):
-        if idx == len(defects):
-            return True
-        u, v, lab = defects[idx]
-        for x, y, tlab in template:
-            if tlab != lab:
+    ``arcs`` holds (x, y, label) triples; ``candidates_by_label`` maps a
+    label to (u, v) pairs, tried in order and, when undirected, each in both
+    orientations.  The vertex map is injective and grows arc by arc; on a
+    dead end the search backtracks.  Returns the images [(label, (u, v)),
+    ...] of the first complete map that ``accept`` passes (any, when it is
+    None), or None.
+    """
+    options = {
+        lab: [o for pos in cands for o in _orientations(pos, directed)]
+        for lab, cands in candidates_by_label.items()
+    }
+    image = {}
+    used = set()
+    layout = []
+
+    def extend(idx):
+        if idx == len(arcs):
+            return accept is None or accept(layout)
+        x, y, lab = arcs[idx]
+        mx, my = image.get(x), image.get(y)
+        for u, v in options.get(lab, ()):
+            if (u != mx) if mx is not None else (u in used):
                 continue
-            orientations = ((x, y),) if directed else ((x, y), (y, x))
-            for tx, ty in orientations:
-                mu = mapping.get(u)
-                mv = mapping.get(v)
-                if mu is not None and mu != tx:
-                    continue
-                if mv is not None and mv != ty:
-                    continue
-                if mu is None and tx in used:
-                    continue
-                if mv is None and ty in used:
-                    continue
-                if mu is None and mv is None and tx == ty:
-                    continue
-                new_map = dict(mapping)
-                new_used = set(used)
-                if mu is None:
-                    new_map[u] = tx
-                    new_used.add(tx)
-                if mv is None:
-                    new_map[v] = ty
-                    new_used.add(ty)
-                if extend(idx + 1, new_map, new_used):
-                    return True
+            if (v != my) if my is not None else (v in used):
+                continue
+            fresh = [w for w, m in ((x, mx), (y, my)) if m is None]
+            image[x], image[y] = u, v
+            used.update((u, v))
+            layout.append((lab, (u, v)))
+            if extend(idx + 1):
+                return True
+            layout.pop()
+            for w in fresh:
+                used.discard(image.pop(w))
         return False
 
-    return extend(0, {}, set())
+    return layout if extend(0) else None
 
 
 @dataclass
@@ -151,51 +169,68 @@ class DefectProfile:
 
 
 class Encoding:
-    """Mutable defect encoding with incremental defect bookkeeping."""
+    """Mutable defect encoding with incremental defect bookkeeping.
+
+    The mode follows from the target: a ``DegreeSequence`` gives an
+    undirected (symmetric) encoding, a ``DirectedDegreeSequence`` a directed
+    one.  ``zeta_*``/``eta_*`` count the 2- and (-1)-entries per row (out)
+    and per column (in); in undirected mode the in-side lists are the
+    out-side lists.  ``target_in``/``target_out`` are the column and row sums
+    the target asks for.
+    """
 
     __slots__ = (
-        "mode",
+        "directed",
         "target",
+        "target_in",
+        "target_out",
         "n",
         "matrix",
         "two",
         "minus",
         "ones_count",
-        "zeta",
-        "eta",
         "zeta_in",
         "zeta_out",
         "eta_in",
         "eta_out",
     )
 
-    def __init__(self, mode, target, matrix=None):
-        if mode not in (MODE_UNDIRECTED, MODE_DIRECTED):
-            raise ValueError(f"unknown mode {mode!r}")
-        if mode == MODE_UNDIRECTED and not isinstance(target, DegreeSequence):
-            raise TypeError("undirected encoding needs a DegreeSequence target")
-        if mode == MODE_DIRECTED and not isinstance(target, DirectedDegreeSequence):
-            raise TypeError("directed encoding needs a DirectedDegreeSequence target")
-        self.mode = mode
+    def __init__(self, target, matrix=None):
+        if isinstance(target, DirectedDegreeSequence):
+            self.directed = True
+            self.target_in = tuple(a for a, _ in target.pairs)
+            self.target_out = tuple(b for _, b in target.pairs)
+        elif isinstance(target, DegreeSequence):
+            self.directed = False
+            self.target_in = self.target_out = target.degrees
+        else:
+            raise TypeError("an encoding needs a DegreeSequence or DirectedDegreeSequence target")
         self.target = target
-        self.n = target.n
-        n = self.n
+        self.n = n = target.n
         self.matrix = [[0] * n for _ in range(n)]
         self.two = set()
         self.minus = set()
         self.ones_count = 0
-        if mode == MODE_UNDIRECTED:
-            self.zeta = [0] * n
-            self.eta = [0] * n
-            self.zeta_in = self.zeta_out = self.eta_in = self.eta_out = None
-        else:
-            self.zeta = self.eta = None
-            self.zeta_in = [0] * n
-            self.zeta_out = [0] * n
-            self.eta_in = [0] * n
-            self.eta_out = [0] * n
+        self.zeta_out = [0] * n
+        self.eta_out = [0] * n
+        self.zeta_in = [0] * n if self.directed else self.zeta_out
+        self.eta_in = [0] * n if self.directed else self.eta_out
         if matrix is not None:
             self._load_matrix(matrix)
+
+    @property
+    def mode(self) -> str:
+        return MODE_DIRECTED if self.directed else MODE_UNDIRECTED
+
+    @property
+    def zeta(self):
+        """Per-vertex 2-defect counts of an undirected encoding (None when directed)."""
+        return None if self.directed else self.zeta_out
+
+    @property
+    def eta(self):
+        """Per-vertex (-1)-defect counts of an undirected encoding (None when directed)."""
+        return None if self.directed else self.eta_out
 
     def _load_matrix(self, matrix):
         n = self.n
@@ -208,33 +243,32 @@ class Encoding:
                 v = matrix[i][j]
                 if not ENTRY_MIN <= v <= ENTRY_MAX:
                     raise ValueError(f"entry {v} at ({i},{j}) out of range")
-        if self.mode == MODE_UNDIRECTED:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if matrix[i][j] != matrix[j][i]:
-                        raise ValueError("matrix not symmetric")
-                    if matrix[i][j]:
-                        self._set(i, j, matrix[i][j])
-            sums = [sum(row) for row in self.matrix]
-            if sums != list(self.target.degrees):
-                raise ValueError("row sums do not match the target degrees")
-        else:
-            for i in range(n):
-                for j in range(n):
-                    if i != j and matrix[i][j]:
-                        self._set(i, j, matrix[i][j])
-            if [sum(row) for row in self.matrix] != [b for _, b in self.target.pairs]:
-                raise ValueError("row sums do not match the target out-degrees")
-            cols = [sum(self.matrix[i][j] for i in range(n)) for j in range(n)]
-            if cols != [a for a, _ in self.target.pairs]:
-                raise ValueError("column sums do not match the target in-degrees")
+        mine = self.matrix
+        for i in range(n):
+            for j in range(n):
+                if matrix[i][j] != mine[i][j]:
+                    self._set(i, j, matrix[i][j])
+        # a mirrored write can only have overwritten an entry of an asymmetric matrix
+        if any(list(row) != mine[i] for i, row in enumerate(matrix)):
+            raise ValueError("matrix not symmetric")
+        rows_ok, cols_ok = self._sums_match()
+        if not rows_ok:
+            side = "out-degrees" if self.directed else "degrees"
+            raise ValueError(f"row sums do not match the target {side}")
+        if not cols_ok:
+            raise ValueError("column sums do not match the target in-degrees")
+
+    def _sums_match(self):
+        """(row sums == target out-degrees, column sums == target in-degrees)."""
+        rows = tuple(map(sum, self.matrix))
+        cols = tuple(map(sum, zip(*self.matrix)))
+        return rows == self.target_out, cols == self.target_in
 
     # -- low-level entry update with defect bookkeeping --------------------
 
     def _key(self, u, v):
-        if self.mode == MODE_UNDIRECTED:
-            return (u, v) if u < v else (v, u)
-        return (u, v)
+        """The defect-set key of entry (u, v): the unordered pair when undirected."""
+        return (u, v) if self.directed or u < v else (v, u)
 
     def _set(self, u, v, val):
         if u == v:
@@ -245,91 +279,68 @@ class Encoding:
         if old == val:
             return
         key = self._key(u, v)
-        undirected = self.mode == MODE_UNDIRECTED
+        # the counters of (u, v) are the out-side of u and the in-side of v;
+        # in undirected mode those lists coincide, so both endpoints count
         if old == 2:
             self.two.discard(key)
-            if undirected:
-                self.zeta[key[0]] -= 1
-                self.zeta[key[1]] -= 1
-            else:
-                self.zeta_out[u] -= 1
-                self.zeta_in[v] -= 1
+            self.zeta_out[u] -= 1
+            self.zeta_in[v] -= 1
         elif old == -1:
             self.minus.discard(key)
-            if undirected:
-                self.eta[key[0]] -= 1
-                self.eta[key[1]] -= 1
-            else:
-                self.eta_out[u] -= 1
-                self.eta_in[v] -= 1
+            self.eta_out[u] -= 1
+            self.eta_in[v] -= 1
         elif old == 1:
             self.ones_count -= 1
-        self.matrix[u][v] = val
-        if undirected:
-            self.matrix[v][u] = val
+        for a, b in _orientations((u, v), self.directed):
+            self.matrix[a][b] = val
         if val == 2:
             self.two.add(key)
-            if undirected:
-                self.zeta[key[0]] += 1
-                self.zeta[key[1]] += 1
-            else:
-                self.zeta_out[u] += 1
-                self.zeta_in[v] += 1
+            self.zeta_out[u] += 1
+            self.zeta_in[v] += 1
         elif val == -1:
             self.minus.add(key)
-            if undirected:
-                self.eta[key[0]] += 1
-                self.eta[key[1]] += 1
-            else:
-                self.eta_out[u] += 1
-                self.eta_in[v] += 1
+            self.eta_out[u] += 1
+            self.eta_in[v] += 1
         elif val == 1:
             self.ones_count += 1
 
     # -- construction helpers ----------------------------------------------
 
     @classmethod
-    def from_graph(cls, g: Graph, target: DegreeSequence | None = None) -> "Encoding":
-        enc = cls(MODE_UNDIRECTED, target or g.degree_sequence())
+    def from_graph(cls, g, target=None) -> "Encoding":
+        """The defect-free encoding of a Graph or Digraph (mode from ``g.directed``)."""
+        enc = cls(target or g.degree_sequence())
+        if enc.directed != g.directed:
+            raise TypeError("the target and the graph must both be directed or both undirected")
         if enc.n != g.n:
             raise ValueError("vertex count mismatch")
         for u, v in g.edges:
             enc._set(u, v, 1)
-        if [sum(row) for row in enc.matrix] != list(enc.target.degrees):
-            raise ValueError("graph degrees do not match the target")
-        return enc
-
-    @classmethod
-    def from_digraph(cls, g: Digraph, target: DirectedDegreeSequence | None = None) -> "Encoding":
-        enc = cls(MODE_DIRECTED, target or g.degree_sequence())
-        if enc.n != g.n:
-            raise ValueError("vertex count mismatch")
-        for u, v in g.edges:
-            enc._set(u, v, 1)
-        if g.in_degree != [a for a, _ in enc.target.pairs] or g.out_degree != [
-            b for _, b in enc.target.pairs
-        ]:
-            raise ValueError("digraph degrees do not match the target")
+        if not all(enc._sums_match()):
+            raise ValueError(f"{type(g).__name__.lower()} degrees do not match the target")
         return enc
 
     def copy(self) -> "Encoding":
         enc = Encoding.__new__(Encoding)
-        enc.mode = self.mode
+        enc.directed = self.directed
         enc.target = self.target
+        enc.target_in = self.target_in
+        enc.target_out = self.target_out
         enc.n = self.n
         enc.matrix = [row[:] for row in self.matrix]
         enc.two = set(self.two)
         enc.minus = set(self.minus)
         enc.ones_count = self.ones_count
-        for name in ("zeta", "eta", "zeta_in", "zeta_out", "eta_in", "eta_out"):
-            val = getattr(self, name)
-            setattr(enc, name, list(val) if val is not None else None)
+        enc.zeta_out = list(self.zeta_out)
+        enc.eta_out = list(self.eta_out)
+        enc.zeta_in = list(self.zeta_in) if self.directed else enc.zeta_out
+        enc.eta_in = list(self.eta_in) if self.directed else enc.eta_out
         return enc
 
     def __eq__(self, other):
         return (
             isinstance(other, Encoding)
-            and self.mode == other.mode
+            and self.directed == other.directed
             and self.matrix == other.matrix
         )
 
@@ -356,8 +367,8 @@ class Encoding:
             two_defects=tuple(sorted(self.two)),
             minus_defects=tuple(sorted(self.minus)),
         )
-        if self.mode == MODE_UNDIRECTED:
-            return DefectProfile(zeta=tuple(self.zeta), eta=tuple(self.eta), **common)
+        if not self.directed:
+            return DefectProfile(zeta=tuple(self.zeta_out), eta=tuple(self.eta_out), **common)
         return DefectProfile(
             zeta_in=tuple(self.zeta_in),
             zeta_out=tuple(self.zeta_out),
@@ -393,12 +404,12 @@ class Encoding:
         defects = self._defect_edges()
         if not defects:
             return True
-        directed = self.mode == MODE_DIRECTED
-        limit = 5 if directed else 4
-        if len(defects) > limit:
+        if len(defects) > _DEFECT_CAPS[self.directed][2]:
             return False
-        catalog = _CATALOG_DIRECTED if directed else _CATALOG_UNDIRECTED
-        return any(_embeds(defects, tpl, directed) for tpl in catalog)
+        return any(
+            _embed(defects, arcs, self.directed) is not None
+            for arcs in _TEMPLATE_ARCS[self.directed]
+        )
 
     def is_good(self) -> bool:
         """Valid, plus degree conditions on 2-defect incidences (undirected).
@@ -409,61 +420,39 @@ class Encoding:
         """
         if not self.is_valid():
             return False
-        if self.mode == MODE_DIRECTED:
+        if self.directed:
             return True
-        deg = self.target.degrees
+        deg = self.target_out
         for u, v in self.two:
             if deg[u] < 2 or deg[v] < 2:
                 return False
         for v in range(self.n):
-            if self.zeta[v] >= 2 and deg[v] < 4:
+            if self.zeta_out[v] >= 2 and deg[v] < 4:
                 return False
-            if self.zeta[v] >= 1 and self.eta[v] >= 1 and deg[v] < 3:
+            if self.zeta_out[v] >= 1 and self.eta_out[v] >= 1 and deg[v] < 3:
                 return False
         return True
 
     def is_defect_free(self) -> bool:
         return not self.two and not self.minus
 
-    def as_graph(self) -> Graph:
-        if self.mode != MODE_UNDIRECTED:
-            raise ValueError("not an undirected encoding")
+    def as_graph(self):
+        """The defect-free encoding as a Graph, or as a Digraph when directed."""
         if not self.is_defect_free():
             raise ValueError("encoding still has defects")
-        n = self.n
-        return Graph(
-            n,
-            [
-                (u, v)
-                for u in range(n)
-                for v in range(u + 1, n)
-                if self.matrix[u][v] == 1
-            ],
-        )
-
-    def as_digraph(self) -> Digraph:
-        if self.mode != MODE_DIRECTED:
-            raise ValueError("not a directed encoding")
-        if not self.is_defect_free():
-            raise ValueError("encoding still has defects")
-        n = self.n
-        return Digraph(
-            n,
-            [
-                (u, v)
-                for u in range(n)
-                for v in range(n)
-                if u != v and self.matrix[u][v] == 1
-            ],
-        )
+        key = self._key
+        store = Digraph if self.directed else Graph
+        return store(self.n, [pos for pos in self.ones_pairs() if key(*pos) == pos])
 
     def audit(self):
         """Recompute all bookkeeping from the matrix and compare."""
-        fresh = Encoding(self.mode, self.target, self.matrix)
+        fresh = Encoding(self.target, self.matrix)
         assert fresh.two == self.two and fresh.minus == self.minus
         assert fresh.ones_count == self.ones_count
-        for name in ("zeta", "eta", "zeta_in", "zeta_out", "eta_in", "eta_out"):
+        for name in ("zeta_in", "zeta_out", "eta_in", "eta_out"):
             assert getattr(fresh, name) == getattr(self, name)
+        assert (self.zeta_in is self.zeta_out) == (not self.directed)
+        assert (self.eta_in is self.eta_out) == (not self.directed)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +475,7 @@ def encode(G, Gp, Z) -> Encoding:
         ]
         for u in range(n)
     ]
-    return Encoding(MODE_DIRECTED if directed else MODE_UNDIRECTED, ds, matrix)
+    return Encoding(ds, matrix)
 
 
 def defect_profile(L: Encoding) -> DefectProfile:
@@ -550,18 +539,12 @@ def choice_count_and_bound(L: Encoding, anchors, stage: str) -> dict:
     """
     mat = L.matrix
     n = L.n
-    p, q = L.defect_counts()
-    directed = L.mode == MODE_DIRECTED
-    if directed:
-        top = L.target.m - 2 * p + q
-        dmax = L.target.r_max
-        z_in, z_out = L.zeta_in, L.zeta_out
-        e_in, e_out = L.eta_in, L.eta_out
-    else:
-        top = L.target.M - 4 * p + 2 * q
-        dmax = L.target.d_max
-        z_in = z_out = L.zeta
-        e_in = e_out = L.eta
+    z_in, z_out = L.zeta_in, L.zeta_out
+    e_in, e_out = L.eta_in, L.eta_out
+    # label-1 entries: each 2-entry takes two units of its row sum, each
+    # (-1)-entry gives one back (m - 2p + q arcs; M - 4p + 2q symmetric entries)
+    top = sum(L.target_out) - 2 * sum(z_out) + sum(e_out)
+    dmax = max(max(L.target_in), max(L.target_out))
 
     if stage == "second_pair":
         if len(anchors) != 2:
@@ -618,29 +601,40 @@ def choice_count_and_bound(L: Encoding, anchors, stage: str) -> dict:
 
 # -- phase switches and repair ---------------------------------------------
 
-# (label required at (a1,b1), label required at (a2,b1))
-_PHASE_PATTERNS = {
-    "P1": (2, -1),
-    "P2": (2, 0),
-    "P3": (1, -1),
-    "A": (2, 0),
-    "B": (1, -1),
+
+class _Phase(NamedTuple):
+    directed: bool
+    first: int  # label required at (a1, b1)
+    second: int  # label required at (a2, b1)
+    removes: tuple  # (2-defects, (-1)-defects) one switch removes
+    total: int | None  # defect count the phase needs, if any
+
+
+# Repair runs a mode's phases in this order; a phase that removes only
+# (-1)-defects waits until no 2-defect is left.
+_PHASES = {
+    "P1": _Phase(False, 2, -1, (1, 1), 4),  # both kinds at once, from a full profile
+    "P2": _Phase(False, 2, 0, (1, 0), None),
+    "P3": _Phase(False, 1, -1, (0, 1), None),
+    "A": _Phase(True, 2, 0, (1, 0), None),
+    "B": _Phase(True, 1, -1, (0, 1), None),
 }
 
 
+def _phase(name) -> _Phase:
+    if name not in _PHASES:
+        raise ValueError(f"unknown phase {name!r}")
+    return _PHASES[name]
+
+
+def _admits(spec: _Phase, p, q) -> bool:
+    dp, dq = spec.removes
+    return p >= dp and q >= dq and (dp > 0 or p == 0) and spec.total in (None, p + q)
+
+
 def _phase_admits(L: Encoding, phase: str) -> bool:
-    p, q = L.defect_counts()
-    if phase == "P1":
-        return L.mode == MODE_UNDIRECTED and p >= 1 and q >= 1 and p + q == 4
-    if phase == "P2":
-        return L.mode == MODE_UNDIRECTED and p >= 1
-    if phase == "P3":
-        return L.mode == MODE_UNDIRECTED and p == 0 and q >= 1
-    if phase == "A":
-        return L.mode == MODE_DIRECTED and p >= 1
-    if phase == "B":
-        return L.mode == MODE_DIRECTED and p == 0 and q >= 1
-    raise ValueError(f"unknown phase {phase!r}")
+    spec = _phase(phase)
+    return spec.directed == L.directed and _admits(spec, *L.defect_counts())
 
 
 def find_phase_switch(L: Encoding, phase: str):
@@ -652,16 +646,14 @@ def find_phase_switch(L: Encoding, phase: str):
     """
     if not _phase_admits(L, phase):
         return None
-    lab1, lab2 = _PHASE_PATTERNS[phase]
+    spec = _PHASES[phase]
+    lab2 = spec.second
     mat = L.matrix
     n = L.n
     ones = L.ones_pairs()
-    if lab1 == 2:
-        firsts = [
-            (u, v) for u in range(n) for v in range(n) if u != v and mat[u][v] == 2
-        ]
-    else:
-        firsts = ones
+    firsts = [
+        (u, v) for u in range(n) for v in range(n) if u != v and mat[u][v] == spec.first
+    ]
     for a1, b1 in firsts:
         for a2, b2 in ones:
             if mat[a2][b1] != lab2:
@@ -701,7 +693,7 @@ def repair(L: Encoding) -> RepairResult:
     """
     work = L.copy()
     log = []
-    phases = ("P1", "P2", "P3") if L.mode == MODE_UNDIRECTED else ("A", "B")
+    phases = [name for name, spec in _PHASES.items() if spec.directed == L.directed]
     while True:
         p, q = work.defect_counts()
         if p == 0 and q == 0:
@@ -717,16 +709,9 @@ def repair(L: Encoding) -> RepairResult:
                 break
         if tup is None:
             raise RepairStuckError((p, q), log)
-        new_p, new_q = work.defect_counts()
-        assert (new_p, new_q) == {
-            "P1": (p - 1, q - 1),
-            "P2": (p - 1, q),
-            "P3": (p, q - 1),
-            "A": (p - 1, q),
-            "B": (p, q - 1),
-        }[phase]
-    result = work.as_graph() if L.mode == MODE_UNDIRECTED else work.as_digraph()
-    return RepairResult(result, log)
+        dp, dq = _PHASES[phase].removes
+        assert work.defect_counts() == (p - dp, q - dq)
+    return RepairResult(work.as_graph(), log)
 
 
 # ---------------------------------------------------------------------------
@@ -743,8 +728,6 @@ DIRECTED_PROFILES = tuple(
 
 
 def _scrambled_copy(g, rng, steps):
-    from . import chain
-
     out = g.copy()
     if len(out.edges) >= 2:
         for _ in range(steps):
@@ -777,66 +760,36 @@ def _plan_layout(L: Encoding, Z, rng, profile, level):
     p, q = profile
     if p + q == 0:
         return []
-    directed = L.mode == MODE_DIRECTED
+    directed = L.directed
     has_z = Z.has_edge
     mat = L.matrix
-    n = L.n
-    if directed:
-        two_pool = [
-            (u, v)
-            for u in range(n)
-            for v in range(n)
-            if u != v and mat[u][v] == 1 and not has_z(u, v)
-        ]
-        minus_pool = [(u, v) for (u, v) in Z.edges if mat[u][v] == 0]
-    else:
-        two_pool = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if mat[u][v] == 1 and not has_z(u, v)
-        ]
-        minus_pool = [tuple(sorted(e)) for e in Z.edges if mat[e[0]][e[1]] == 0]
+    key = L._key
+    two_pool = [pos for pos in L.ones_pairs() if key(*pos) == pos and not has_z(*pos)]
+    minus_pool = [key(u, v) for (u, v) in Z.edges if mat[u][v] == 0]
     if len(two_pool) < p or len(minus_pool) < q:
         return None
+    deg_in, deg_out = L.target_in, L.target_out
+    good = level == "good" and not directed
 
     def degree_feasible(layout):
         # a vertex with zeta 2-defects and eta (-1)-defects on one side still
         # needs d - 2*zeta + eta label-1 entries there; reject layouts that
-        # would force that count negative
-        if directed:
-            counters = {}  # vertex -> [zeta_in, zeta_out, eta_in, eta_out]
-            for lab, (u, v) in layout:
-                cu = counters.setdefault(u, [0, 0, 0, 0])
-                cv = counters.setdefault(v, [0, 0, 0, 0])
-                if lab == 2:
-                    cu[1] += 1
-                    cv[0] += 1
-                else:
-                    cu[3] += 1
-                    cv[2] += 1
-            for v, (zi, zo, ei, eo) in counters.items():
-                din, dout = L.target.pairs[v]
-                if din - 2 * zi + ei < 0 or dout - 2 * zo + eo < 0:
-                    return False
-            return True
-        counters = {}
-        for lab, (u, v) in layout:
-            for w in (u, v):
-                c = counters.setdefault(w, [0, 0])
-                c[0 if lab == 2 else 1] += 1
-            if lab == 2 and (L.target.degrees[u] < 2 or L.target.degrees[v] < 2):
-                if level == "good":
-                    return False
-        for v, (z, e) in counters.items():
-            d = L.target.degrees[v]
-            if d - 2 * z + e < 0:
+        # would force that count negative.  An undirected pair counts in both
+        # orientations, so both of its ends see it on both sides.
+        counters = {}  # vertex -> [zeta_in, zeta_out, eta_in, eta_out]
+        for lab, pos in layout:
+            side = 0 if lab == 2 else 2
+            for u, v in _orientations(pos, directed):
+                counters.setdefault(u, [0, 0, 0, 0])[side + 1] += 1
+                counters.setdefault(v, [0, 0, 0, 0])[side] += 1
+            if good and lab == 2 and min(deg_out[pos[0]], deg_out[pos[1]]) < 2:
                 return False
-            if level == "good":
-                if z >= 2 and d < 4:
-                    return False
-                if z >= 1 and e >= 1 and d < 3:
-                    return False
+        for v, (zi, zo, ei, eo) in counters.items():
+            d = deg_out[v]
+            if deg_in[v] - 2 * zi + ei < 0 or d - 2 * zo + eo < 0:
+                return False
+            if good and ((zo >= 2 and d < 4) or (zo >= 1 and eo >= 1 and d < 3)):
+                return False
         return True
 
     if level is None:
@@ -850,14 +803,13 @@ def _plan_layout(L: Encoding, Z, rng, profile, level):
                 return layout
         return None
 
-    catalog = _CATALOG_DIRECTED if directed else _CATALOG_UNDIRECTED
-    for template in _shuffled(catalog, rng):
+    for template in _shuffled(_CATALOGS[directed], rng):
         subsets = _subsets_with_counts(template, p, q)
         rng.shuffle(subsets)
         for sub in subsets:
-            layout = _embed_template_subset(
-                sub, two_pool, minus_pool, directed, rng, degree_feasible
-            )
+            # pools pre-shuffled per subset for variety
+            pools = {2: _shuffled(two_pool, rng), -1: _shuffled(minus_pool, rng)}
+            layout = _embed(sub, pools, directed, degree_feasible)
             if layout is not None:
                 return layout
     return None
@@ -875,42 +827,6 @@ def _subsets_with_counts(template, p, q):
     return out
 
 
-def _embed_template_subset(sub, two_pool, minus_pool, directed, rng, accept):
-    """Complete backtracking embedding of template arcs onto feasible
-    positions, injective on vertices; pools pre-shuffled for variety.
-    ``accept`` filters complete layouts (degree feasibility); rejected
-    embeddings are backtracked over."""
-    pools = {2: _shuffled(two_pool, rng), -1: _shuffled(minus_pool, rng)}
-
-    def extend(idx, mapping, used, layout):
-        if idx == len(sub):
-            return layout if accept(layout) else None
-        x, y, lab = sub[idx]
-        for pos in pools[lab]:
-            orientations = (pos,) if directed else (pos, (pos[1], pos[0]))
-            for u, v in orientations:
-                mx, my = mapping.get(x), mapping.get(y)
-                if mx is not None and mx != u:
-                    continue
-                if my is not None and my != v:
-                    continue
-                if mx is None and u in used:
-                    continue
-                if my is None and v in used:
-                    continue
-                new_map = dict(mapping)
-                new_used = set(used)
-                new_map[x] = u
-                new_map[y] = v
-                new_used.update((u, v))
-                res = extend(idx + 1, new_map, new_used, layout + [(lab, (u, v))])
-                if res is not None:
-                    return res
-        return None
-
-    return extend(0, {}, set(), [])
-
-
 def _inject_at(L: Encoding, Z, kind: str, pos, rng, protected, tries: int = 400) -> bool:
     """One reverse phase switch creating a defect exactly at ``pos``.
 
@@ -921,7 +837,6 @@ def _inject_at(L: Encoding, Z, kind: str, pos, rng, protected, tries: int = 400)
     """
     mat = L.matrix
     n = L.n
-    directed = L.mode == MODE_DIRECTED
     has_z = Z.has_edge
     key = L._key
 
@@ -966,10 +881,10 @@ def _inject_at(L: Encoding, Z, kind: str, pos, rng, protected, tries: int = 400)
                         return False
         return False
 
-    if kind in ("P2", "A"):
+    removes = _phase(kind).removes
+    if removes == (1, 0):
         # new 2 at pos=(a1,b1): needs L=1 and Z-absent there (planned)
-        anchors = (pos,) if directed else (pos, (pos[1], pos[0]))
-        for a1, b1 in _shuffled(anchors, rng):
+        for a1, b1 in _shuffled(_orientations(pos, L.directed), rng):
             if mat[a1][b1] != 1 or has_z(a1, b1):
                 continue
             if complete(a1, b1, None):
@@ -978,10 +893,9 @@ def _inject_at(L: Encoding, Z, kind: str, pos, rng, protected, tries: int = 400)
                 return False
         return False
 
-    if kind in ("P3", "B"):
+    if removes == (0, 1):
         # new -1 at pos=(a2,b1): needs L=0 and Z-present there (planned)
-        anchors = (pos,) if directed else (pos, (pos[1], pos[0]))
-        for a2, b1 in _shuffled(anchors, rng):
+        for a2, b1 in _shuffled(_orientations(pos, L.directed), rng):
             if mat[a2][b1] != 0 or not has_z(a2, b1):
                 continue
             for a1 in _shuffled(range(n), rng):
@@ -993,22 +907,19 @@ def _inject_at(L: Encoding, Z, kind: str, pos, rng, protected, tries: int = 400)
                     return False
         return False
 
-    if kind == "P1":
-        # simultaneous 2 at (a1,b1) and -1 at (a2,b1); pos = (two_pos, minus_pos)
-        two_pos, minus_pos = pos
-        shared = set(two_pos) & set(minus_pos)
-        if len(shared) != 1:
-            return False
-        b1 = shared.pop()
-        a1 = two_pos[0] if two_pos[1] == b1 else two_pos[1]
-        a2 = minus_pos[0] if minus_pos[1] == b1 else minus_pos[1]
-        if mat[a1][b1] != 1 or has_z(a1, b1):
-            return False
-        if mat[a2][b1] != 0 or not has_z(a2, b1):
-            return False
-        return complete(a1, b1, a2, fixed_a2=True)
-
-    raise ValueError(f"unknown reverse switch kind {kind!r}")
+    # simultaneous 2 at (a1,b1) and -1 at (a2,b1); pos = (two_pos, minus_pos)
+    two_pos, minus_pos = pos
+    shared = set(two_pos) & set(minus_pos)
+    if len(shared) != 1:
+        return False
+    b1 = shared.pop()
+    a1 = two_pos[0] if two_pos[1] == b1 else two_pos[1]
+    a2 = minus_pos[0] if minus_pos[1] == b1 else minus_pos[1]
+    if mat[a1][b1] != 1 or has_z(a1, b1):
+        return False
+    if mat[a2][b1] != 0 or not has_z(a2, b1):
+        return False
+    return complete(a1, b1, a2, fixed_a2=True)
 
 
 def make_test_encoding(
@@ -1046,6 +957,9 @@ def make_test_encoding(
         "valid": lambda enc: enc.is_valid(),
         "good": lambda enc: enc.is_good(),
     }[level]
+    # this mode's reverse switches, by the defects each one creates
+    kinds = {spec.removes: name for name, spec in _PHASES.items() if spec.directed == directed}
+    combined = kinds.get((1, 1))
     for _ in range(restarts):
         if free_choice:
             # some profiles are infeasible for tight degree sequences
@@ -1054,41 +968,30 @@ def make_test_encoding(
             profile = allowed[rng.randrange(len(allowed))]
         p, q = profile
         base = _scrambled_copy(Z, rng, steps)
-        L = (
-            Encoding.from_digraph(base, target)
-            if directed
-            else Encoding.from_graph(base, target)
-        )
+        L = Encoding.from_graph(base, target)
         layout = _plan_layout(L, Z, rng, profile, level)
         if layout is None:
             continue
         protected = {L._key(*pos) for _, pos in layout}
         minus_jobs = [pos for lab, pos in layout if lab == -1]
         two_jobs = [pos for lab, pos in layout if lab == 2]
-        jobs = []
-        if level is not None and not directed and p >= 1 and q >= 1 and p + q == 4:
-            pair = None
-            for tp in two_jobs:
-                for mp in minus_jobs:
-                    if len(set(tp) & set(mp)) == 1:
-                        pair = (tp, mp)
-                        break
-                if pair:
-                    break
+        pair = None
+        if level is not None and combined and _admits(_PHASES[combined], p, q):
+            pair = next(
+                ((tp, mp) for tp in two_jobs for mp in minus_jobs if len(set(tp) & set(mp)) == 1),
+                None,
+            )
             if pair is None:
                 continue
             two_jobs.remove(pair[0])
             minus_jobs.remove(pair[1])
-            jobs = [("P3", pos) for pos in minus_jobs]
-            jobs += [("P2", pos) for pos in two_jobs]
-            jobs.append(("P1", pair))
-        elif directed:
-            jobs = [("B", pos) for pos in minus_jobs] + [("A", pos) for pos in two_jobs]
-        else:
-            jobs = [("P3", pos) for pos in minus_jobs] + [("P2", pos) for pos in two_jobs]
+        jobs = [(kinds[(0, 1)], pos) for pos in minus_jobs]
+        jobs += [(kinds[(1, 0)], pos) for pos in two_jobs]
+        if pair:
+            jobs.append((combined, pair))
 
         def own_keys(kind, pos):
-            if kind == "P1":
+            if kind == combined:
                 return {L._key(*pos[0]), L._key(*pos[1])}
             return {L._key(*pos)}
 
@@ -1104,6 +1007,105 @@ def make_test_encoding(
 
 
 # ---------------------------------------------------------------------------
+# Exhaustive encoding enumeration (desk scale)
+
+
+def enum_good_encodings(
+    Z,
+    require_good: bool | None = None,
+    max_n: int = 6,
+    max_edges: int = 7,
+    cap: int = DEFAULT_CAP,
+) -> list:
+    """All encodings consistent with Z whose defect layout passes the catalog.
+
+    Entries are searched position by position over {-1,0,1,2} (restricted by
+    consistency with Z), with row/column-sum feasibility and defect-count
+    pruning.  An undirected position is an unordered pair; its value lands
+    in both its rows, which the column bookkeeping (aliased to the rows)
+    expresses.  ``require_good`` additionally applies the degree conditions
+    on defect incidences; it defaults to True for graphs and False for
+    digraphs, matching the encoding families the repair analysis counts.
+
+    Exponential in the instance size: guarded to n <= max_n and
+    |E| <= max_edges (arcs for digraphs).
+    """
+    directed = Z.directed
+    if require_good is None:
+        require_good = not directed
+    n = Z.n
+    edge_count = len(Z.edges)
+    if n > max_n or edge_count > max_edges:
+        raise CapExceededError(
+            f"instance too large for exhaustive encoding search (n={n}, edges={edge_count})"
+        )
+    blank = Encoding(Z.degree_sequence())
+    out_target, in_target = blank.target_out, blank.target_in
+    positions = [
+        (i, j) for i in range(n) for j in range(n) if i != j and blank._key(i, j) == (i, j)
+    ]
+    m = len(positions)
+    p_cap, q_cap, total_cap = _DEFECT_CAPS[directed]
+    allowed = [(-1, 0, 1) if Z.has_edge(i, j) else (0, 1, 2) for (i, j) in positions]
+
+    # suffix bounds on how much each row and column can still gain/lose
+    row_lo = [[0] * (m + 1) for _ in range(n)]
+    row_hi = [[0] * (m + 1) for _ in range(n)]
+    rowsum = [0] * n
+    if directed:
+        col_lo = [[0] * (m + 1) for _ in range(n)]
+        col_hi = [[0] * (m + 1) for _ in range(n)]
+        colsum = [0] * n
+    else:
+        col_lo, col_hi, colsum = row_lo, row_hi, rowsum
+    for k in range(m - 1, -1, -1):
+        i, j = positions[k]
+        for bound in (row_lo, row_hi, col_lo, col_hi):
+            for v in range(n):
+                bound[v][k] = bound[v][k + 1]
+        row_lo[i][k] += allowed[k][0]
+        row_hi[i][k] += allowed[k][-1]
+        col_lo[j][k] += allowed[k][0]
+        col_hi[j][k] += allowed[k][-1]
+
+    values = [0] * m
+    results = []
+
+    def rec(k, p, q):
+        if k == m:
+            if tuple(rowsum) == out_target and tuple(colsum) == in_target:
+                enc = blank.copy()
+                for (i, j), val in zip(positions, values):
+                    if val:
+                        enc._set(i, j, val)
+                if enc.is_valid() and (not require_good or enc.is_good()):
+                    results.append(enc)
+                    if len(results) > cap:
+                        raise CapExceededError(f"more than {cap} encodings")
+            return
+        i, j = positions[k]
+        for val in allowed[k]:
+            dp = 1 if val == 2 else 0
+            dq = 1 if val == -1 else 0
+            if p + dp > p_cap or q + dq > q_cap or p + dp + q + dq > total_cap:
+                continue
+            rowsum[i] += val
+            colsum[j] += val
+            values[k] = val
+            if (
+                rowsum[i] + row_lo[i][k + 1] <= out_target[i] <= rowsum[i] + row_hi[i][k + 1]
+                and colsum[j] + col_lo[j][k + 1] <= in_target[j] <= colsum[j] + col_hi[j][k + 1]
+            ):
+                rec(k + 1, p + dp, q + dq)
+            rowsum[i] -= val
+            colsum[j] -= val
+            values[k] = 0
+
+    rec(0, 0, 0)
+    return results
+
+
+# ---------------------------------------------------------------------------
 # Serialization: dense CSV matrix plus a JSON sidecar.
 
 
@@ -1113,35 +1115,58 @@ def save_encoding(L: Encoding, csv_path, sidecar_path=None):
         writer = csv.writer(fh)
         writer.writerows(L.matrix)
     p, q = L.defect_counts()
-    if L.mode == MODE_UNDIRECTED:
-        degrees = {"degrees": list(L.target.degrees)}
+    if L.directed:
+        degrees = {"in_degrees": list(L.target_in), "out_degrees": list(L.target_out)}
     else:
-        degrees = {
-            "in_degrees": [a for a, _ in L.target.pairs],
-            "out_degrees": [b for _, b in L.target.pairs],
-        }
+        degrees = {"degrees": list(L.target_out)}
     sidecar = {"mode": L.mode, "n": L.n, "profile": {"p": p, "q": q}, **degrees}
     with open(sidecar_path, "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
+def _sidecar_int(doc, key):
+    val = doc.get(key)
+    if type(val) is not int:
+        raise ValueError(f"sidecar field {key!r} must be an integer")
+    return val
+
+
+def _sidecar_ints(doc, key, size):
+    val = doc.get(key)
+    if not isinstance(val, list) or any(type(x) is not int for x in val):
+        raise ValueError(f"sidecar field {key!r} must be a list of integers")
+    if len(val) != size:
+        raise ValueError(f"sidecar field {key!r} has {len(val)} entries, expected {size}")
+    return val
+
+
 def load_encoding(csv_path, sidecar_path=None) -> Encoding:
+    """Read a CSV matrix and its JSON sidecar; ValueError on any malformed part."""
     sidecar_path = sidecar_path or (str(csv_path) + ".json")
     with open(sidecar_path, "r", encoding="utf-8") as fh:
         sidecar = json.load(fh)
     with open(csv_path, "r", newline="", encoding="utf-8") as fh:
         matrix = [[int(x) for x in row] for row in csv.reader(fh) if row]
-    mode = sidecar["mode"]
+    if not isinstance(sidecar, dict):
+        raise ValueError("sidecar must be a JSON object")
+    n = _sidecar_int(sidecar, "n")
+    if n != len(matrix):
+        raise ValueError(f"sidecar n = {n} does not match the {len(matrix)}-row matrix")
+    mode = sidecar.get("mode")
     if mode == MODE_UNDIRECTED:
-        target = DegreeSequence(sidecar["degrees"])
+        target = DegreeSequence(_sidecar_ints(sidecar, "degrees", n))
+    elif mode == MODE_DIRECTED:
+        ins = _sidecar_ints(sidecar, "in_degrees", n)
+        target = DirectedDegreeSequence(zip(ins, _sidecar_ints(sidecar, "out_degrees", n)))
     else:
-        target = DirectedDegreeSequence(
-            zip(sidecar["in_degrees"], sidecar["out_degrees"])
-        )
-    enc = Encoding(mode, target, matrix)
+        raise ValueError(f"sidecar mode must be {MODE_UNDIRECTED!r} or {MODE_DIRECTED!r}, got {mode!r}")
+    profile = sidecar.get("profile")
+    if not isinstance(profile, dict):
+        raise ValueError("sidecar field 'profile' must be an object with p and q")
+    want = (_sidecar_int(profile, "p"), _sidecar_int(profile, "q"))
+    enc = Encoding(target, matrix)
     got = enc.defect_counts()
-    want = (sidecar["profile"]["p"], sidecar["profile"]["q"])
     if got != want:
         raise ValueError(f"sidecar profile {want} does not match matrix {got}")
     return enc
@@ -1150,47 +1175,37 @@ def load_encoding(csv_path, sidecar_path=None) -> Encoding:
 def verify_counting_identities(L: Encoding):
     """Exact bookkeeping identities; raises ValueError on any mismatch.
 
-    Checks the non-defect edge count against M/2 - 2p + q (or m - 2p + q),
-    and per vertex both neighbourhood sizes against the degree/counter
-    formulas d - 2*zeta + eta and d - zeta + 2*eta.
+    Checks the label-1 entry count against the target's row sums less two
+    per 2-entry plus one per (-1)-entry (M - 4p + 2q symmetric entries, or
+    m - 2p + q arcs), and per vertex both neighbourhood sizes on each side
+    against the degree/counter formulas d - 2*zeta + eta and
+    d - zeta + 2*eta.  One pass over the matrix tallies the row (out) and
+    column (in) counts; an undirected encoding checks its symmetric rows and
+    columns alike.
     """
-    p, q = L.defect_counts()
-    mat = L.matrix
     n = L.n
-    if L.mode == MODE_UNDIRECTED:
-        ones_edges = sum(
-            1 for u in range(n) for v in range(u + 1, n) if mat[u][v] == 1
-        )
-        expected = L.target.M // 2 - 2 * p + q
-        if ones_edges != expected:
-            raise ValueError(f"non-defect edge count {ones_edges} != {expected}")
-        for v in range(n):
-            nv = sum(1 for w in range(n) if w != v and mat[v][w] == 1)
-            hat = sum(1 for w in range(n) if w != v and mat[v][w] != 0)
-            d = L.target.degrees[v]
-            if nv != d - 2 * L.zeta[v] + L.eta[v]:
-                raise ValueError(f"|N_L({v})| breaks the degree identity")
-            if hat != d - L.zeta[v] + 2 * L.eta[v]:
-                raise ValueError(f"|N^_L({v})| breaks the degree identity")
-    else:
-        ones_arcs = sum(
-            1 for u in range(n) for v in range(n) if u != v and mat[u][v] == 1
-        )
-        expected = L.target.m - 2 * p + q
-        if ones_arcs != expected:
-            raise ValueError(f"non-defect arc count {ones_arcs} != {expected}")
-        for v in range(n):
-            din, dout = L.target.pairs[v]
-            n_in = sum(1 for w in range(n) if w != v and mat[w][v] == 1)
-            n_out = sum(1 for w in range(n) if w != v and mat[v][w] == 1)
-            hat_in = sum(1 for w in range(n) if w != v and mat[w][v] != 0)
-            hat_out = sum(1 for w in range(n) if w != v and mat[v][w] != 0)
-            if n_in != din - 2 * L.zeta_in[v] + L.eta_in[v]:
-                raise ValueError(f"|N-({v})| breaks the degree identity")
-            if n_out != dout - 2 * L.zeta_out[v] + L.eta_out[v]:
-                raise ValueError(f"|N+({v})| breaks the degree identity")
-            if hat_in != din - L.zeta_in[v] + 2 * L.eta_in[v]:
-                raise ValueError(f"|N^-({v})| breaks the degree identity")
-            if hat_out != dout - L.zeta_out[v] + 2 * L.eta_out[v]:
-                raise ValueError(f"|N^+({v})| breaks the degree identity")
+    n_out, n_in, hat_out, hat_in = [0] * n, [0] * n, [0] * n, [0] * n
+    for u, row in enumerate(L.matrix):
+        for v, x in enumerate(row):
+            if x:
+                hat_out[u] += 1
+                hat_in[v] += 1
+                if x == 1:
+                    n_out[u] += 1
+                    n_in[v] += 1
+    p, q = L.defect_counts()
+    per_key = 1 if L.directed else 2  # entries behind one defect-set key
+    expected = sum(L.target_out) - per_key * (2 * p - q)
+    if sum(n_out) != expected:
+        raise ValueError(f"non-defect entry count {sum(n_out)} != {expected}")
+    sides = (
+        ("-", n_in, hat_in, L.target_in, L.zeta_in, L.eta_in),
+        ("+", n_out, hat_out, L.target_out, L.zeta_out, L.eta_out),
+    )
+    for v in range(n):
+        for sign, ones, hat, deg, zeta, eta in sides:
+            if ones[v] != deg[v] - 2 * zeta[v] + eta[v]:
+                raise ValueError(f"|N{sign}({v})| breaks the degree identity")
+            if hat[v] != deg[v] - zeta[v] + 2 * eta[v]:
+                raise ValueError(f"|N^{sign}({v})| breaks the degree identity")
     L.audit()

@@ -429,137 +429,3 @@ def analyze(
     else:
         start_state = tuple(sorted(tuple(e) for e in start))
     return StateSpaceAnalysis(seq, states, start_state, variant, eps)
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive encoding enumeration (desk scale)
-
-
-def enum_good_encodings(
-    Z,
-    require_good: bool | None = None,
-    max_n: int = 6,
-    max_edges: int = 7,
-    cap: int = DEFAULT_CAP,
-) -> list:
-    """All encodings consistent with Z whose defect layout passes the catalog.
-
-    Entries are searched position by position over {-1,0,1,2} (restricted by
-    consistency with Z), with row/column-sum feasibility and defect-count
-    pruning.  ``require_good`` additionally applies the degree conditions on
-    defect incidences; it defaults to True for graphs and False for digraphs,
-    matching the encoding families the repair analysis counts.
-
-    Exponential in the instance size: guarded to n <= max_n and
-    |E| <= max_edges (arcs for digraphs).
-    """
-    from .encoding import Encoding, MODE_DIRECTED, MODE_UNDIRECTED
-
-    directed = Z.directed
-    if require_good is None:
-        require_good = not directed
-    n = Z.n
-    edge_count = len(Z.edges)
-    if n > max_n or edge_count > max_edges:
-        raise CapExceededError(
-            f"instance too large for exhaustive encoding search (n={n}, edges={edge_count})"
-        )
-    target = Z.degree_sequence()
-    results = []
-
-    if directed:
-        in_target = [a for a, _ in target.pairs]
-        out_target = [b for _, b in target.pairs]
-        positions = [(i, j) for i in range(n) for j in range(n) if i != j]
-        p_cap, q_cap, total_cap = 3, 3, 5
-    else:
-        out_target = list(target.degrees)
-        in_target = out_target
-        positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        p_cap, q_cap, total_cap = 2, 3, 4
-
-    allowed = [(-1, 0, 1) if Z.has_edge(i, j) else (0, 1, 2) for (i, j) in positions]
-
-    # suffix bounds on how much each row can still gain/lose
-    row_lo = [[0] * (len(positions) + 1) for _ in range(n)]
-    row_hi = [[0] * (len(positions) + 1) for _ in range(n)]
-    for k in range(len(positions) - 1, -1, -1):
-        i, j = positions[k]
-        for v in range(n):
-            row_lo[v][k] = row_lo[v][k + 1]
-            row_hi[v][k] = row_hi[v][k + 1]
-        lo, hi = allowed[k][0], allowed[k][-1]
-        row_lo[i][k] += lo
-        row_hi[i][k] += hi
-        if not directed:
-            row_lo[j][k] += lo
-            row_hi[j][k] += hi
-
-    col_lo = [[0] * (len(positions) + 1) for _ in range(n)]
-    col_hi = [[0] * (len(positions) + 1) for _ in range(n)]
-    if directed:
-        for k in range(len(positions) - 1, -1, -1):
-            for v in range(n):
-                col_lo[v][k] = col_lo[v][k + 1]
-                col_hi[v][k] = col_hi[v][k + 1]
-            i, j = positions[k]
-            col_lo[j][k] += allowed[k][0]
-            col_hi[j][k] += allowed[k][-1]
-
-    rowsum = [0] * n
-    colsum = [0] * n
-    values = [0] * len(positions)
-    mode = MODE_DIRECTED if directed else MODE_UNDIRECTED
-
-    def rec(k, p, q):
-        if k == len(positions):
-            if all(rowsum[v] == out_target[v] for v in range(n)) and (
-                not directed or all(colsum[v] == in_target[v] for v in range(n))
-            ):
-                mat = [[0] * n for _ in range(n)]
-                for (i, j), val in zip(positions, values):
-                    mat[i][j] = val
-                    if not directed:
-                        mat[j][i] = val
-                enc = Encoding(mode, target, mat)
-                if enc.is_valid() and (not require_good or enc.is_good()):
-                    results.append(enc)
-                    if len(results) > cap:
-                        raise CapExceededError(f"more than {cap} encodings")
-            return
-        i, j = positions[k]
-        for val in allowed[k]:
-            dp = 1 if val == 2 else 0
-            dq = 1 if val == -1 else 0
-            if p + dp > p_cap or q + dq > q_cap or p + dp + q + dq > total_cap:
-                continue
-            rowsum[i] += val
-            colsum[j] += val
-            if not directed:
-                rowsum[j] += val
-            values[k] = val
-            ok = (
-                rowsum[i] + row_lo[i][k + 1] <= out_target[i]
-                and rowsum[i] + row_hi[i][k + 1] >= out_target[i]
-            )
-            if ok and not directed:
-                ok = (
-                    rowsum[j] + row_lo[j][k + 1] <= out_target[j]
-                    and rowsum[j] + row_hi[j][k + 1] >= out_target[j]
-                )
-            if ok and directed:
-                ok = (
-                    colsum[j] + col_lo[j][k + 1] <= in_target[j]
-                    and colsum[j] + col_hi[j][k + 1] >= in_target[j]
-                )
-            if ok:
-                rec(k + 1, p + dp, q + dq)
-            rowsum[i] -= val
-            colsum[j] -= val
-            if not directed:
-                rowsum[j] -= val
-            values[k] = 0
-        return
-
-    rec(0, 0, 0)
-    return results

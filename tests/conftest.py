@@ -226,3 +226,90 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
 @pytest.fixture
 def rng():
     return random.Random(0x5EED)
+
+
+def embeds_by_search(defects, template, directed) -> bool:
+    """Injective label-preserving embedding of defect edges into a template.
+
+    The encoding layer's first embedder, kept as an oracle: it copies its
+    partial map at every step instead of undoing it.
+    """
+
+    def extend(idx, mapping, used):
+        if idx == len(defects):
+            return True
+        u, v, lab = defects[idx]
+        for x, y, tlab in template:
+            if tlab != lab:
+                continue
+            orientations = ((x, y),) if directed else ((x, y), (y, x))
+            for tx, ty in orientations:
+                mu = mapping.get(u)
+                mv = mapping.get(v)
+                if mu is not None and mu != tx:
+                    continue
+                if mv is not None and mv != ty:
+                    continue
+                if mu is None and tx in used:
+                    continue
+                if mv is None and ty in used:
+                    continue
+                if mu is None and mv is None and tx == ty:
+                    continue
+                new_map = dict(mapping)
+                new_used = set(used)
+                if mu is None:
+                    new_map[u] = tx
+                    new_used.add(tx)
+                if mv is None:
+                    new_map[v] = ty
+                    new_used.add(ty)
+                if extend(idx + 1, new_map, new_used):
+                    return True
+        return False
+
+    return extend(0, {}, set())
+
+
+def counting_identities_by_mode(L):
+    """The encoding counting identities with one branch per mode, by generator sums.
+
+    Kept as an oracle for the merged single-pass check; raises ValueError on
+    a mismatch, then audits the bookkeeping like the library does.
+    """
+    p, q = L.defect_counts()
+    mat = L.matrix
+    n = L.n
+    if L.mode == "undirected":
+        ones_edges = sum(1 for u in range(n) for v in range(u + 1, n) if mat[u][v] == 1)
+        expected = L.target.M // 2 - 2 * p + q
+        if ones_edges != expected:
+            raise ValueError(f"non-defect edge count {ones_edges} != {expected}")
+        for v in range(n):
+            nv = sum(1 for w in range(n) if w != v and mat[v][w] == 1)
+            hat = sum(1 for w in range(n) if w != v and mat[v][w] != 0)
+            d = L.target.degrees[v]
+            if nv != d - 2 * L.zeta[v] + L.eta[v]:
+                raise ValueError(f"|N_L({v})| breaks the degree identity")
+            if hat != d - L.zeta[v] + 2 * L.eta[v]:
+                raise ValueError(f"|N^_L({v})| breaks the degree identity")
+    else:
+        ones_arcs = sum(1 for u in range(n) for v in range(n) if u != v and mat[u][v] == 1)
+        expected = L.target.m - 2 * p + q
+        if ones_arcs != expected:
+            raise ValueError(f"non-defect arc count {ones_arcs} != {expected}")
+        for v in range(n):
+            din, dout = L.target.pairs[v]
+            n_in = sum(1 for w in range(n) if w != v and mat[w][v] == 1)
+            n_out = sum(1 for w in range(n) if w != v and mat[v][w] == 1)
+            hat_in = sum(1 for w in range(n) if w != v and mat[w][v] != 0)
+            hat_out = sum(1 for w in range(n) if w != v and mat[v][w] != 0)
+            if n_in != din - 2 * L.zeta_in[v] + L.eta_in[v]:
+                raise ValueError(f"|N-({v})| breaks the degree identity")
+            if n_out != dout - 2 * L.zeta_out[v] + L.eta_out[v]:
+                raise ValueError(f"|N+({v})| breaks the degree identity")
+            if hat_in != din - L.zeta_in[v] + 2 * L.eta_in[v]:
+                raise ValueError(f"|N^-({v})| breaks the degree identity")
+            if hat_out != dout - L.zeta_out[v] + 2 * L.eta_out[v]:
+                raise ValueError(f"|N^+({v})| breaks the degree identity")
+    L.audit()

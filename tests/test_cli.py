@@ -248,3 +248,38 @@ def test_manifest_flags_hold_no_private_attributes(tmp_path, capsys):
         assert code == 0, argv
         assert not [k for k in doc["manifest"]["flags"] if k.startswith("_")], argv
         assert doc["manifest"]["flags"]["out"], argv
+
+
+def test_malformed_sidecars_exit_1_without_traceback(tmp_path, capsys):
+    from switchmix import Digraph, Encoding
+
+    enc = tmp_path / "enc.csv"
+    save_encoding(make_test_encoding(realize(DegreeSequence([3] * 12)), random.Random(5), profile=(1, 1)), enc)
+    good = json.loads((tmp_path / "enc.csv.json").read_text())
+    denc = tmp_path / "d.csv"
+    save_encoding(Encoding.from_graph(Digraph(2, [(0, 1), (1, 0)])), denc)
+    dgood = json.loads((tmp_path / "d.csv.json").read_text())
+
+    def without(doc, key):
+        return {k: v for k, v in doc.items() if k != key}
+
+    cases = {
+        "no mode": (enc, without(good, "mode")),
+        "no profile": (enc, without(good, "profile")),
+        "a list": (enc, [good]),
+        "degrees not a list": (enc, {**good, "degrees": 5}),
+        "unknown mode": (enc, {**good, "mode": "x"}),
+        "n against the matrix": (enc, {**good, "n": 11, "degrees": good["degrees"][:11]}),
+        "profile not an object": (enc, {**good, "profile": [1, 1]}),
+        "in/out lengths differ": (denc, {**dgood, "in_degrees": [1, 1, 0]}),
+    }
+    for i, (name, (csv_path, sidecar)) in enumerate(cases.items()):
+        side = tmp_path / f"sidecar{i}.json"
+        side.write_text(json.dumps(sidecar))
+        code = main(["repair-encoding", "--encoding", str(csv_path), "--sidecar", str(side)])
+        out, err = capsys.readouterr()
+        assert code == 1, name
+        assert out == "" and err.startswith("error: sidecar"), (name, err)
+    # the untouched sidecars still load
+    for csv_path in (enc, denc):
+        assert run_cli(capsys, "repair-encoding", "--encoding", str(csv_path))[0] == 0

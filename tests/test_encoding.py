@@ -1,7 +1,10 @@
+from collections import Counter
+
 import pytest
 
 from switchmix import (
     DegreeSequence,
+    Digraph,
     DirectedDegreeSequence,
     Encoding,
     Graph,
@@ -10,6 +13,7 @@ from switchmix import (
     choice_count_and_bound,
     defect_profile,
     encode,
+    enum_good_encodings,
     find_phase_switch,
     load_encoding,
     make_test_encoding,
@@ -31,9 +35,15 @@ ALT = Graph(4, [(0, 2), (1, 2), (1, 3)])
 
 
 def test_catalog_structure():
-    from collections import Counter
+    from switchmix.encoding import _CATALOG_DIRECTED, _CATALOG_UNDIRECTED, _DEFECT_CAPS
 
-    from switchmix.encoding import _CATALOG_DIRECTED, _CATALOG_UNDIRECTED
+    for directed, catalog in ((False, _CATALOG_UNDIRECTED), (True, _CATALOG_DIRECTED)):
+        labels = [[lab for *_, lab in tpl] for tpl in catalog]
+        assert _DEFECT_CAPS[directed] == (
+            max(labs.count(2) for labs in labels),
+            max(labs.count(-1) for labs in labels),
+            max(map(len, labels)),
+        )
 
     assert len(_CATALOG_UNDIRECTED) == 10
     for tpl in _CATALOG_UNDIRECTED:
@@ -116,14 +126,14 @@ def test_validity_catalog_cases():
         put(u, v, 1)
     # fix row sums: build a fresh target from the matrix itself
     target = DegreeSequence([sum(row) for row in mat])
-    L = Encoding("undirected", target, mat)
+    L = Encoding(target, mat)
     assert L.defect_counts() == (1, 3)
     assert L.is_valid()
 
     # five defect edges can never be valid
     put(6, 7, -1)
     target2 = DegreeSequence([sum(row) for row in mat])
-    L2 = Encoding("undirected", target2, mat)
+    L2 = Encoding(target2, mat)
     assert not L2.is_valid()
 
 
@@ -134,7 +144,7 @@ def test_goodness_degree_conditions():
     mat[2][3] = mat[3][2] = 1
     mat[0][2] = mat[2][0] = -1
     target = DegreeSequence([sum(row) for row in mat])
-    L = Encoding("undirected", target, mat)
+    L = Encoding(target, mat)
     assert L.is_valid()
     assert not L.is_good()  # d_0 = 1 on a 2-defect edge
 
@@ -195,7 +205,7 @@ def test_apply_3switch_errors():
     mat[1][3] = mat[3][1] = 1
     mat[4][5] = mat[5][4] = 1
     target = DegreeSequence([sum(row) for row in mat])
-    L2 = Encoding("undirected", target, mat)
+    L2 = Encoding(target, mat)
     before = [row[:] for row in L2.matrix]
     with pytest.raises(ValueError):
         apply_3switch(L2, (1, 0, 2, 3, 4, 5))
@@ -338,3 +348,116 @@ def test_serialization_round_trip(tmp_path, rng):
     save_encoding(Ld, dcsv)
     Ld2 = load_encoding(dcsv)
     assert Ld2 == Ld and Ld2.mode == "directed"
+
+
+def _random_encoding(rng, n, directed):
+    """A random matrix over {-1, 0, 1, 2} (symmetric when undirected) with
+    non-negative sums, loaded as an encoding of its own row/column sums."""
+    while True:
+        mat = [[0] * n for _ in range(n)]
+        for u in range(n):
+            for v in range(n) if directed else range(u + 1, n):
+                if u != v:
+                    mat[u][v] = rng.choice((0, 0, 0, 1, 1, 1, 1, 2, -1))
+                    if not directed:
+                        mat[v][u] = mat[u][v]
+        rows = [sum(row) for row in mat]
+        cols = [sum(col) for col in zip(*mat)]
+        if min(rows + cols) >= 0:
+            target = DirectedDegreeSequence(zip(cols, rows)) if directed else DegreeSequence(rows)
+            return Encoding(target, mat)
+
+
+def _oracle_encodings(rng):
+    """Every exhaustive-search output on two spaces per mode, plus random
+    matrices with up to five defects and more (never valid undirected)."""
+    out = []
+    for Z in (
+        Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 4)]),
+        Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)]),
+        Digraph(3, [(0, 1), (1, 2), (2, 0)]),
+        Digraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (2, 4)]),
+    ):
+        out.extend(enum_good_encodings(Z, require_good=False))
+    for i in range(300):
+        out.append(_random_encoding(rng, rng.randint(4, 8), directed=bool(i % 2)))
+    return out
+
+
+def test_embedder_agrees_with_search_oracle(rng):
+    from conftest import embeds_by_search
+
+    from switchmix.encoding import _CATALOGS, _embed
+
+    sizes = Counter()
+    for L in _oracle_encodings(rng):
+        defects = L._defect_edges()
+        sizes[len(defects), L.directed] += 1
+        for tpl in _CATALOGS[L.directed]:
+            arcs = {lab: [(x, y) for x, y, t in tpl if t == lab] for lab in (2, -1)}
+            got = _embed(defects, arcs, L.directed) is not None
+            assert got == embeds_by_search(defects, tpl, L.directed), (L.matrix, tpl)
+        want = any(embeds_by_search(defects, tpl, L.directed) for tpl in _CATALOGS[L.directed])
+        assert L.is_valid() == want
+        if len(defects) == 5 and not L.directed:
+            assert not want
+    # the corpus reaches 5-defect layouts in both modes, and beyond
+    assert sizes[5, False] and sizes[5, True] and any(k > 5 for k, _ in sizes)
+
+
+def _identity_outcome(check, L):
+    try:
+        check(L)
+    except (ValueError, AssertionError) as exc:
+        return type(exc)
+    return None
+
+
+def test_counting_identities_agree_with_two_branch_oracle(rng):
+    from conftest import counting_identities_by_mode
+
+    for L in _oracle_encodings(rng):
+        assert _identity_outcome(verify_counting_identities, L) is None
+        assert _identity_outcome(counting_identities_by_mode, L) is None
+        # corrupt the bookkeeping behind the store's back: both checks object
+        bumped = L.copy()
+        v = rng.randrange(L.n)
+        (bumped.zeta_in if rng.random() < 0.5 else bumped.eta_out)[v] += 1
+        ones = L.ones_pairs()
+        dropped = L.copy()
+        if ones:
+            u, w = ones[rng.randrange(len(ones))]
+            dropped.matrix[u][w] = 0
+            if not L.directed:
+                dropped.matrix[w][u] = 0
+        for broken in (bumped, dropped) if ones else (bumped,):
+            got = _identity_outcome(verify_counting_identities, broken)
+            assert got is not None
+            assert got == _identity_outcome(counting_identities_by_mode, broken)
+
+
+def test_one_store_for_both_modes(rng):
+    Zu = realize(DegreeSequence([3] * 12))
+    Zd = realize_directed(DirectedDegreeSequence([(2, 2)] * 12))
+    Lu = make_test_encoding(Zu, rng, profile=(1, 1))
+    Ld = make_test_encoding(Zd, rng, profile=(1, 1))
+    assert (Lu.mode, Ld.mode) == ("undirected", "directed")
+    # undirected: the in-side counters are the out-side ones, also in a copy
+    for L in (Lu, Lu.copy()):
+        assert L.zeta_in is L.zeta_out and L.eta_in is L.eta_out
+        assert L.zeta is L.zeta_out and L.eta is L.eta_out
+    for L in (Ld, Ld.copy()):
+        assert L.zeta_in is not L.zeta_out and L.eta_in is not L.eta_out
+        assert L.zeta is None and L.eta is None
+    copy = Lu.copy()
+    apply_3switch(copy, find_phase_switch(copy, "P2"))
+    copy.audit()
+    Lu.audit()  # the copy's counters are its own
+    # the mode follows from the target; a mode string is no target
+    with pytest.raises(TypeError):
+        Encoding("undirected", Zu.degree_sequence())
+    with pytest.raises(TypeError):
+        Encoding.from_graph(Zd, Zu.degree_sequence())
+    assert isinstance(Encoding.from_graph(Zd).as_graph(), Digraph)
+    assert Encoding.from_graph(Zd).as_graph().arcs == sorted(Zd.arcs)
+    assert Encoding.from_graph(Zu).as_graph() == Zu
