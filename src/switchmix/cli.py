@@ -37,7 +37,7 @@ from .encoding import RepairStuckError, load_encoding, repair
 from .encoding import validate as validate_encoding
 from .graph import Digraph, read_digraph, read_graph, write_edge_list
 from .irreducibility import find_useful, induced_triangles, switch_connectivity
-from .statespace import DEFAULT_CAP, CapExceededError, NoMixingError, analyze
+from .statespace import DEFAULT_CAP, CapExceededError, NoMixingError, analyze, enum_states
 
 SCHEMA_VERSION = 1
 
@@ -241,8 +241,6 @@ def _cmd_irreducible(args):
     report = switch_connectivity(seq, cap=_cap(args))
     witnesses = []
     if args.directed:
-        from .statespace import enum_states
-
         states = enum_states(seq, cap=_cap(args))
         for state in states[: args.witness_states]:
             dg = Digraph(seq.n, state)

@@ -3,8 +3,14 @@
 Transition matrices and total-variation curves are kept in exact rational
 arithmetic (integer numerators over a power of the one-step denominator);
 the matrix is held as sparse integer rows, so propagation touches only the
-non-zeros.  Floating point appears only in the spectral gap, which comes from
-numpy.linalg.eigvalsh on the symmetric matrix.
+non-zeros.  States are keyed by bitmasks over vertex pairs while the rows are
+built.  Floating point appears only in the spectral gap: a Lanczos iteration
+with full reorthogonalisation on the same rows, deflated by the uniform
+vector (the known eigenvalue-1 eigenvector of the symmetric P) and started
+from a fixed pseudo-random vector, so it is deterministic and never forms a
+dense matrix.  It stops once both extreme Ritz values have residual at most
+1e-14 (which a breakdown also gives) or at dimension N - 1.  numpy is imported only inside
+the gap computation, so commands that never analyse a space do not load it.
 """
 
 from __future__ import annotations
@@ -12,9 +18,9 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 
-from .chain import VARIANT_EXACT, switch_neighbour_states
+from .chain import VARIANT_EXACT
 from .construct import realize, realize_directed
 from .degseq import DegreeSequence, DirectedDegreeSequence
 from .graph import Digraph, Graph
@@ -144,9 +150,42 @@ def switch_rows(states, directed: bool = False) -> list:
     Row i maps the index of each switch neighbour of ``states[i]`` to the
     number of proposals reaching it.  The exact analysis adds the holding
     mass; connectivity needs only the keys.
+
+    Each state is keyed by a bitmask over the vertex pairs that occur in
+    the states, and each pair of disjoint pairs carries its switches as
+    (removed, added) masks, so a neighbour is one dictionary lookup of
+    ``mask ^ removed | added``.  A switch whose new pairs never occur in a
+    state can never apply and is left out.  Neighbours come in the order of
+    ``switch_neighbour_states``.
     """
-    index = {s: i for i, s in enumerate(states)}
-    return [Counter(index[nb] for nb in switch_neighbour_states(st, directed)) for st in states]
+    key = (Digraph if directed else Graph)._key
+    bit = {e: 1 << k for k, e in enumerate(sorted({e for st in states for e in st}))}
+    moves = {}
+    for (x, y), (z, w) in combinations(bit, 2):
+        if x == z or x == w or y == z or y == w:
+            continue
+        matchings = (((x, w), (z, y)),) if directed else (((x, z), (y, w)), ((x, w), (z, y)))
+        added = []
+        for p1, p2 in matchings:
+            e1, e2 = key(*p1), key(*p2)
+            if e1 in bit and e2 in bit:
+                added.append(bit[e1] | bit[e2])
+        if added:
+            moves[bit[x, y] | bit[z, w]] = added
+    masks = [sum(bit[e] for e in st) for st in states]
+    index = {mask: i for i, mask in enumerate(masks)}
+    rows = []
+    for st, mask in zip(states, masks):
+        bits = [bit[e] for e in st]
+        row = []
+        for i, b in enumerate(bits):
+            for c in bits[i + 1 :]:
+                removed = b | c
+                for added in moves.get(removed, ()):
+                    if not mask & added:
+                        row.append(index[mask ^ removed | added])
+        rows.append(Counter(row))
+    return rows
 
 
 def _roots(count: int, links) -> list:
@@ -384,23 +423,72 @@ class StateSpaceAnalysis:
 
     @property
     def spectral_gap(self) -> float:
-        """1 - max(|lambda_min|, lambda_2), from numpy.linalg.eigvalsh.
+        """1 - max(|lambda_min|, lambda_2), by Lanczos on the sparse rows.
 
-        Exactly 0.0 on a reducible space and 1.0 on a single state.
+        Exactly 0.0 on a reducible space and 1.0 on a single state; otherwise
+        it comes from the extreme eigenvalues of P on the complement of the
+        uniform vector (see ``_deflated_extremes``).  The float is bitwise
+        reproducible and lies within about 5e-15 of dense
+        ``numpy.linalg.eigvalsh`` on every space the tests check.
         """
         if self._gap is None:
-            count = len(self._rows)
             self._gap = float(self.irreducible)
-            if self.irreducible and count > 1:
-                import numpy as np
-
-                P = np.zeros((count, count))
-                for i, row in enumerate(self._rows):
-                    P[i, list(row)] = list(row.values())
-                P /= self._denom
-                vals = np.linalg.eigvalsh(P)
-                self._gap = float(1.0 - max(abs(vals[0]), vals[-2]))
+            if self.irreducible and len(self._rows) > 1:
+                lowest, highest = _deflated_extremes(self._rows, self._denom)
+                self._gap = float(1.0 - max(abs(lowest), highest))
         return self._gap
+
+
+_LANCZOS_SEED = 20170125
+_LANCZOS_TOL = 1e-14
+
+
+def _deflated_extremes(rows, denom) -> tuple:
+    """Least and greatest eigenvalue of the symmetric P = rows/denom on u-perp.
+
+    u is the uniform unit vector, the known eigenvector of eigenvalue 1, so
+    the greatest eigenvalue there is lambda_2.  Lanczos starts from a fixed
+    pseudo-random vector projected off u and reorthogonalises each new vector
+    twice against u and every earlier vector (against the earlier vectors
+    alone, u creeps back in as roundoff once the Krylov space is nearly
+    exhausted, and a spurious Ritz value near 1 appears).  It stops when both
+    extreme Ritz residuals beta_k |s_k| fall to ``_LANCZOS_TOL`` or at
+    dimension N - 1; the extremes are then those of the small tridiagonal
+    matrix.  The residuals never exceed beta_k, so a breakdown (beta_k near
+    0: every distinct eigenvalue the start vector meets is already in the
+    Krylov space) stops it too.  Each product with P is one
+    ``bincount`` over the non-zeros, so memory is the rows plus the basis.
+    """
+    import numpy as np
+
+    count = len(rows)
+    row_idx = np.repeat(np.arange(count), [len(row) for row in rows])
+    col_idx = np.fromiter(chain.from_iterable(rows), np.intp, len(row_idx))
+    data = np.fromiter(chain.from_iterable(map(Counter.values, rows)), float, len(row_idx)) / denom
+    basis = np.empty((min(count, 64), count))
+    basis[0] = 1.0 / np.sqrt(count)
+    q = np.random.default_rng(_LANCZOS_SEED).standard_normal(count)
+    for _ in range(2):
+        q -= basis[0] * (basis[0] @ q)
+    basis[1] = q / np.linalg.norm(q)
+    alphas, betas = [], []
+    k = 1
+    while True:
+        w = np.bincount(row_idx, weights=data * basis[k][col_idx], minlength=count)
+        alphas.append(basis[k] @ w)
+        known = basis[: k + 1]
+        for _ in range(2):
+            w -= (known @ w) @ known
+        beta = np.linalg.norm(w)
+        theta, s = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        residual = beta * max(abs(s[-1, 0]), abs(s[-1, -1]))
+        if k == count - 1 or residual <= _LANCZOS_TOL:
+            return theta[0], theta[-1]
+        betas.append(beta)
+        k += 1
+        if k == len(basis):
+            basis = np.concatenate([basis, np.empty((min(k, count - k), count))])
+        basis[k] = w / beta
 
 
 def analyze(

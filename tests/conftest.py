@@ -2,12 +2,15 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from switchmix import DegreeSequence, DirectedDegreeSequence, Graph
+from switchmix.chain import switch_neighbour_states
 
 
 def count_nonadjacent_edge_pairs(g: Graph) -> int:
@@ -128,6 +131,29 @@ def dense_tv_curve(matrix, horizon: int, start: int) -> list:
             ]
             den *= den_step
     return curve
+
+
+def dense_gap(an) -> float:
+    """1 - max(|lambda_min|, lambda_2) from numpy.linalg.eigvalsh on the dense matrix.
+
+    The analysis's integer rows are scattered into a states x states float
+    array, so this is only for spaces of a few thousand states.
+    """
+    count = len(an._rows)
+    if count == 1:
+        return 1.0
+    P = np.zeros((count, count))
+    for i, row in enumerate(an._rows):
+        P[i, list(row)] = list(row.values())
+    vals = np.linalg.eigvalsh(P / an._denom)
+    return float(1.0 - max(abs(vals[0]), vals[-2]))
+
+
+def switch_rows_by_tuples(states, directed=False) -> list:
+    """Switch rows keyed by sorted edge tuples: every neighbour state is built
+    as a tuple and looked up in a dict of all states."""
+    index = {s: i for i, s in enumerate(states)}
+    return [Counter(index[nb] for nb in switch_neighbour_states(st, directed)) for st in states]
 
 
 def erdos_gallai_quadratic(degrees) -> bool:

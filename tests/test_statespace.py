@@ -1,12 +1,19 @@
 import json
 import math
 import pathlib
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import dense_tv_curve, random_digraph_sequence, random_graphical_sequence
+from conftest import (
+    dense_gap,
+    dense_tv_curve,
+    random_digraph_sequence,
+    random_graphical_sequence,
+    switch_rows_by_tuples,
+)
 from switchmix import (
     CapExceededError,
     DegreeSequence,
@@ -18,6 +25,7 @@ from switchmix import (
     enum_good_encodings,
     enum_states,
 )
+from switchmix.statespace import switch_rows
 
 GOLDEN_CASES = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "analyze_exact.json").read_text()
@@ -194,7 +202,7 @@ def test_exact_outputs_match_golden(key):
     assert an.exact_mixing_time(Fraction(1, 4)) == case["exact_mixing_time_1_4"]
 
 
-def _random_spaces(rng, directed, wanted, max_states=40):
+def _random_spaces(rng, directed, wanted, max_states=40, variant="exact"):
     spaces = []
     while len(spaces) < wanted:
         n = rng.randint(4, 6)
@@ -205,7 +213,7 @@ def _random_spaces(rng, directed, wanted, max_states=40):
         if not directed and not seq.a:
             continue
         if 2 <= len(enum_states(seq)) <= max_states:
-            spaces.append(analyze(seq))
+            spaces.append(analyze(seq, variant=variant))
     return spaces
 
 
@@ -294,3 +302,68 @@ def test_mixing_time_within_relaxation_sandwich(seq):
         assert (t_rel - 1) * math.log(1 / (2 * eps)) <= t_mix
         assert t_mix <= t_rel * math.log(len(an.states) / eps)
 
+
+
+@pytest.mark.parametrize(
+    "directed, variant",
+    [(False, "exact"), (False, "all-pairs"), (True, "exact")],
+    ids=["undirected", "all-pairs", "directed"],
+)
+def test_lanczos_gap_matches_dense_oracle_on_random_spaces(rng, directed, variant):
+    for an in _random_spaces(rng, directed, 12, max_states=400, variant=variant):
+        assert abs(an.spectral_gap - dense_gap(an)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [DegreeSequence([2] * 6), DegreeSequence([3] * 6), DirectedDegreeSequence([(1, 1)] * 5)],
+    ids=repr,
+)
+def test_lanczos_gap_matches_dense_oracle_on_symmetric_spaces(seq):
+    """Few distinct eigenvalues: the Krylov space is exhausted after a few steps."""
+    an = analyze(seq)
+    assert abs(an.spectral_gap - dense_gap(an)) <= 1e-12
+
+
+def test_lanczos_gap_edge_cases():
+    reducible = analyze(DirectedDegreeSequence([(1, 1)] * 3))
+    assert reducible.spectral_gap == 0.0 and abs(dense_gap(reducible)) <= 1e-12
+    single = analyze(DegreeSequence([3, 3, 3, 3]))
+    assert single.spectral_gap == 1.0 == dense_gap(single)
+    periodic = analyze(DirectedDegreeSequence([(0, 1), (1, 0), (0, 1), (1, 0)]))
+    assert abs(periodic.spectral_gap) < 1e-12 and abs(dense_gap(periodic)) < 1e-12
+
+
+def test_lanczos_gap_is_reproducible():
+    for seq in GAP_SPACES:
+        first, second = analyze(seq).spectral_gap, analyze(seq).spectral_gap
+        assert first.hex() == second.hex()
+
+
+def test_lanczos_gap_matches_dense_oracle_on_3507_states():
+    an = analyze(DegreeSequence([2] * 8))
+    assert len(an.states) == 3507
+    assert abs(an.spectral_gap - dense_gap(an)) <= 1e-12
+
+
+def test_spectral_gap_allocates_no_dense_matrix():
+    """The dense 3507 x 3507 float matrix alone would take 98 MB."""
+    an = analyze(DegreeSequence([2] * 8))
+    tracemalloc.start()
+    try:
+        an.spectral_gap
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_switch_rows_match_tuple_oracle(rng, directed):
+    for an in _random_spaces(rng, directed, 12, max_states=400):
+        assert switch_rows(an.states, directed) == switch_rows_by_tuples(an.states, directed)
+
+
+def test_switch_rows_match_tuple_oracle_on_3507_states():
+    states = enum_states(DegreeSequence([2] * 8))
+    assert switch_rows(states) == switch_rows_by_tuples(states)
