@@ -12,6 +12,7 @@ from .chain import (
     VARIANT_EXACT,
     ChainRun,
     FrozenChainError,
+    advance,
     derive_seed,
     sample,
     step_directed,

@@ -18,7 +18,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from .graph import Digraph, Graph
 
@@ -49,28 +48,89 @@ def derive_seed(seed: int, stream: int) -> int:
     return x
 
 
-def _disjoint_pair(g, rng, a=None):
-    """Endpoints ``x, y, z, w`` of two distinct edges drawn uniformly, if disjoint.
+def advance(g, rng, steps: int, a: int | None = None) -> int:
+    """Run ``steps`` transitions of the switch chain on ``g`` in place.
 
-    With ``a`` (the exact variant's count of non-adjacent pairs) the draw is
-    repeated until the edges are disjoint, which ends almost surely because
-    a > 0.  Without it an adjacent draw returns None: the lazy chains hold.
+    Returns how many of them changed the state.  ``g.directed`` picks the
+    directed chain, which takes no ``a``.  On a graph, ``a`` (the count of
+    non-adjacent edge pairs) picks the exact variant, which redraws adjacent
+    pairs until it finds a disjoint one, and ``a=None`` the all-pairs
+    variant, which holds on them.
+
+    Every index is drawn as ``rng.getrandbits(n.bit_length())``, repeated
+    while it is at least n: the rule by which ``random.Random.randrange(n)``
+    draws, so a step consumes the stream exactly as ``randrange`` calls for
+    the edge indices and the matching would.  An accepted move removes the
+    two old edges by swap-with-last and appends the two new ones, in the
+    order of ``_EdgeStore.switch``.  The edge array is part of a seeded
+    trajectory.
+
     With fewer than two edges, or a == 0, no switch can ever apply and
-    FrozenChainError is raised, for every variant alike.
+    FrozenChainError is raised before any draw, unless no step is asked for.
     """
-    edges = g.edges
-    if len(edges) < 2 or a == 0:
+    if steps <= 0:
+        return 0
+    edges, pos = g.edges, g._pos
+    count = len(edges)
+    if count < 2 or a == 0:
         raise FrozenChainError(
             "no pair of non-adjacent edges exists; the chain has no moves"
         )
-    while True:
-        i, j = g.random_edge_index_pair(rng)
-        x, y = edges[i]
-        z, w = edges[j]
-        if x != z and x != w and y != z and y != w:
-            return x, y, z, w
-        if a is None:
-            return None
+    bits = rng.getrandbits
+    directed, exact = g.directed, a is not None
+    last = count - 1
+    k_first, k_second = count.bit_length(), last.bit_length()
+    accepted = 0
+    for _ in range(steps):
+        while True:
+            i = bits(k_first)
+            while i >= count:
+                i = bits(k_first)
+            j = bits(k_second)
+            while j >= last:
+                j = bits(k_second)
+            if j >= i:
+                j += 1
+            r1, r2 = edges[i], edges[j]
+            x, y = r1
+            z, w = r2
+            if x != z and x != w and y != z and y != w:
+                break
+            if not exact:
+                r1 = None  # an adjacent pair: the lazy chains hold
+                break
+        if r1 is None:
+            continue
+        if directed:
+            a1, a2 = (x, w), (z, y)
+        else:
+            k = bits(2)
+            while k == 3:
+                k = bits(2)
+            if k == 0:
+                continue  # the original matching: hold
+            if k == 2:
+                z, w = w, z
+            a1 = (x, z) if x < z else (z, x)
+            a2 = (y, w) if y < w else (w, y)
+        if a1 in pos or a2 in pos:
+            continue
+        del pos[r1]
+        tail = edges.pop()
+        if i != last:
+            edges[i] = tail
+            pos[tail] = i
+        j = pos.pop(r2)
+        tail = edges.pop()
+        if j != last - 1:
+            edges[j] = tail
+            pos[tail] = j
+        pos[a1] = last - 1
+        pos[a2] = last
+        edges.append(a1)
+        edges.append(a2)
+        accepted += 1
+    return accepted
 
 
 def step_undirected(g: Graph, rng, variant: str = VARIANT_EXACT, a: int | None = None) -> bool:
@@ -91,33 +151,12 @@ def step_undirected(g: Graph, rng, variant: str = VARIANT_EXACT, a: int | None =
         a = None
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    pair = _disjoint_pair(g, rng, a)
-    if pair is None:
-        return False
-    x, y, z, w = pair
-    k = rng.randrange(3)
-    if k == 0:
-        return False  # the original matching: hold
-    if k == 1:
-        f1, f2 = (x, z), (y, w)
-    else:
-        f1, f2 = (x, w), (y, z)
-    if g.has_edge(*f1) or g.has_edge(*f2):
-        return False
-    g.switch((x, y), (z, w), f1, f2)
-    return True
+    return bool(advance(g, rng, 1, a))
 
 
 def step_directed(dg: Digraph, rng) -> bool:
     """Advance one directed transition in place; True when the state changed."""
-    pair = _disjoint_pair(dg, rng)
-    if pair is None:
-        return False
-    a, b, c, d = pair
-    if dg.has_edge(a, d) or dg.has_edge(c, b):
-        return False
-    dg.switch((a, b), (c, d), (a, d), (c, b))
-    return True
+    return bool(advance(dg, rng, 1))
 
 
 @dataclass
@@ -155,16 +194,12 @@ def sample(run: ChainRun, count: int, stream: int = 0) -> list:
         return []
     g = run.start.copy()
     rng = random.Random(derive_seed(run.seed, stream))
-    if g.directed:
-        step = step_directed
-    else:
-        step = partial(step_undirected, variant=run.variant, a=g.degree_sequence().a)
-    for _ in range(run.steps):
-        step(g, rng)
+    exact = not g.directed and run.variant == VARIANT_EXACT
+    a = g.degree_sequence().a if exact else None
+    advance(g, rng, run.steps, a)
     out = []
     for _ in range(count):
-        for _ in range(run.thinning):
-            step(g, rng)
+        advance(g, rng, run.thinning, a)
         out.append(g.canonical())
     return out
 

@@ -35,8 +35,8 @@ from .construct import realize, realize_directed
 from .degseq import NotRealizableError, load_degrees
 from .encoding import RepairStuckError, load_encoding, repair
 from .encoding import validate as validate_encoding
-from .graph import Digraph, read_digraph, read_graph, write_edge_list
-from .irreducibility import find_useful, induced_triangles, switch_connectivity
+from .graph import Digraph, edge_list_text, read_digraph, read_graph, write_edge_list
+from .irreducibility import connectivity_report, find_useful, induced_triangles
 from .statespace import DEFAULT_CAP, CapExceededError, NoMixingError, analyze, enum_states
 
 SCHEMA_VERSION = 1
@@ -195,7 +195,7 @@ def _cmd_sample(args):
         for r, states in enumerate(replica_states):
             for i, state in enumerate(states):
                 name = f"sample_r{r:02d}_{i:05d}.txt"
-                write_edge_list(type(start)(start.n, state), outdir / name)
+                (outdir / name).write_text(edge_list_text(start.n, state), encoding="utf-8")
                 result["files"].append(name)
     else:
         result["states"] = [
@@ -238,10 +238,10 @@ def _cmd_analyze(args):
 
 def _cmd_irreducible(args):
     seq = _load_seq(args)
-    report = switch_connectivity(seq, cap=_cap(args))
+    states = enum_states(seq, cap=_cap(args))
+    report = connectivity_report(states, args.directed)
     witnesses = []
     if args.directed:
-        states = enum_states(seq, cap=_cap(args))
         for state in states[: args.witness_states]:
             dg = Digraph(seq.n, state)
             for tri in induced_triangles(dg):

@@ -730,11 +730,7 @@ DIRECTED_PROFILES = tuple(
 def _scrambled_copy(g, rng, steps):
     out = g.copy()
     if len(out.edges) >= 2:
-        for _ in range(steps):
-            if out.directed:
-                chain.step_directed(out, rng)
-            else:
-                chain.step_undirected(out, rng, chain.VARIANT_ALL_PAIRS)
+        chain.advance(out, rng, steps)  # the all-pairs variant when undirected
     return out
 
 

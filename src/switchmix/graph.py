@@ -1,7 +1,7 @@
 """Simple graph and digraph stores tuned for switch-chain stepping.
 
 Both kinds share one store: edges live in an indexed array so a uniform
-random edge is one randrange call, with a key -> index dict beside it for
+random edge is one index draw, with a key -> index dict beside it for
 O(1) membership tests and O(1) deletion by swap-with-last.  ``Graph`` and
 ``Digraph`` differ only in how a vertex pair is keyed (unordered as
 ``(min, max)``, or ordered) and in which degrees a switch must keep.
@@ -56,14 +56,13 @@ class _EdgeStore:
             self._pos[last] = pos
 
     def switch(self, r1, r2, a1, a2):
-        """Replace stored edges ``r1``, ``r2`` by the pairs ``a1``, ``a2``; unchecked.
+        """Replace stored edges ``r1``, ``r2`` by the keyed pairs ``a1``, ``a2``; unchecked.
 
-        The chain kernel calls this after its own collision test: ``r1`` and
-        ``r2`` must be distinct stored keys and ``a1``, ``a2`` absent pairs
-        that keep every degree.  Removal and insertion order fix the edge
-        array, which is part of a seeded trajectory.
+        ``r1`` and ``r2`` must be distinct stored keys and ``a1``, ``a2``
+        absent keys that keep every degree.  Removal and insertion order fix
+        the edge array, which is part of a seeded trajectory; the chain
+        kernel (``chain.advance``) applies its moves in the same order.
         """
-        a1, a2 = self._key(*a1), self._key(*a2)
         self._delete(r1)
         self._delete(r2)
         pos, edges = self._pos, self.edges
@@ -209,16 +208,20 @@ class Digraph(_EdgeStore):
     random_arc_index_pair = _EdgeStore.random_edge_index_pair
 
 
-def write_edge_list(g, path):
-    """Edge-list format: header "n <vertex count>", then one "u v" per line.
+def edge_list_text(n, edges) -> str:
+    """Edge-list format: header "n <vertex count>", then one "u v" per edge, in order."""
+    return f"n {n}\n" + "".join([f"{u} {v}\n" for u, v in edges])
 
-    Lines are written in the stored edge order, so read + write round-trips
-    a file byte for byte.
+
+def write_edge_list(g, path):
+    """Write ``g`` in the edge-list format, in the stored edge order.
+
+    Read + write round-trips a file byte for byte.  A canonical state tuple
+    is the stored order of the store built from it, so
+    ``edge_list_text(n, state)`` is the file of that store.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"n {g.n}\n")
-        for u, v in g.edges:
-            fh.write(f"{u} {v}\n")
+        fh.write(edge_list_text(g.n, g.edges))
 
 
 def _read(path, cls):

@@ -133,10 +133,13 @@ def induced_triangles(dg: Digraph):
     return out
 
 
-def switch_connectivity(seq, cap: int = DEFAULT_CAP) -> dict:
-    """Component structure of the switch graph over all realizations."""
-    states = enum_states(seq, cap)
-    roots = components(switch_rows(states, isinstance(seq, DirectedDegreeSequence)))
+def connectivity_report(states, directed: bool) -> dict:
+    """Component structure of the switch graph over the given realizations.
+
+    ``states`` are all the realizations of one sequence, as ``enum_states``
+    lists them.
+    """
+    roots = components(switch_rows(states, directed))
     component_sizes = sorted(Counter(roots).values(), reverse=True)
     return {
         "component_count": len(component_sizes),
@@ -144,3 +147,8 @@ def switch_connectivity(seq, cap: int = DEFAULT_CAP) -> dict:
         "irreducible": len(component_sizes) == 1,
         "state_count": len(states),
     }
+
+
+def switch_connectivity(seq, cap: int = DEFAULT_CAP) -> dict:
+    """Component structure of the switch graph over all realizations."""
+    return connectivity_report(enum_states(seq, cap), isinstance(seq, DirectedDegreeSequence))

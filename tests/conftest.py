@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 from switchmix import DegreeSequence, DirectedDegreeSequence, Graph
-from switchmix.chain import switch_neighbour_states
+from switchmix.chain import (
+    VARIANT_EXACT,
+    FrozenChainError,
+    derive_seed,
+    switch_neighbour_states,
+)
 
 
 def count_nonadjacent_edge_pairs(g: Graph) -> int:
@@ -339,3 +344,71 @@ def counting_identities_by_mode(L):
             if hat_out != dout - L.zeta_out[v] + 2 * L.eta_out[v]:
                 raise ValueError(f"|N^+({v})| breaks the degree identity")
     L.audit()
+
+
+# ---------------------------------------------------------------------------
+# The per-step chain kernel that ``chain.advance`` replaced, kept as its
+# oracle: ``randrange`` draws through ``random_edge_index_pair``, collision
+# tests by ``has_edge`` and moves applied by the store's ``switch``.
+
+
+def _reference_disjoint_pair(g, rng, a=None):
+    if len(g.edges) < 2 or a == 0:
+        raise FrozenChainError(
+            "no pair of non-adjacent edges exists; the chain has no moves"
+        )
+    while True:
+        i, j = g.random_edge_index_pair(rng)
+        x, y = g.edges[i]
+        z, w = g.edges[j]
+        if x != z and x != w and y != z and y != w:
+            return x, y, z, w
+        if a is None:
+            return None
+
+
+def reference_step_undirected(g, rng, a=None) -> bool:
+    """One undirected step: the exact variant with ``a``, the all-pairs one without."""
+    pair = _reference_disjoint_pair(g, rng, a)
+    if pair is None:
+        return False
+    x, y, z, w = pair
+    k = rng.randrange(3)
+    if k == 0:
+        return False
+    f1, f2 = ((x, z), (y, w)) if k == 1 else ((x, w), (y, z))
+    if g.has_edge(*f1) or g.has_edge(*f2):
+        return False
+    g.switch((x, y), (z, w), g._key(*f1), g._key(*f2))
+    return True
+
+
+def reference_step_directed(dg, rng) -> bool:
+    pair = _reference_disjoint_pair(dg, rng)
+    if pair is None:
+        return False
+    a, b, c, d = pair
+    if dg.has_edge(a, d) or dg.has_edge(c, b):
+        return False
+    dg.switch((a, b), (c, d), (a, d), (c, b))
+    return True
+
+
+def reference_advance(g, rng, steps, a=None) -> int:
+    """Accepted moves of ``steps`` reference steps; same arguments as ``chain.advance``."""
+    if g.directed:
+        return sum(reference_step_directed(g, rng) for _ in range(steps))
+    return sum(reference_step_undirected(g, rng, a) for _ in range(steps))
+
+
+def reference_sample(run, count, stream=0) -> list:
+    """``chain.sample`` stepped one reference step at a time."""
+    g = run.start.copy()
+    rng = random.Random(derive_seed(run.seed, stream))
+    a = None if g.directed or run.variant != VARIANT_EXACT else g.degree_sequence().a
+    out = []
+    reference_advance(g, rng, run.steps, a)
+    for _ in range(count):
+        reference_advance(g, rng, run.thinning, a)
+        out.append(g.canonical())
+    return out

@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 
-from switchmix import DegreeSequence, make_test_encoding, realize, save_encoding
+from switchmix import DegreeSequence, Graph, make_test_encoding, realize, save_encoding, write_edge_list
 from switchmix.cli import main
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
@@ -92,6 +92,12 @@ def test_sample_determinism_and_files(tmp_path, capsys):
     assert sorted(p.name for p in outdir.glob("sample_*.txt")) == sorted(
         doc["result"]["files"]
     )
+    # each file is what write_edge_list writes for the store of its state
+    for r, states in enumerate(doc1["result"]["states"]):
+        for i, state in enumerate(states):
+            write_edge_list(Graph(6, state), tmp_path / "ref.txt")
+            emitted = outdir / f"sample_r{r:02d}_{i:05d}.txt"
+            assert emitted.read_bytes() == (tmp_path / "ref.txt").read_bytes()
 
 
 def test_analyze_report(capsys):
@@ -177,8 +183,6 @@ def test_repair_encoding_cli(tmp_path, capsys):
     L = make_test_encoding(Z, rng, profile=(1, 1))
     csv_path = tmp_path / "enc.csv"
     save_encoding(L, csv_path)
-    from switchmix.graph import write_edge_list
-
     zpath = tmp_path / "z.txt"
     write_edge_list(Z, zpath)
     code, doc = run_cli(
