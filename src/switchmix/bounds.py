@@ -89,8 +89,10 @@ class BoundReport:
     log_part: object  # mpf
     value: object  # mpf
 
-    def value_str(self, digits: int = 20) -> str:
-        return mpmath.nstr(self.value, digits)
+
+def nstr(x, digits: int = 25) -> str:
+    """An mpf as the CLI reports it: ``digits`` significant digits."""
+    return mpmath.nstr(x, digits)
 
 
 def _size_bound_undirected(d: DegreeSequence) -> Fraction:

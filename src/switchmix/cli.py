@@ -18,26 +18,10 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .bounds import flow_components, mixing_bound
-from .chain import (
-    VARIANT_ALL_PAIRS,
-    VARIANT_EXACT,
-    ChainRun,
-    FrozenChainError,
-    derive_seed,
-    sample,
-)
-from .construct import realize, realize_directed
-from .degseq import NotRealizableError, load_degrees
-from .encoding import RepairStuckError, load_encoding, repair
-from .encoding import validate as validate_encoding
-from .graph import Digraph, edge_list_text, read_digraph, read_graph, write_edge_list
-from .irreducibility import connectivity_report, find_useful, induced_triangles
-from .statespace import DEFAULT_CAP, CapExceededError, NoMixingError, analyze, enum_states
+from .degseq import DEFAULT_CAP, CapExceededError, NotRealizableError, load_degrees
 
 SCHEMA_VERSION = 1
 
@@ -73,18 +57,14 @@ def _digest(path) -> str:
     return h.hexdigest()
 
 
-def _manifest(args, extra=None) -> dict:
-    flags = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k != "func" and not k.startswith("_") and v is not None
-    }
+def _manifest(args) -> dict:
+    flags = {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None}
     digests = {}
     for key in ("degrees", "encoding", "sidecar", "z"):
         val = getattr(args, key, None)
         if val and os.path.exists(val):
             digests[val] = _digest(val)
-    man = {
+    return {
         "artifact": "switchmix",
         "version": __version__,
         "schema_version": SCHEMA_VERSION,
@@ -94,16 +74,13 @@ def _manifest(args, extra=None) -> dict:
         "input_digests": digests,
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
     }
-    if extra:
-        man.update(extra)
-    return man
 
 
-def _emit(args, document) -> None:
+def _emit(document, path) -> None:
+    """Print ``document`` and, when ``path`` is given, write it there too."""
     text = json.dumps(document, indent=2, sort_keys=True, default=str) + "\n"
-    out = getattr(args, "out", None)
-    if out and not getattr(args, "_out_handled", False):
-        Path(out).write_text(text, encoding="utf-8")
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
     sys.stdout.write(text)
 
 
@@ -112,15 +89,23 @@ def _load_seq(args):
 
 
 def _cap(args) -> int:
-    if getattr(args, "cap", None) is not None:
+    if args.cap is not None:
         return args.cap
     env = os.environ.get("SWITCHMIX_CAP")
-    if env:
-        return int(env)
-    return DEFAULT_CAP
+    if not env:
+        return DEFAULT_CAP
+    try:
+        return _at_least(1)(env)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ValueError(f"SWITCHMIX_CAP: {exc}") from None
 
 
 # -- subcommand bodies -------------------------------------------------------
+#
+# Each returns (result block, path the JSON document is also written to).
+# That path is --out, except where the command writes --out itself: then it
+# is None, or the manifest.json in sample's output directory.  Each body
+# imports what it runs, so a process loads only its subcommand's modules.
 
 
 def _cmd_validate(args):
@@ -152,23 +137,29 @@ def _cmd_validate(args):
         }
         if not flags["graphical"]:
             raise ValidationFailure("not graphical", result)
-    return result
+    return result, args.out
 
 
 def _cmd_realize(args):
+    from .construct import realize, realize_directed
+    from .graph import write_edge_list
+
     seq = _load_seq(args)
     g = realize_directed(seq) if args.directed else realize(seq)
     if args.out:
         write_edge_list(g, args.out)
-        args._out_handled = True
     return {
         "n": g.n,
         "edges" if not args.directed else "arcs": [list(e) for e in g.edges],
         "written_to": args.out,
-    }
+    }, None
 
 
 def _cmd_sample(args):
+    from .chain import ChainRun, FrozenChainError, derive_seed, sample
+    from .construct import realize, realize_directed
+    from .graph import edge_list_text
+
     seq = _load_seq(args)
     start = realize_directed(seq) if args.directed else realize(seq)
     run = ChainRun(
@@ -178,7 +169,10 @@ def _cmd_sample(args):
         variant=args.variant,
         thinning=args.thin,
     )
-    replica_states = [sample(run, args.count, stream=r) for r in range(args.replicas)]
+    try:
+        replica_states = [sample(run, args.count, stream=r) for r in range(args.replicas)]
+    except FrozenChainError as exc:
+        raise ValidationFailure(str(exc)) from None
     result = {
         "replicas": args.replicas,
         "count": args.count,
@@ -188,10 +182,11 @@ def _cmd_sample(args):
         "sub_seeds": [derive_seed(args.seed, r) for r in range(args.replicas)],
         "files": [],
     }
+    manifest = None
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        args._out_handled = True
+        manifest = outdir / "manifest.json"
         for r, states in enumerate(replica_states):
             for i, state in enumerate(states):
                 name = f"sample_r{r:02d}_{i:05d}.txt"
@@ -202,10 +197,14 @@ def _cmd_sample(args):
             [[list(e) for e in state] for state in states]
             for states in replica_states
         ]
-    return result
+    return result, manifest
 
 
 def _cmd_analyze(args):
+    from fractions import Fraction
+
+    from .statespace import NoMixingError, analyze
+
     seq = _load_seq(args)
     an = analyze(seq, variant=args.variant, cap=_cap(args))
     horizon = args.horizon
@@ -233,10 +232,14 @@ def _cmd_analyze(args):
         "tv_curve": [float(x) for x in curve],
         "tv_final_exact": str(curve[-1]),
         "horizon": horizon,
-    }
+    }, args.out
 
 
 def _cmd_irreducible(args):
+    from .graph import Digraph
+    from .irreducibility import connectivity_report, find_useful, induced_triangles
+    from .statespace import enum_states
+
     seq = _load_seq(args)
     states = enum_states(seq, cap=_cap(args))
     report = connectivity_report(states, args.directed)
@@ -255,16 +258,12 @@ def _cmd_irreducible(args):
                         else {"kind": w.kind, "value": w.value, "condition": w.condition},
                     }
                 )
-    return {**report, "witness_samples": witnesses}
-
-
-def _nstr(x, digits: int = 25) -> str:
-    import mpmath
-
-    return mpmath.nstr(x, digits)
+    return {**report, "witness_samples": witnesses}, args.out
 
 
 def _cmd_bound(args):
+    from .bounds import flow_components, mixing_bound, nstr
+
     seq = _load_seq(args)
     rep = mixing_bound(seq, args.eps)
     comps = flow_components(seq)
@@ -273,21 +272,24 @@ def _cmd_bound(args):
         "formula": rep.formula,
         "applicability": rep.applicability,
         "poly_part": str(rep.poly_part),
-        "log_part": _nstr(rep.log_part),
-        "value": _nstr(rep.value),
+        "log_part": nstr(rep.log_part),
+        "value": nstr(rep.value),
         "components": {
             "size_bound": str(comps.size_bound),
             "ell_bound": str(comps.ell_bound),
             "one_over_Q": comps.one_over_Q,
             "encoding_ratio_bound": str(comps.encoding_ratio_bound),
             "load_bound": str(comps.load_bound),
-            "product_equals_bound": _nstr(comps.product_bound(args.eps))
-            == _nstr(rep.value),
+            "product_equals_bound": nstr(comps.product_bound(args.eps)) == nstr(rep.value),
         },
-    }
+    }, args.out
 
 
 def _cmd_repair_encoding(args):
+    from .encoding import RepairStuckError, load_encoding, repair
+    from .encoding import validate as validate_encoding
+    from .graph import read_digraph, read_graph, write_edge_list
+
     L = load_encoding(args.encoding, args.sidecar)
     if args.z is not None:
         Z = read_digraph(args.z) if L.directed else read_graph(args.z)
@@ -304,10 +306,9 @@ def _cmd_repair_encoding(args):
             "repaired": False,
             "stuck_profile": list(exc.profile),
             "switch_log": [[ph, list(t)] for ph, t in exc.log],
-        }
+        }, args.out
     if args.out:
         write_edge_list(res.result, args.out)
-        args._out_handled = True
     return {
         "profile": [p, q],
         "flags": flags,
@@ -315,7 +316,7 @@ def _cmd_repair_encoding(args):
         "switches": len(res.switch_log),
         "switch_log": [[ph, list(t)] for ph, t in res.switch_log],
         "result_edges": [list(e) for e in res.result.edges],
-    }
+    }, None
 
 
 # -- argument wiring ----------------------------------------------------------
@@ -356,7 +357,7 @@ def _build_parser() -> _Parser:
         if eps:
             p.add_argument("--eps", type=float, default=0.01)
         if cap:
-            p.add_argument("--cap", type=int, default=None)
+            p.add_argument("--cap", type=_at_least(1), default=None)
 
     p = sub.add_parser("validate", help="graphicality and applicability flags")
     common(p)
@@ -411,37 +412,24 @@ def main(argv=None) -> int:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
     if hasattr(args, "variant"):
+        from .chain import VARIANT_ALL_PAIRS, VARIANT_EXACT
+
         args.variant = VARIANT_EXACT if args.variant == "exact" else VARIANT_ALL_PAIRS
     try:
-        result = args.func(args)  # runs first: it may set args._out_handled
-        document = {"manifest": _manifest(args), "result": result}
-        if args.subcommand == "sample" and args.out:
-            outdir = Path(args.out)
-            outdir.mkdir(parents=True, exist_ok=True)
-            (outdir / "manifest.json").write_text(
-                json.dumps(document, indent=2, sort_keys=True, default=str) + "\n",
-                encoding="utf-8",
-            )
-        _emit(args, document)
+        result, path = args.func(args)
+        _emit({"manifest": _manifest(args), "result": result}, path)
         return EXIT_OK
     except ValidationFailure as exc:
-        document = {
-            "manifest": _manifest(args),
-            "error": {"reason": exc.reason, **exc.payload},
-        }
-        _emit(args, document)
-        return EXIT_VALIDATION
-    except (NotRealizableError, FrozenChainError) as exc:
-        document = {"manifest": _manifest(args), "error": {"reason": str(exc)}}
-        _emit(args, document)
-        return EXIT_VALIDATION
+        error, code = {"reason": exc.reason, **exc.payload}, EXIT_VALIDATION
+    except NotRealizableError as exc:
+        error, code = {"reason": str(exc)}, EXIT_VALIDATION
     except CapExceededError as exc:
-        document = {"manifest": _manifest(args), "error": {"reason": str(exc)}}
-        _emit(args, document)
-        return EXIT_CAP
+        error, code = {"reason": str(exc)}, EXIT_CAP
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    _emit({"manifest": _manifest(args), "error": error}, args.out)
+    return code
 
 
 if __name__ == "__main__":

@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import os
 
+DEFAULT_CAP = 10**6
+
 
 class NotRealizableError(ValueError):
     """No simple graph (or digraph) realizes the requested degrees."""
+
+
+class CapExceededError(RuntimeError):
+    """Enumeration would exceed the configured state cap."""
 
 
 class DegreeSequence:

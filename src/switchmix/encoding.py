@@ -28,9 +28,8 @@ from itertools import permutations, product
 from typing import NamedTuple
 
 from . import chain
-from .degseq import DegreeSequence, DirectedDegreeSequence
+from .degseq import DEFAULT_CAP, CapExceededError, DegreeSequence, DirectedDegreeSequence
 from .graph import Digraph, Graph
-from .statespace import DEFAULT_CAP, CapExceededError
 
 MODE_UNDIRECTED = "undirected"
 MODE_DIRECTED = "directed"

@@ -22,14 +22,8 @@ from itertools import chain, combinations, islice
 
 from .chain import VARIANT_EXACT
 from .construct import realize, realize_directed
-from .degseq import DegreeSequence, DirectedDegreeSequence
+from .degseq import DEFAULT_CAP, CapExceededError, DegreeSequence, DirectedDegreeSequence
 from .graph import Digraph, Graph
-
-DEFAULT_CAP = 10**6
-
-
-class CapExceededError(RuntimeError):
-    """Enumeration would exceed the configured state cap."""
 
 
 # ---------------------------------------------------------------------------

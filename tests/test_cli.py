@@ -152,6 +152,25 @@ def test_analyze_cap_exit(capsys, monkeypatch):
     assert code == 0
 
 
+def test_cap_below_one_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.delenv("SWITCHMIX_CAP", raising=False)
+    for command in ("analyze", "irreducible"):
+        for cap in ("0", "-5"):
+            assert main([command, "--degrees", "2,2,2,2", "--cap", cap]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("usage error: argument --cap"), (command, err)
+        for env in ("-1", "0", "many", "1.5"):
+            monkeypatch.setenv("SWITCHMIX_CAP", env)
+            assert main([command, "--degrees", "2,2,2,2"]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: SWITCHMIX_CAP"), (command, env, err)
+        # the flag wins over the variable; a cap of 3 holds the 3 states
+        assert run_cli(capsys, command, "--degrees", "2,2,2,2", "--cap", "3")[0] == 0
+        monkeypatch.setenv("SWITCHMIX_CAP", "3")
+        assert run_cli(capsys, command, "--degrees", "2,2,2,2")[0] == 0
+        monkeypatch.delenv("SWITCHMIX_CAP")
+
+
 def test_irreducible_report(capsys):
     code, doc = run_cli(capsys, "irreducible", "--degrees", "1:1,1:1,1:1", "--directed")
     assert code == 0
@@ -175,6 +194,19 @@ def test_realize_writes_edge_list(tmp_path, capsys):
     assert out.read_text().startswith("n 4\n")
     code, _ = run_cli(capsys, "realize", "--degrees", "3,3,1,1")
     assert code == 2
+
+
+def test_out_holds_the_printed_document(tmp_path, capsys):
+    cases = (
+        (["validate", "--degrees", "2,2,1,1"], 0, "v.json", "v.json"),
+        (["realize", "--degrees", "3,3,1,1"], 2, "bad.txt", "bad.txt"),
+        (["sample", "--degrees", "2,2,2", "--count", "1"], 2, "frozen", "frozen"),
+        (["sample", "--degrees", "2,2,2,2,2,2", "--count", "2"], 0, "s", "s/manifest.json"),
+    )
+    for argv, expected, out, document in cases:
+        code = main([*argv, "--out", str(tmp_path / out)])
+        assert code == expected, argv
+        assert (tmp_path / document).read_text() == capsys.readouterr().out, argv
 
 
 def test_repair_encoding_cli(tmp_path, capsys):
