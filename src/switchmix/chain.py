@@ -16,7 +16,6 @@ m/binom(m,2).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import Digraph, Graph
@@ -159,7 +158,6 @@ def step_directed(dg: Digraph, rng) -> bool:
     return bool(advance(dg, rng, 1))
 
 
-@dataclass
 class ChainRun:
     """A reproducible chain configuration.
 
@@ -167,19 +165,27 @@ class ChainRun:
     steps.  The trajectory is a pure function of (start, seed, variant).
     """
 
-    start: Graph | Digraph
-    steps: int = 0
-    seed: int = 0
-    variant: str = VARIANT_EXACT
-    thinning: int = 1
+    __slots__ = ("start", "steps", "seed", "variant", "thinning")
 
-    def __post_init__(self):
-        if self.steps < 0:
+    def __init__(
+        self,
+        start: Graph | Digraph,
+        steps: int = 0,
+        seed: int = 0,
+        variant: str = VARIANT_EXACT,
+        thinning: int = 1,
+    ):
+        if steps < 0:
             raise ValueError("negative burn-in")
-        if self.thinning < 1:
+        if thinning < 1:
             raise ValueError("thinning must be >= 1")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}")
+        self.start = start
+        self.steps = steps
+        self.seed = seed
+        self.variant = variant
+        self.thinning = thinning
 
 
 def sample(run: ChainRun, count: int, stream: int = 0) -> list:

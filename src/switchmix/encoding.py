@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations, product
 from typing import NamedTuple
@@ -106,6 +107,16 @@ _TEMPLATE_ARCS = {
 _DEFECT_CAPS = {False: (2, 3, 4), True: (3, 3, 5)}
 
 
+def _bits(mask):
+    """The set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _orientations(pos, directed):
     """The ordered pairs a position stands for: both, for an undirected pair."""
     return (pos,) if directed else (pos, (pos[1], pos[0]))
@@ -119,12 +130,17 @@ def _embed(arcs, candidates_by_label, directed, accept=None):
     orientations.  The vertex map is injective and grows arc by arc; on a
     dead end the search backtracks.  Returns the images [(label, (u, v)),
     ...] of the first complete map that ``accept`` passes (any, when it is
-    None), or None.
+    None), or None.  An arc with a mapped endpoint scans only the
+    candidates at that endpoint's image, still in their given order.
     """
-    options = {
-        lab: [o for pos in cands for o in _orientations(pos, directed)]
-        for lab, cands in candidates_by_label.items()
-    }
+    options = {}
+    by_tail = {}
+    by_head = {}
+    for lab, cands in candidates_by_label.items():
+        row = options[lab] = [o for pos in cands for o in _orientations(pos, directed)]
+        for o in row:
+            by_tail.setdefault((lab, o[0]), []).append(o)
+            by_head.setdefault((lab, o[1]), []).append(o)
     image = {}
     used = set()
     layout = []
@@ -134,8 +150,14 @@ def _embed(arcs, candidates_by_label, directed, accept=None):
             return accept is None or accept(layout)
         x, y, lab = arcs[idx]
         mx, my = image.get(x), image.get(y)
-        for u, v in options.get(lab, ()):
-            if (u != mx) if mx is not None else (u in used):
+        if mx is not None:
+            cands = by_tail.get((lab, mx), ())
+        elif my is not None:
+            cands = by_head.get((lab, my), ())
+        else:
+            cands = options.get(lab, ())
+        for u, v in cands:
+            if mx is None and u in used:
                 continue
             if (v != my) if my is not None else (v in used):
                 continue
@@ -176,6 +198,13 @@ class Encoding:
     and per column (in); in undirected mode the in-side lists are the
     out-side lists.  ``target_in``/``target_out`` are the column and row sums
     the target asks for.
+
+    The label-1 entries are also indexed as bitmask rows: bit v of
+    ``ones_out[u]`` is set when L(u, v) = 1 and bit u of ``ones_in[v]``
+    likewise, so "which entries are 1" costs a walk over set bits, not a
+    scan of the n x n matrix.  In undirected mode ``ones_in`` is
+    ``ones_out``, which the mirrored entries keep symmetric.  The dense
+    ``matrix`` stays the store every entry is read from.
     """
 
     __slots__ = (
@@ -187,7 +216,8 @@ class Encoding:
         "matrix",
         "two",
         "minus",
-        "ones_count",
+        "ones_in",
+        "ones_out",
         "zeta_in",
         "zeta_out",
         "eta_in",
@@ -209,7 +239,8 @@ class Encoding:
         self.matrix = [[0] * n for _ in range(n)]
         self.two = set()
         self.minus = set()
-        self.ones_count = 0
+        self.ones_out = [0] * n
+        self.ones_in = [0] * n if self.directed else self.ones_out
         self.zeta_out = [0] * n
         self.eta_out = [0] * n
         self.zeta_in = [0] * n if self.directed else self.zeta_out
@@ -235,18 +266,18 @@ class Encoding:
         n = self.n
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValueError("matrix shape does not match the degree sequence")
-        for i in range(n):
-            if matrix[i][i] != 0:
+        for i, row in enumerate(matrix):
+            if row[i] != 0:
                 raise ValueError("nonzero diagonal")
-            for j in range(n):
-                v = matrix[i][j]
-                if not ENTRY_MIN <= v <= ENTRY_MAX:
-                    raise ValueError(f"entry {v} at ({i},{j}) out of range")
+            if min(row) < ENTRY_MIN or max(row) > ENTRY_MAX:
+                for j, v in enumerate(row):
+                    if not ENTRY_MIN <= v <= ENTRY_MAX:
+                        raise ValueError(f"entry {v} at ({i},{j}) out of range")
         mine = self.matrix
-        for i in range(n):
-            for j in range(n):
-                if matrix[i][j] != mine[i][j]:
-                    self._set(i, j, matrix[i][j])
+        for i, row in enumerate(matrix):
+            mine_row = mine[i]
+            for j in [j for j, v in enumerate(row) if v and v != mine_row[j]]:
+                self._set(i, j, row[j])
         # a mirrored write can only have overwritten an entry of an asymmetric matrix
         if any(list(row) != mine[i] for i, row in enumerate(matrix)):
             raise ValueError("matrix not symmetric")
@@ -289,7 +320,8 @@ class Encoding:
             self.eta_out[u] -= 1
             self.eta_in[v] -= 1
         elif old == 1:
-            self.ones_count -= 1
+            self.ones_out[u] &= ~(1 << v)
+            self.ones_in[v] &= ~(1 << u)
         for a, b in _orientations((u, v), self.directed):
             self.matrix[a][b] = val
         if val == 2:
@@ -301,7 +333,8 @@ class Encoding:
             self.eta_out[u] += 1
             self.eta_in[v] += 1
         elif val == 1:
-            self.ones_count += 1
+            self.ones_out[u] |= 1 << v
+            self.ones_in[v] |= 1 << u
 
     # -- construction helpers ----------------------------------------------
 
@@ -329,7 +362,8 @@ class Encoding:
         enc.matrix = [row[:] for row in self.matrix]
         enc.two = set(self.two)
         enc.minus = set(self.minus)
-        enc.ones_count = self.ones_count
+        enc.ones_out = list(self.ones_out)
+        enc.ones_in = list(self.ones_in) if self.directed else enc.ones_out
         enc.zeta_out = list(self.zeta_out)
         enc.eta_out = list(self.eta_out)
         enc.zeta_in = list(self.zeta_in) if self.directed else enc.zeta_out
@@ -378,9 +412,7 @@ class Encoding:
 
     def ones_pairs(self) -> list:
         """Ordered pairs with label 1, in lexicographic order."""
-        mat = self.matrix
-        n = self.n
-        return [(u, v) for u in range(n) for v in range(n) if u != v and mat[u][v] == 1]
+        return [(u, v) for u, mask in enumerate(self.ones_out) for v in _bits(mask)]
 
     def is_consistent_with(self, Z) -> bool:
         if Z.n != self.n:
@@ -447,11 +479,10 @@ class Encoding:
         """Recompute all bookkeeping from the matrix and compare."""
         fresh = Encoding(self.target, self.matrix)
         assert fresh.two == self.two and fresh.minus == self.minus
-        assert fresh.ones_count == self.ones_count
-        for name in ("zeta_in", "zeta_out", "eta_in", "eta_out"):
+        for name in ("ones_in", "ones_out", "zeta_in", "zeta_out", "eta_in", "eta_out"):
             assert getattr(fresh, name) == getattr(self, name)
-        assert (self.zeta_in is self.zeta_out) == (not self.directed)
-        assert (self.eta_in is self.eta_out) == (not self.directed)
+        for side in ("ones", "zeta", "eta"):
+            assert (getattr(self, side + "_in") is getattr(self, side + "_out")) == (not self.directed)
 
 
 # ---------------------------------------------------------------------------
@@ -648,11 +679,12 @@ def find_phase_switch(L: Encoding, phase: str):
     spec = _PHASES[phase]
     lab2 = spec.second
     mat = L.matrix
-    n = L.n
     ones = L.ones_pairs()
-    firsts = [
-        (u, v) for u in range(n) for v in range(n) if u != v and mat[u][v] == spec.first
-    ]
+    if spec.first == 1:
+        firsts = ones
+    else:
+        keys = L.two if spec.first == 2 else L.minus
+        firsts = sorted(o for pos in keys for o in _orientations(pos, L.directed))
     for a1, b1 in firsts:
         for a2, b2 in ones:
             if mat[a2][b1] != lab2:
@@ -769,17 +801,10 @@ def _plan_layout(L: Encoding, Z, rng, profile, level):
     def degree_feasible(layout):
         # a vertex with zeta 2-defects and eta (-1)-defects on one side still
         # needs d - 2*zeta + eta label-1 entries there; reject layouts that
-        # would force that count negative.  An undirected pair counts in both
-        # orientations, so both of its ends see it on both sides.
-        counters = {}  # vertex -> [zeta_in, zeta_out, eta_in, eta_out]
-        for lab, pos in layout:
-            side = 0 if lab == 2 else 2
-            for u, v in _orientations(pos, directed):
-                counters.setdefault(u, [0, 0, 0, 0])[side + 1] += 1
-                counters.setdefault(v, [0, 0, 0, 0])[side] += 1
-            if good and lab == 2 and min(deg_out[pos[0]], deg_out[pos[1]]) < 2:
-                return False
-        for v, (zi, zo, ei, eo) in counters.items():
+        # would force that count negative
+        if good and any(lab == 2 and min(deg_out[u], deg_out[v]) < 2 for lab, (u, v) in layout):
+            return False
+        for v, (zi, zo, ei, eo) in _defect_sides(layout, directed).items():
             d = deg_out[v]
             if deg_in[v] - 2 * zi + ei < 0 or d - 2 * zo + eo < 0:
                 return False
@@ -808,6 +833,62 @@ def _plan_layout(L: Encoding, Z, rng, profile, level):
             if layout is not None:
                 return layout
     return None
+
+
+def _defect_sides(layout, directed):
+    """vertex -> [zeta_in, zeta_out, eta_in, eta_out] of a (label, (u, v)) layout.
+
+    An undirected pair counts in both orientations, so both of its ends see
+    it on both sides.
+    """
+    counters = {}
+    for lab, pos in layout:
+        side = 0 if lab == 2 else 2
+        for u, v in _orientations(pos, directed):
+            counters.setdefault(u, [0, 0, 0, 0])[side + 1] += 1
+            counters.setdefault(v, [0, 0, 0, 0])[side] += 1
+    return counters
+
+
+def _fits(needs, classes):
+    """Whether the needs go to distinct vertices that cover them.
+
+    ``classes`` maps a degree pair (d_in, d_out) to its number of vertices;
+    such a vertex covers a need (i, o) when d_in >= i and d_out >= o.  Each
+    need is placed by an augmenting-path search over the classes.
+    """
+    held = {c: [] for c in classes}
+
+    def place(need, seen):
+        for c, members in held.items():
+            if c in seen or c[0] < need[0] or c[1] < need[1]:
+                continue
+            seen.add(c)
+            if len(members) < classes[c]:
+                members.append(need)
+                return True
+            for k, other in enumerate(members):
+                if place(other, seen):
+                    members[k] = need
+                    return True
+        return False
+
+    return all(place(need, set()) for need in needs)
+
+
+def _placeable(target, p, q) -> bool:
+    """Whether some (p, q)-subset of a catalog template can be laid out on
+    the target's degrees, by the per-vertex rule d - 2*zeta + eta >= 0 on
+    each side that ``_plan_layout`` applies to every layout it accepts."""
+    directed = isinstance(target, DirectedDegreeSequence)
+    classes = Counter(target.pairs if directed else zip(target.degrees, target.degrees))
+    for template in _CATALOGS[directed]:
+        for sub in _subsets_with_counts(template, p, q):
+            sides = _defect_sides([(lab, (x, y)) for x, y, lab in sub], directed)
+            needs = [(2 * zi - ei, 2 * zo - eo) for zi, zo, ei, eo in sides.values()]
+            if _fits(needs, classes):
+                return True
+    return False
 
 
 def _subsets_with_counts(template, p, q):
@@ -839,10 +920,10 @@ def _inject_at(L: Encoding, Z, kind: str, pos, rng, protected, tries: int = 400)
         return key(u, v) not in protected
 
     def ones_of(u):
-        return [v for v in range(n) if v != u and mat[u][v] == 1]
+        return _bits(L.ones_out[u])
 
     def ones_into(v):
-        return [u for u in range(n) if u != v and mat[u][v] == 1]
+        return _bits(L.ones_in[v])
 
     budget = tries
 
@@ -933,20 +1014,22 @@ def make_test_encoding(
     of repair order: (-1)s, then 2s, with the last 2/-1 pair of a 4-defect
     undirected profile created by a single combined switch.  With level
     "good" (undirected) or "valid" the result passes the catalog filter;
-    level None places defects freely.
+    level None places defects freely.  With a level, a profile that no
+    catalog subset can lay out on Z's degrees raises ValueError before any
+    draw, instead of failing every restart.
     """
     directed = Z.directed
     if level == "good" and directed:
         level = "valid"
     allowed = DIRECTED_PROFILES if directed else UNDIRECTED_PROFILES
     free_choice = profile is None
+    target = Z.degree_sequence()
     if not free_choice:
         p, q = profile
-        if level is not None and (p, q) not in allowed:
+        if level is not None and ((p, q) not in allowed or not _placeable(target, p, q)):
             raise ValueError(f"profile {profile} not achievable by a valid layout")
     edge_count = len(Z.edges)
     steps = scramble_steps if scramble_steps is not None else max(20, 2 * edge_count)
-    target = Z.degree_sequence()
     check = {
         None: lambda enc: True,
         "valid": lambda enc: enc.is_valid(),

@@ -302,6 +302,51 @@ def embeds_by_search(defects, template, directed) -> bool:
     return extend(0, {}, set())
 
 
+def embed_by_linear_scan(arcs, candidates_by_label, directed, accept=None):
+    """The encoding layer's embedder before its endpoint index, kept as a
+    reference: every arc scans all candidates of its label, in order."""
+    options = {
+        lab: [o for u, v in cands for o in (((u, v),) if directed else ((u, v), (v, u)))]
+        for lab, cands in candidates_by_label.items()
+    }
+    image = {}
+    used = set()
+    layout = []
+
+    def extend(idx):
+        if idx == len(arcs):
+            return accept is None or accept(layout)
+        x, y, lab = arcs[idx]
+        mx, my = image.get(x), image.get(y)
+        for u, v in options.get(lab, ()):
+            if (u != mx) if mx is not None else (u in used):
+                continue
+            if (v != my) if my is not None else (v in used):
+                continue
+            fresh = [w for w, m in ((x, mx), (y, my)) if m is None]
+            image[x], image[y] = u, v
+            used.update((u, v))
+            layout.append((lab, (u, v)))
+            if extend(idx + 1):
+                return True
+            layout.pop()
+            for w in fresh:
+                used.discard(image.pop(w))
+        return False
+
+    return layout if extend(0) else None
+
+
+def ones_by_scan(L):
+    """The label-1 entries of an encoding by a dense scan of its matrix:
+    the lexicographic pair list, then per vertex its out- and in-lists."""
+    mat, n = L.matrix, L.n
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v and mat[u][v] == 1]
+    outs = [[v for v in range(n) if v != u and mat[u][v] == 1] for u in range(n)]
+    ins = [[u for u in range(n) if u != v and mat[u][v] == 1] for v in range(n)]
+    return pairs, outs, ins
+
+
 def counting_identities_by_mode(L):
     """The encoding counting identities with one branch per mode, by generator sums.
 

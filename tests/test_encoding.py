@@ -1,4 +1,6 @@
+import random
 from collections import Counter
+from itertools import permutations
 
 import pytest
 
@@ -461,3 +463,122 @@ def test_one_store_for_both_modes(rng):
     assert isinstance(Encoding.from_graph(Zd).as_graph(), Digraph)
     assert Encoding.from_graph(Zd).as_graph().arcs == sorted(Zd.arcs)
     assert Encoding.from_graph(Zu).as_graph() == Zu
+
+
+def test_ones_index_follows_every_update(rng):
+    from conftest import ones_by_scan
+
+    from switchmix.encoding import _bits
+
+    def check(L):
+        pairs, outs, ins = ones_by_scan(L)
+        assert L.ones_pairs() == pairs
+        assert [_bits(m) for m in L.ones_out] == outs
+        assert [_bits(m) for m in L.ones_in] == ins
+        assert (L.ones_in is L.ones_out) == (not L.directed)
+
+    for directed in (False, True):
+        for _ in range(6):
+            L = _random_encoding(rng, rng.randint(7, 10), directed)
+            check(L)
+            switched = 0
+            for _ in range(150):
+                try:
+                    apply_3switch(L, rng.sample(range(L.n), 6))
+                except ValueError:
+                    continue
+                switched += 1
+                check(L)
+                L.audit()
+            assert switched >= 10
+            check(L.copy())
+            for _ in range(60):
+                u, v = rng.sample(range(L.n), 2)
+                L._set(u, v, rng.choice((-1, 0, 1, 2)))
+                check(L)
+            # a bitmask corrupted behind the store's back fails the audit
+            L = _random_encoding(rng, 8, directed)
+            for side in ("ones_out", "ones_in"):
+                broken = L.copy()
+                u, v = rng.sample(range(L.n), 2)
+                getattr(broken, side)[u] ^= 1 << v
+                with pytest.raises(AssertionError):
+                    broken.audit()
+
+
+def test_indexed_embedder_returns_the_linear_scan_layout(rng):
+    from conftest import embed_by_linear_scan
+
+    from switchmix.encoding import _CATALOGS, _embed
+
+    found = 0
+    for directed in (False, True):
+        for _ in range(400):
+            template = rng.choice(_CATALOGS[directed])
+            sub = [arc for arc in template if rng.random() < 0.7] or list(template)
+            n = rng.randint(5, 9)
+            pools = {
+                lab: [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 12))]
+                for lab in (2, -1)
+            }
+            assert _embed(sub, pools, directed) == embed_by_linear_scan(sub, pools, directed)
+            modulus = rng.randint(2, 4)
+            for accept in (None, lambda layout: sum(u * v for _, (u, v) in layout) % modulus):
+                seen = {}
+                for name, embed in (("indexed", _embed), ("scan", embed_by_linear_scan)):
+                    calls = seen[name] = []
+
+                    def recorded(layout, accept=accept, calls=calls):
+                        calls.append(list(layout))
+                        return accept is None or accept(layout)
+
+                    seen[name].append(embed(sub, pools, directed, recorded))
+                # same complete maps offered in the same order, same answer
+                assert seen["indexed"] == seen["scan"]
+                found += seen["scan"][-1] is not None
+    assert found > 100
+
+
+def test_load_matrix_errors_keep_their_wording():
+    target = DegreeSequence([1, 1, 0])
+    cases = [
+        ([[0, 1, 0], [1, 0, 0]], "matrix shape does not match the degree sequence"),
+        ([[0, 1, 3], [1, 0, 0], [0, 0, 0]], r"entry 3 at \(0,2\) out of range"),
+        ([[0, 1, 0], [1, 5, -2], [0, 0, 0]], "nonzero diagonal"),
+        ([[0, 1, 0], [1, 0, -2], [0, 0, 0]], r"entry -2 at \(1,2\) out of range"),
+        ([[0, 1, 0], [0, 0, 0], [0, 0, 0]], "matrix not symmetric"),
+        ([[0, 1, 1], [1, 0, 0], [1, 0, 0]], "row sums do not match the target degrees"),
+    ]
+    for matrix, message in cases:
+        with pytest.raises(ValueError, match=message):
+            Encoding(target, matrix)
+    with pytest.raises(ValueError, match="column sums do not match the target in-degrees"):
+        Encoding(DirectedDegreeSequence([(0, 1), (1, 0), (0, 0)]), [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
+
+
+@pytest.mark.parametrize(
+    "pairs, n, profile",
+    [((3, 3), 16, (3, 0)), ((2, 2), 14, (3, 0)), ((2, 2), 14, (3, 1)), ((2, 2), 14, (3, 2))],
+)
+def test_unplaceable_profile_fails_before_any_draw(pairs, n, profile):
+    # a third 2-defect puts two 2-arcs on one side of a catalog centre,
+    # which asks for degree 4 there (3 next to the centre's (-1)-arc)
+    Z = realize_directed(DirectedDegreeSequence([pairs] * n))
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="not achievable"):
+        make_test_encoding(Z, rng, profile=profile)
+    assert rng.getstate() == state
+
+
+def test_placement_matching_agrees_with_brute_force(rng):
+    from switchmix.encoding import _fits
+
+    for _ in range(400):
+        degrees = [(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(rng.randint(1, 6))]
+        needs = [(rng.randint(-1, 4), rng.randint(-1, 4)) for _ in range(rng.randint(1, 5))]
+        want = any(
+            all(d[0] >= i and d[1] >= o for d, (i, o) in zip(pick, needs))
+            for pick in permutations(degrees, len(needs))
+        )
+        assert _fits(needs, Counter(degrees)) == want

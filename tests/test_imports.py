@@ -43,8 +43,9 @@ HEAVY = {"numpy", "mpmath", "switchmix.encoding", "switchmix.statespace",
 
 CASES = {
     "validate": (["--degrees", "2,2,1,1"], set(), HEAVY),
-    "realize": (["--degrees", "2,2,1,1"], set(), HEAVY),
-    "sample": (["--degrees", "2,2,2,2,2,2", "--count", "2", "--steps", "5"], set(), HEAVY),
+    "realize": (["--degrees", "2,2,1,1"], set(), HEAVY | {"dataclasses", "inspect"}),
+    "sample": (["--degrees", "2,2,2,2,2,2", "--count", "2", "--steps", "5"], set(),
+               HEAVY | {"dataclasses", "inspect"}),
     "analyze": (["--degrees", "2,2,2,2,2", "--horizon", "3"], set(),
                 {"mpmath", "switchmix.encoding", "switchmix.bounds"}),
     "irreducible": (["--directed", "--degrees", "1:1,1:1,1:1"], set(),
