@@ -62,14 +62,6 @@ class FlowComponents:
     encoding_ratio_bound: Fraction  # |encodings| / |Omega|
     load_bound: Fraction  # rho(f)
 
-    def log_pi_star_bound(self):
-        with mpmath.workprec(PRECISION_BITS):
-            if not self.log_pi_star_bound_weight:
-                return mpmath.mpf(0)
-            return _mpf(self.log_pi_star_bound_weight) * mpmath.log(
-                _mpf(self.log_pi_star_count)
-            )
-
     def product_bound(self, eps):
         """rho * ell * (ln(1/pi*) + ln(1/eps)): must equal mixing_bound."""
         with mpmath.workprec(PRECISION_BITS):

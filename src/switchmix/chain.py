@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .degseq import DirectedDegreeSequence
 from .graph import Digraph, Graph
 
 VARIANT_EXACT = "exact_nonadjacent"
@@ -245,13 +246,32 @@ def switch_neighbours(g):
     return switch_neighbour_states(g.canonical(), directed=g.directed)
 
 
+def step_denominator(seq, variant: str = VARIANT_EXACT) -> int:
+    """Common denominator of the one-step law of the chain on ``seq``.
+
+    Each proposal has probability 1/(3a) (undirected exact variant),
+    1/(3*binom(E,2)) (all-pairs variant) or 1/binom(m,2) (directed), so
+    this is 3a, 3*binom(E,2) or binom(m,2).  A chain with no proposals
+    never moves (P = I), and its denominator is 1.
+    """
+    if isinstance(seq, DirectedDegreeSequence):
+        m = seq.m
+        proposals = m * (m - 1) // 2
+    elif variant == VARIANT_EXACT:
+        proposals = 3 * seq.a
+    else:
+        half = seq.M // 2
+        proposals = 3 * (half * (half - 1) // 2)
+    return proposals or 1
+
+
 def transition_probability(x, y, variant: str = VARIANT_EXACT) -> Fraction:
     """Exact one-step probability between two states of the same chain.
 
-    Off-diagonal entries are 1/(3a) (undirected exact variant),
-    1/(3*binom(E,2)) (all-pairs variant) or 1/binom(m,2) (directed) when the
-    states differ by exactly one switch, and 0 otherwise.  The diagonal is
-    1 minus the off-diagonal row sum.
+    Off-diagonal entries are 1/``step_denominator`` when the states differ
+    by exactly one switch, and 0 otherwise.  The diagonal is 1 minus the
+    off-diagonal row sum, so a chain with no proposals holds with
+    probability 1.
     """
     directed = x.directed
     if directed != y.directed:
@@ -259,19 +279,7 @@ def transition_probability(x, y, variant: str = VARIANT_EXACT) -> Fraction:
     ds_x, ds_y = x.degree_sequence(), y.degree_sequence()
     if ds_x != ds_y:
         raise ValueError("states have different degree sequences")
-    if directed:
-        m = ds_x.m
-        denom = m * (m - 1) // 2
-    else:
-        if variant == VARIANT_EXACT:
-            a = ds_x.a
-            if not a:
-                # frozen chain: the state never moves
-                return Fraction(1) if x == y else Fraction(0)
-            denom = 3 * a
-        else:
-            count = len(x.edges)
-            denom = 3 * (count * (count - 1) // 2)
+    denom = step_denominator(ds_x, variant)
     cx, cy = x.canonical(), y.canonical()
     neighbours = switch_neighbour_states(cx, directed)
     if cx == cy:

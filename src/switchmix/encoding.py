@@ -445,24 +445,15 @@ class Encoding:
     def is_good(self) -> bool:
         """Valid, plus degree conditions on 2-defect incidences (undirected).
 
-        A 2-defect edge needs both endpoints of degree >= 2; a vertex on two
-        2-defects needs degree >= 4; a vertex on a 2-defect and a (-1)-defect
-        needs degree >= 3.  The directed mode carries no extra conditions.
+        Each vertex needs at least the degree ``_good_floor`` asks for its
+        2- and (-1)-defects.  The directed mode carries no extra conditions.
         """
         if not self.is_valid():
             return False
         if self.directed:
             return True
         deg = self.target_out
-        for u, v in self.two:
-            if deg[u] < 2 or deg[v] < 2:
-                return False
-        for v in range(self.n):
-            if self.zeta_out[v] >= 2 and deg[v] < 4:
-                return False
-            if self.zeta_out[v] >= 1 and self.eta_out[v] >= 1 and deg[v] < 3:
-                return False
-        return True
+        return all(deg[v] >= _good_floor(self.zeta_out[v], self.eta_out[v]) for v in range(self.n))
 
     def is_defect_free(self) -> bool:
         return not self.two and not self.minus
@@ -802,13 +793,11 @@ def _plan_layout(L: Encoding, Z, rng, profile, level):
         # a vertex with zeta 2-defects and eta (-1)-defects on one side still
         # needs d - 2*zeta + eta label-1 entries there; reject layouts that
         # would force that count negative
-        if good and any(lab == 2 and min(deg_out[u], deg_out[v]) < 2 for lab, (u, v) in layout):
-            return False
         for v, (zi, zo, ei, eo) in _defect_sides(layout, directed).items():
             d = deg_out[v]
             if deg_in[v] - 2 * zi + ei < 0 or d - 2 * zo + eo < 0:
                 return False
-            if good and ((zo >= 2 and d < 4) or (zo >= 1 and eo >= 1 and d < 3)):
+            if good and d < _good_floor(zo, eo):
                 return False
         return True
 
@@ -876,16 +865,30 @@ def _fits(needs, classes):
     return all(place(need, set()) for need in needs)
 
 
-def _placeable(target, p, q) -> bool:
+def _good_floor(zeta, eta) -> int:
+    """Least degree of a vertex on ``zeta`` 2-defects and ``eta`` (-1)-defects
+    in a good undirected encoding: 4 on two 2-defects, 3 on a 2-defect and a
+    (-1)-defect, 2 on one 2-defect, and no floor otherwise."""
+    if not zeta:
+        return 0
+    return 4 if zeta >= 2 else 3 if eta else 2
+
+
+def _placeable(target, p, q, level) -> bool:
     """Whether some (p, q)-subset of a catalog template can be laid out on
-    the target's degrees, by the per-vertex rule d - 2*zeta + eta >= 0 on
-    each side that ``_plan_layout`` applies to every layout it accepts."""
+    the target's degrees, by the per-vertex rules that ``_plan_layout``
+    applies to every layout it accepts: d - 2*zeta + eta >= 0 on each side,
+    and at level "good" (undirected) the ``_good_floor``."""
     directed = isinstance(target, DirectedDegreeSequence)
+    good = level == "good" and not directed
     classes = Counter(target.pairs if directed else zip(target.degrees, target.degrees))
     for template in _CATALOGS[directed]:
         for sub in _subsets_with_counts(template, p, q):
             sides = _defect_sides([(lab, (x, y)) for x, y, lab in sub], directed)
-            needs = [(2 * zi - ei, 2 * zo - eo) for zi, zo, ei, eo in sides.values()]
+            needs = [
+                (2 * zi - ei, max(2 * zo - eo, _good_floor(zo, eo) if good else 0))
+                for zi, zo, ei, eo in sides.values()
+            ]
             if _fits(needs, classes):
                 return True
     return False
@@ -1026,7 +1029,7 @@ def make_test_encoding(
     target = Z.degree_sequence()
     if not free_choice:
         p, q = profile
-        if level is not None and ((p, q) not in allowed or not _placeable(target, p, q)):
+        if level is not None and ((p, q) not in allowed or not _placeable(target, p, q, level)):
             raise ValueError(f"profile {profile} not achievable by a valid layout")
     edge_count = len(Z.edges)
     steps = scramble_steps if scramble_steps is not None else max(20, 2 * edge_count)

@@ -1,5 +1,8 @@
 """Exhaustive state-space enumeration and exact transition-matrix analysis.
 
+One backtracking search enumerates graphs and digraphs: it keeps an in-
+and an out-residual per vertex, one aliased list for a graph.  The one-step
+denominator is ``chain.step_denominator``, as in ``transition_probability``.
 Transition matrices and total-variation curves are kept in exact rational
 arithmetic (integer numerators over a power of the one-step denominator);
 the matrix is held as sparse integer rows, so propagation touches only the
@@ -20,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, islice
 
-from .chain import VARIANT_EXACT
+from .chain import VARIANT_EXACT, step_denominator
 from .construct import realize, realize_directed
 from .degseq import DEFAULT_CAP, CapExceededError, DegreeSequence, DirectedDegreeSequence
 from .graph import Digraph, Graph
@@ -30,83 +33,58 @@ from .graph import Digraph, Graph
 # State enumeration
 
 
-def _enum_graph_states(degrees, cap):
-    """Every labeled simple graph with the exact degree vector, once each.
+def enum_states(seq, cap: int = DEFAULT_CAP) -> list:
+    """Canonical list of all realizations of a degree sequence.
 
-    Vertices are processed in index order; vertex u picks its neighbours
-    among higher-indexed vertices with residual degree (its edges to lower
-    vertices are already fixed).  The Erdos-Gallai test on the residual
-    degrees of the later vertices prunes dead branches.
+    States are tuples of sorted edge (or arc) pairs; the list itself is in
+    lexicographic order.  Raises CapExceededError past ``cap`` states.
+
+    Vertex u, in index order, takes its remaining out-residual as partners
+    among the vertices that still have in-residual.  A digraph's partners
+    are any other vertex.  A graph's one residual list is both ``in_res``
+    and ``out_res`` (as ``Encoding`` aliases ``zeta_in`` and ``zeta_out``),
+    so the vertices before u are spent and its partners are higher-indexed.
+    Graphs prune on Erdos-Gallai over the later residuals, digraphs on each
+    in-residual against the rows still able to send to it.
     """
-    n = len(degrees)
-    if sum(degrees) % 2:
-        return []
+    directed = isinstance(seq, DirectedDegreeSequence)
+    if directed:
+        in_res = [a for a, _ in seq.pairs]
+        out_res = [b for _, b in seq.pairs]
+        if seq.sum_in != seq.sum_out:
+            return []
+    else:
+        in_res = out_res = list(seq.degrees)
+        if seq.M % 2:
+            return []
+    n = len(in_res)
     states = []
-    res = list(degrees)
     chosen = []
 
+    def feasible(u):
+        # can the residuals still be met once vertices before u are done?
+        if directed:
+            # vertex v needs in_res[v] more arcs, one from each of the rows
+            # from u on that it is not itself
+            rows = n - u
+            for v in range(n):
+                if in_res[v] > rows - (v >= u):
+                    return False
+            return True
+        return u == n or DegreeSequence(in_res[u:]).is_graphical()
+
     def rec(u):
-        while u < n and res[u] == 0:
+        while u < n and not out_res[u]:
             u += 1
         if u == n:
-            states.append(tuple(sorted(chosen)))
-            if len(states) > cap:
-                raise CapExceededError(f"more than {cap} states")
-            return
-        need = res[u]
-        cand = [v for v in range(u + 1, n) if res[v] > 0]
-        if len(cand) < need:
-            return
-        res[u] = 0
-        for pick in combinations(cand, need):
-            for v in pick:
-                res[v] -= 1
-                chosen.append((u, v))
-            if u + 1 == n or DegreeSequence(res[u + 1 :]).is_graphical():
-                rec(u + 1)
-            for v in pick:
-                res[v] += 1
-            del chosen[-need:]
-        res[u] = need
-
-    rec(0)
-    return sorted(states)
-
-
-def _enum_digraph_states(pairs, cap):
-    """Every labeled simple digraph with the exact (in, out) vector."""
-    n = len(pairs)
-    in_target = [a for a, _ in pairs]
-    if sum(in_target) != sum(b for _, b in pairs):
-        return []
-    states = []
-    in_res = list(in_target)
-    chosen = []
-
-    def feasible(next_row):
-        # each pending column still needs in_res[v] arcs from rows > next_row-1
-        remaining_rows = n - next_row
-        for v in range(n):
-            writers = remaining_rows - (1 if v >= next_row else 0)
-            if in_res[v] > writers:
-                return False
-        return True
-
-    def rec(u):
-        if u == n:
-            if all(r == 0 for r in in_res):
+            if not any(in_res):
                 states.append(tuple(sorted(chosen)))
                 if len(states) > cap:
                     raise CapExceededError(f"more than {cap} states")
             return
-        need = pairs[u][1]
-        if need == 0:
-            if feasible(u + 1):
-                rec(u + 1)
-            return
-        cand = [v for v in range(n) if v != u and in_res[v] > 0]
-        if len(cand) < need:
-            return
+        need = out_res[u]
+        out_res[u] = 0
+        cand = [v for v in range(n) if in_res[v] and v != u]
         for pick in combinations(cand, need):
             for v in pick:
                 in_res[v] -= 1
@@ -116,22 +94,10 @@ def _enum_digraph_states(pairs, cap):
             for v in pick:
                 in_res[v] += 1
             del chosen[-need:]
+        out_res[u] = need
 
     rec(0)
     return sorted(states)
-
-
-def enum_states(seq, cap: int = DEFAULT_CAP) -> list:
-    """Canonical list of all realizations of a degree sequence.
-
-    States are tuples of sorted edge (or arc) pairs; the list itself is in
-    lexicographic order.  Raises CapExceededError past ``cap`` states.
-    """
-    if isinstance(seq, DirectedDegreeSequence):
-        if seq.sum_in != seq.sum_out:
-            return []
-        return _enum_digraph_states(seq.pairs, cap)
-    return _enum_graph_states(seq.degrees, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -202,20 +168,20 @@ def components(rows) -> list:
     return _roots(len(rows), ((i, j) for i, row in enumerate(rows) for j in row))
 
 
-def relabelling_orbits(seq, states) -> list:
+def relabelling_orbits(seq, index) -> list:
     """Orbit root of every state under degree-preserving vertex relabellings.
 
-    Such relabellings commute with the switch chain, so states of one orbit
-    have identical TV curves.  Adjacent transpositions inside each degree
-    class ((in, out) class when directed) generate the group, so union-find
-    over their images gives the orbits without an isomorphism test.
+    ``index`` maps each state to its position, as ``StateSpaceAnalysis.index``
+    does.  Such relabellings commute with the switch chain, so states of one
+    orbit have identical TV curves.  Adjacent transpositions inside each
+    degree class ((in, out) class when directed) generate the group, so
+    union-find over their images gives the orbits without an isomorphism test.
     """
     directed = isinstance(seq, DirectedDegreeSequence)
     classes = {}
     for v, label in enumerate(seq.pairs if directed else seq.degrees):
         classes.setdefault(label, []).append(v)
     swaps = [(vs[k], vs[k + 1]) for vs in classes.values() for k in range(len(vs) - 1)]
-    index = {s: i for i, s in enumerate(states)}
 
     def swapped(state, u, v):
         perm = {u: v, v: u}
@@ -225,8 +191,8 @@ def relabelling_orbits(seq, states) -> list:
             out.append((x, y) if directed or x < y else (y, x))
         return index[tuple(sorted(out))]
 
-    links = ((i, swapped(st, u, v)) for i, st in enumerate(states) for u, v in swaps)
-    return _roots(len(states), links)
+    links = ((i, swapped(st, u, v)) for st, i in index.items() for u, v in swaps)
+    return _roots(len(index), links)
 
 
 def _fraction(x) -> Fraction:
@@ -242,7 +208,7 @@ class StateSpaceAnalysis:
     """Exact chain diagnostics over a fully enumerated state space.
 
     The transition matrix is held as sparse integer rows (``{j: numerator}``,
-    holding mass on the diagonal) over a common denominator (3a,
+    holding mass on the diagonal) over the common ``step_denominator`` (3a,
     3*binom(E,2) or binom(m,2)), so propagation is pure integer arithmetic
     over the non-zeros and every reported TV value is an exact Fraction.
     """
@@ -262,15 +228,7 @@ class StateSpaceAnalysis:
         self._build()
 
     def _build(self):
-        if self.directed:
-            m = self.seq.m
-            denom = m * (m - 1) // 2 if m >= 2 else 1
-        elif self.variant == VARIANT_EXACT:
-            a = self.seq.a
-            denom = 3 * a if a else 1
-        else:
-            half = self.seq.M // 2
-            denom = 3 * (half * (half - 1) // 2) if half >= 2 else 1
+        denom = step_denominator(self.seq, self.variant)
         rows = switch_rows(self.states, self.directed)
         for i, row in enumerate(rows):
             hold = denom - sum(row.values())
@@ -302,7 +260,7 @@ class StateSpaceAnalysis:
     @cached_property
     def start_orbits(self) -> list:
         """One state index (the union-find root) per relabelling orbit, ascending."""
-        return sorted(set(relabelling_orbits(self.seq, self.states)))
+        return sorted(set(relabelling_orbits(self.seq, self.index)))
 
     def is_symmetric(self) -> bool:
         rows = self._rows

@@ -93,6 +93,36 @@ def digraphical_by_search(pairs) -> bool:
     return rec(0)
 
 
+def states_by_brute_force(seq) -> list:
+    """Every realization of a degree sequence, by testing each |E|-subset of
+    the allowed pairs for the exact degrees; sorted edge tuples, in order."""
+    directed = isinstance(seq, DirectedDegreeSequence)
+    if directed:
+        n, size = seq.n, seq.sum_out
+        want = [tuple(p) for p in seq.pairs]
+        allowed = [(u, v) for u in range(n) for v in range(n) if u != v]
+        if seq.sum_in != seq.sum_out:
+            return []
+    else:
+        n, size = seq.n, seq.M // 2
+        want = [(d, d) for d in seq.degrees]
+        allowed = list(combinations(range(n), 2))
+        if seq.M % 2:
+            return []
+    states = []
+    for edges in combinations(allowed, size):
+        got = [[0, 0] for _ in range(n)]
+        for u, v in edges:
+            got[v][0] += 1
+            got[u][1] += 1
+            if not directed:
+                got[u][0] += 1
+                got[v][1] += 1
+        if all(tuple(g) == w for g, w in zip(got, want)):
+            states.append(edges)
+    return states
+
+
 def random_graphical_sequence(rng: random.Random, n: int, p: float = 0.5) -> DegreeSequence:
     """Degree sequence of a random graph: graphical by construction."""
     degrees = [0] * n

@@ -5,9 +5,11 @@ import pytest
 
 from switchmix import (
     VARIANT_ALL_PAIRS,
+    VARIANT_EXACT,
     ChainRun,
     DegreeSequence,
     Digraph,
+    DirectedDegreeSequence,
     FrozenChainError,
     Graph,
     derive_seed,
@@ -65,6 +67,10 @@ def test_frozen_chain_reported():
         step_undirected(Graph(2, [(0, 1)]), rng, VARIANT_ALL_PAIRS)
     with pytest.raises(FrozenChainError):
         step_directed(Digraph(2, [(0, 1)]), rng)
+    # with no proposals at all, every variant's law is the identity
+    assert transition_probability(Digraph(2, [(0, 1)]), Digraph(2, [(0, 1)])) == 1
+    assert transition_probability(Graph(2, [(0, 1)]), Graph(2, [(0, 1)]), VARIANT_ALL_PAIRS) == 1
+    assert transition_probability(Graph(3), Graph(3), VARIANT_ALL_PAIRS) == 1
 
 
 def test_directed_three_cycle_always_holds():
@@ -124,6 +130,30 @@ def test_chain_run_validation():
         ChainRun(start=g, thinning=0)
     with pytest.raises(ValueError):
         ChainRun(start=g, variant="bogus")
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [
+        DegreeSequence([1, 1, 1, 1]),
+        DegreeSequence([2, 2, 1, 1, 0]),
+        DegreeSequence([1, 1, 0]),
+        DegreeSequence([0, 0, 0]),
+        DegreeSequence([2, 2, 2]),
+        DirectedDegreeSequence([(1, 1)] * 4),
+        DirectedDegreeSequence([(0, 1), (1, 0)]),
+    ],
+)
+@pytest.mark.parametrize("variant", [VARIANT_EXACT, VARIANT_ALL_PAIRS])
+def test_transition_probability_matches_analysis(seq, variant):
+    # the two readings of the one-step law agree entry by entry, frozen
+    # chains (P = I) included
+    an = analyze(seq, variant=variant)
+    store = Digraph if isinstance(seq, DirectedDegreeSequence) else Graph
+    graphs = [store(seq.n, st) for st in an.states]
+    for i, x in enumerate(graphs):
+        for j, y in enumerate(graphs):
+            assert transition_probability(x, y, variant) == an.transition_matrix[i][j]
 
 
 def test_switch_neighbours_match_matrix():

@@ -558,12 +558,26 @@ def test_load_matrix_errors_keep_their_wording():
 
 @pytest.mark.parametrize(
     "pairs, n, profile",
-    [((3, 3), 16, (3, 0)), ((2, 2), 14, (3, 0)), ((2, 2), 14, (3, 1)), ((2, 2), 14, (3, 2))],
+    [
+        ((3, 3), 16, (3, 0)),
+        ((2, 2), 14, (3, 0)),
+        ((2, 2), 14, (3, 1)),
+        ((2, 2), 14, (3, 2)),
+        (2, 14, (2, 1)),
+        (2, 14, (2, 2)),
+    ],
 )
 def test_unplaceable_profile_fails_before_any_draw(pairs, n, profile):
-    # a third 2-defect puts two 2-arcs on one side of a catalog centre,
-    # which asks for degree 4 there (3 next to the centre's (-1)-arc)
-    Z = realize_directed(DirectedDegreeSequence([pairs] * n))
+    # ``pairs`` is each vertex's (in, out) pair, or its degree when undirected.
+    # A third directed 2-defect puts two 2-arcs on one side of a catalog
+    # centre, which asks for degree 4 there (3 next to the centre's
+    # (-1)-arc); every catalog layout of these undirected profiles puts a
+    # vertex on a 2-defect and a (-1)-defect, or on two 2-defects, which a
+    # good encoding allows only at degree >= 3
+    if isinstance(pairs, tuple):
+        Z = realize_directed(DirectedDegreeSequence([pairs] * n))
+    else:
+        Z = realize(DegreeSequence([pairs] * n))
     rng = random.Random(1)
     state = rng.getstate()
     with pytest.raises(ValueError, match="not achievable"):

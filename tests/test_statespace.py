@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from conftest import (
     dense_tv_curve,
     random_digraph_sequence,
     random_graphical_sequence,
+    states_by_brute_force,
     switch_rows_by_tuples,
 )
 from switchmix import (
@@ -55,6 +57,60 @@ def test_enum_counts():
 def test_enum_cap():
     with pytest.raises(CapExceededError):
         enum_states(DegreeSequence([2] * 6), cap=10)
+
+
+def _enum_oracle_cases():
+    """Seeded sequences on at most 6 vertices, both modes: realizable ones
+    from random (di)graphs and free draws (odd sums, unbalanced pairs, and
+    unrealizable ones).  Each has at most 100000 candidate edge sets, which
+    bounds the brute force's cost."""
+    rng = random.Random(20171025)
+    cases = []
+    while len(cases) < 240:
+        n = rng.randint(1, 6)
+        directed, realizable = rng.random() < 0.5, rng.random() < 0.5
+        if directed and realizable:
+            seq = random_digraph_sequence(rng, n, rng.uniform(0.1, 0.4))
+        elif directed:
+            seq = DirectedDegreeSequence(
+                [(rng.randint(0, min(n - 1, 2)), rng.randint(0, min(n - 1, 2))) for _ in range(n)]
+            )
+        elif realizable:
+            seq = random_graphical_sequence(rng, n, rng.uniform(0.1, 0.9))
+        else:
+            seq = DegreeSequence([rng.randint(0, n - 1) for _ in range(n)])
+        pairs, size = (n * (n - 1), seq.sum_out) if directed else (n * (n - 1) // 2, seq.M // 2)
+        if math.comb(pairs, size) <= 100000:
+            cases.append(seq)
+    return cases
+
+
+def test_enum_states_matches_brute_force():
+    seen = set()
+    for seq in _enum_oracle_cases():
+        want = states_by_brute_force(seq)
+        assert enum_states(seq) == want, seq
+        if isinstance(seq, DirectedDegreeSequence):
+            seen.add("unbalanced" if seq.sum_in != seq.sum_out else "directed")
+            zero = 0 in (x for p in seq.pairs for x in p)
+        else:
+            seen.add("odd" if seq.M % 2 else "undirected")
+            zero = 0 in seq.degrees
+        seen.add("empty" if not want else "nonempty")
+        if zero and want:
+            seen.add("zero degree")
+    assert seen == {"odd", "unbalanced", "directed", "undirected", "empty", "nonempty", "zero degree"}
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [DegreeSequence([2] * 6), DegreeSequence([2, 2, 1, 1, 0]), DirectedDegreeSequence([(1, 1)] * 4)],
+)
+def test_enum_cap_boundary(seq):
+    count = len(states_by_brute_force(seq))
+    with pytest.raises(CapExceededError, match=f"more than {count - 1} states"):
+        enum_states(seq, cap=count - 1)
+    assert len(enum_states(seq, cap=count)) == count
 
 
 def test_enum_states_unique_and_exact():
