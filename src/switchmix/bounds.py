@@ -1,9 +1,10 @@
 """Closed-form mixing-time bound calculators.
 
 The polynomial factors are kept as exact integers/rationals; only the
-logarithmic factor is numeric, evaluated with mpmath at 120 bits.  All
-logarithms are natural - the framework these bounds come from is stated in
-nats, and the choice only moves constants.
+logarithmic factor is numeric, evaluated with the standard library's
+``decimal`` at 40 significant digits and reported to 25.  All logarithms are
+natural - the framework these bounds come from is stated in nats, and the
+choice only moves constants.
 
 Undirected, for a graphical sequence with d_min >= 1 and
 3 <= d_max <= sqrt(M)/3:
@@ -16,39 +17,30 @@ Directed, for a switch-irreducible digraphical sequence with r_min >= 1 and
     tau(eps) <= 1/4 * r_max^16 * m^11 * (m * ln m + ln(1/eps))
 
 Both arise as rho * ell * (ln(1/pi*) + ln(1/eps)) from a multicommodity-flow
-load bound; ``flow_components`` exposes the individual factors so the product
-can be checked against ``mixing_bound`` exactly.
+load bound.  ``flow_components`` is the one place those factors are written;
+``mixing_bound`` reports their product.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import ROUND_HALF_UP, Context, Decimal, localcontext
 from fractions import Fraction
-
-import mpmath
 
 from .degseq import DegreeSequence, DirectedDegreeSequence
 
-PRECISION_BITS = 120
+_WORKING = Context(prec=40)
+_REPORTED = Context(prec=25, rounding=ROUND_HALF_UP)
 
 
-def _mpf(x):
-    """Exact conversion of ints/Fractions; floats go through their repr."""
+def _decimal(x) -> Decimal:
+    """Ints convert exactly, Fractions to working precision, floats via repr."""
     if isinstance(x, Fraction):
-        return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
+        return _WORKING.divide(Decimal(x.numerator), Decimal(x.denominator))
     if isinstance(x, float):
-        return mpmath.mpf(str(x))
-    return mpmath.mpf(x)
-
-
-def _log_factor(count, weight, eps):
-    # weight * ln(count) + ln(1/eps); degenerate counts only occur with
-    # weight 0, where the state-space term vanishes
-    term = mpmath.log(1 / _mpf(eps))
-    if weight:
-        term += _mpf(weight) * mpmath.log(_mpf(count))
-    return term
+        return Decimal(repr(x))
+    return Decimal(x)
 
 
 @dataclass
@@ -62,13 +54,20 @@ class FlowComponents:
     encoding_ratio_bound: Fraction  # |encodings| / |Omega|
     load_bound: Fraction  # rho(f)
 
-    def product_bound(self, eps):
-        """rho * ell * (ln(1/pi*) + ln(1/eps)): must equal mixing_bound."""
-        with mpmath.workprec(PRECISION_BITS):
-            poly = self.load_bound * self.ell_bound
-            return _mpf(poly) * _log_factor(
-                self.log_pi_star_count, self.log_pi_star_bound_weight, eps
-            )
+    def log_part(self, eps) -> Decimal:
+        """weight * ln(count) + ln(1/eps), which bounds ln(1/pi*) + ln(1/eps)."""
+        with localcontext(_WORKING):
+            term = (1 / _decimal(eps)).ln()
+            # degenerate counts only occur with weight 0, where the term vanishes
+            if self.log_pi_star_bound_weight:
+                weight = _decimal(self.log_pi_star_bound_weight)
+                term += weight * Decimal(self.log_pi_star_count).ln()
+            return term
+
+    def product_bound(self, eps) -> Decimal:
+        """rho * ell * (ln(1/pi*) + ln(1/eps)): the mixing bound at eps."""
+        with localcontext(_WORKING):
+            return _decimal(self.load_bound * self.ell_bound) * self.log_part(eps)
 
 
 @dataclass
@@ -78,13 +77,26 @@ class BoundReport:
     applicability: dict
     formula: str
     poly_part: Fraction
-    log_part: object  # mpf
-    value: object  # mpf
+    log_part: Decimal
+    value: Decimal
 
 
-def nstr(x, digits: int = 25) -> str:
-    """An mpf as the CLI reports it: ``digits`` significant digits."""
-    return mpmath.nstr(x, digits)
+def nstr(x: Decimal) -> str:
+    """A value as the CLI reports it: 25 significant digits, rounded half up,
+    trailing zeros dropped; fixed-point for decimal exponents in (-8, 25),
+    otherwise ``d.ddde+N``.  The same string ``mpmath.nstr(x, 25)`` gives."""
+    if not x:
+        return "0.0"
+    x = _REPORTED.plus(x)
+    sign, digits, _ = x.as_tuple()
+    digits = "".join(map(str, digits)).ljust(25, "0")
+    e = x.adjusted()
+    fixed = -8 < e < 25
+    if fixed and e < 0:
+        digits = "0" * -e + digits
+    point = e + 1 if fixed and e >= 0 else 1
+    tail = digits[point:].rstrip("0") or "0"
+    return "-" * sign + digits[:point] + "." + tail + ("" if fixed else f"e{e:+d}")
 
 
 def _size_bound_undirected(d: DegreeSequence) -> Fraction:
@@ -134,28 +146,19 @@ def mixing_bound(seq, eps) -> BoundReport:
     eps_f = float(eps)
     if not 0.0 < eps_f < 1.0:
         raise ValueError("eps must lie in (0,1)")
-    directed = isinstance(seq, DirectedDegreeSequence)
-    if directed:
-        m = seq.m
-        flags = seq.classify()
+    comps = flow_components(seq)
+    flags = seq.classify()
+    if comps.directed:
         applicability = {
             "digraphical": flags["digraphical"],
             "r_min_ok": seq.r_min >= 1,
             "r_max_ok": seq.r_max >= 2,
-            "density_ok": 16 * seq.r_max**2 <= m,
+            "density_ok": 16 * seq.r_max**2 <= seq.m,
             "note": "switch-irreducibility is reported by switch_connectivity",
+            "applicable": flags["digraphical"] and flags["theorem2_degree_ok"],
         }
-        applicability["applicable"] = (
-            flags["digraphical"]
-            and applicability["r_min_ok"]
-            and applicability["r_max_ok"]
-            and applicability["density_ok"]
-        )
-        poly = Fraction(seq.r_max**16 * m**11, 4)
-        count, weight = m, Fraction(m)
         formula = "theorem-directed"
     else:
-        flags = seq.classify()
         applicability = {
             "graphical": flags["graphical"],
             "d_min_ok": seq.d_min >= 1,
@@ -163,18 +166,13 @@ def mixing_bound(seq, eps) -> BoundReport:
             "density_ok": 9 * seq.d_max**2 <= seq.M,
             "applicable": flags["theorem1_applicable"],
         }
-        poly = Fraction(seq.d_max**14 * seq.M**9)
-        count, weight = seq.M, Fraction(seq.M, 2)
         formula = "theorem-undirected"
-    with mpmath.workprec(PRECISION_BITS):
-        log_part = _log_factor(count, weight, eps)
-        value = _mpf(poly) * log_part
     return BoundReport(
-        directed=directed,
+        directed=comps.directed,
         eps=eps_f,
         applicability=applicability,
         formula=formula,
-        poly_part=poly,
-        log_part=log_part,
-        value=value,
+        poly_part=comps.load_bound * comps.ell_bound,
+        log_part=comps.log_part(eps),
+        value=comps.product_bound(eps),
     )

@@ -84,6 +84,15 @@ def _emit(document, path) -> None:
     sys.stdout.write(text)
 
 
+def _exact(q) -> str:
+    """A Fraction as ``str`` writes it, without the interpreter's cap on the
+    digits of an int-to-str conversion (which ``Decimal`` does not apply)."""
+    from decimal import Decimal
+
+    text = str(Decimal(q.numerator))
+    return text if q.denominator == 1 else f"{text}/{Decimal(q.denominator)}"
+
+
 def _load_seq(args):
     return load_degrees(args.degrees, directed=args.directed)
 
@@ -224,13 +233,13 @@ def _cmd_analyze(args):
         "symmetric": an.is_symmetric(),
         "rows_sum_to_one": an.rows_sum_to_one(),
         "uniform_stationary": an.uniform_is_stationary(),
-        "min_diagonal": str(an.min_diagonal()),
-        "laziness_floor": str(an.laziness_floor()),
+        "min_diagonal": _exact(an.min_diagonal()),
+        "laziness_floor": _exact(an.laziness_floor()),
         "spectral_gap": an.spectral_gap,
         "eps": args.eps,
         "exact_mixing_time": mixing,
         "tv_curve": [float(x) for x in curve],
-        "tv_final_exact": str(curve[-1]),
+        "tv_final_exact": _exact(curve[-1]),
         "horizon": horizon,
     }, args.out
 
@@ -271,15 +280,15 @@ def _cmd_bound(args):
         "eps": args.eps,
         "formula": rep.formula,
         "applicability": rep.applicability,
-        "poly_part": str(rep.poly_part),
+        "poly_part": _exact(rep.poly_part),
         "log_part": nstr(rep.log_part),
         "value": nstr(rep.value),
         "components": {
-            "size_bound": str(comps.size_bound),
-            "ell_bound": str(comps.ell_bound),
+            "size_bound": _exact(comps.size_bound),
+            "ell_bound": _exact(comps.ell_bound),
             "one_over_Q": comps.one_over_Q,
-            "encoding_ratio_bound": str(comps.encoding_ratio_bound),
-            "load_bound": str(comps.load_bound),
+            "encoding_ratio_bound": _exact(comps.encoding_ratio_bound),
+            "load_bound": _exact(comps.load_bound),
             "product_equals_bound": nstr(comps.product_bound(args.eps)) == nstr(rep.value),
         },
     }, args.out

@@ -748,6 +748,11 @@ DIRECTED_PROFILES = tuple(
     (p, q) for p in range(4) for q in range(4) if p + q <= 5 and (p, q) != (3, 3)
 )
 
+# make_test_encoding scrambles Z for at least this many chain steps per
+# attempt, and gives up after this many attempts
+_MIN_SCRAMBLE_STEPS = 20
+_RESTARTS = 60
+
 
 def _scrambled_copy(g, rng, steps):
     out = g.copy()
@@ -878,7 +883,8 @@ def _placeable(target, p, q, level) -> bool:
     """Whether some (p, q)-subset of a catalog template can be laid out on
     the target's degrees, by the per-vertex rules that ``_plan_layout``
     applies to every layout it accepts: d - 2*zeta + eta >= 0 on each side,
-    and at level "good" (undirected) the ``_good_floor``."""
+    and at level "good" (undirected) the ``_good_floor``.  Each (-1)-entry
+    sits on an edge of Z, which has the target degrees, so d >= eta too."""
     directed = isinstance(target, DirectedDegreeSequence)
     good = level == "good" and not directed
     classes = Counter(target.pairs if directed else zip(target.degrees, target.degrees))
@@ -886,7 +892,7 @@ def _placeable(target, p, q, level) -> bool:
         for sub in _subsets_with_counts(template, p, q):
             sides = _defect_sides([(lab, (x, y)) for x, y, lab in sub], directed)
             needs = [
-                (2 * zi - ei, max(2 * zo - eo, _good_floor(zo, eo) if good else 0))
+                (max(2 * zi - ei, ei), max(2 * zo - eo, eo, _good_floor(zo, eo) if good else 0))
                 for zi, zo, ei, eo in sides.values()
             ]
             if _fits(needs, classes):
@@ -1006,8 +1012,6 @@ def make_test_encoding(
     rng: random.Random,
     profile=None,
     level: str | None = "good",
-    scramble_steps: int | None = None,
-    restarts: int = 60,
 ) -> Encoding:
     """A defective encoding consistent with Z, built by reverse phase switches.
 
@@ -1032,7 +1036,7 @@ def make_test_encoding(
         if level is not None and ((p, q) not in allowed or not _placeable(target, p, q, level)):
             raise ValueError(f"profile {profile} not achievable by a valid layout")
     edge_count = len(Z.edges)
-    steps = scramble_steps if scramble_steps is not None else max(20, 2 * edge_count)
+    steps = max(_MIN_SCRAMBLE_STEPS, 2 * edge_count)
     check = {
         None: lambda enc: True,
         "valid": lambda enc: enc.is_valid(),
@@ -1041,7 +1045,7 @@ def make_test_encoding(
     # this mode's reverse switches, by the defects each one creates
     kinds = {spec.removes: name for name, spec in _PHASES.items() if spec.directed == directed}
     combined = kinds.get((1, 1))
-    for _ in range(restarts):
+    for _ in range(_RESTARTS):
         if free_choice:
             # some profiles are infeasible for tight degree sequences
             # (e.g. two 2-defects sharing a side need degree >= 4 there),
@@ -1083,7 +1087,7 @@ def make_test_encoding(
             if L.defect_counts() == (p, q) and check(L):
                 return L
     raise RuntimeError(
-        f"could not generate a profile-{profile} encoding after {restarts} restarts"
+        f"could not generate a profile-{profile} encoding after {_RESTARTS} restarts"
     )
 
 

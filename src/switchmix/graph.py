@@ -172,7 +172,7 @@ class Graph(_EdgeStore):
 class Digraph(_EdgeStore):
     """Simple digraph; no loops, no parallel arcs, antiparallel pairs allowed.
 
-    ``arcs`` and the ``*_arc`` methods are aliases of the edge names.
+    ``arcs`` is an alias of ``edges``.
     """
 
     __slots__ = ()
@@ -201,11 +201,6 @@ class Digraph(_EdgeStore):
         return DirectedDegreeSequence(zip(self.in_degree, self.out_degree))
 
     arcs = property(lambda self: self.edges)
-    has_arc = _EdgeStore.has_edge
-    add_arc = _EdgeStore.add_edge
-    remove_arc = _EdgeStore.remove_edge
-    replace_arcs = _EdgeStore.replace_edges
-    random_arc_index_pair = _EdgeStore.random_edge_index_pair
 
 
 def edge_list_text(n, edges) -> str:

@@ -195,11 +195,6 @@ def relabelling_orbits(seq, index) -> list:
     return _roots(len(index), links)
 
 
-def _fraction(x) -> Fraction:
-    """Exact value of a tolerance; floats are read by their shortest repr."""
-    return Fraction(str(x)) if isinstance(x, float) else Fraction(x)
-
-
 class NoMixingError(RuntimeError):
     """The chain does not converge to uniform (reducible, or periodic)."""
 
@@ -213,7 +208,7 @@ class StateSpaceAnalysis:
     over the non-zeros and every reported TV value is an exact Fraction.
     """
 
-    def __init__(self, seq, states, start_state, variant=VARIANT_EXACT, eps=Fraction(1, 100)):
+    def __init__(self, seq, states, start_state, variant=VARIANT_EXACT):
         self.seq = seq
         self.directed = isinstance(seq, DirectedDegreeSequence)
         self.variant = variant
@@ -222,7 +217,6 @@ class StateSpaceAnalysis:
         if start_state not in self.index:
             raise ValueError("start state does not realize the degree sequence")
         self.start_index = self.index[start_state]
-        self.eps = _fraction(eps)
         self._gap = None
         self._fraction_matrix = None
         self._build()
@@ -323,17 +317,16 @@ class StateSpaceAnalysis:
         start = self.start_index if start_index is None else start_index
         return list(islice(self._tvs(start), horizon + 1))
 
-    def exact_mixing_time(self, eps=None, max_steps: int = 100000) -> int:
+    def exact_mixing_time(self, eps, max_steps: int = 100000) -> int:
         """Least T with TV(t) <= eps for all t >= T, from the worst start.
 
         TV to stationarity is non-increasing in t, so per start this is the
         first crossing time; states in one relabelling orbit cross together,
-        so one start per orbit suffices.  Defaults to the tolerance the
-        analysis was built with.  Raises NoMixingError up front on a
-        reducible space and, for eps < 1/2, on a periodic one; otherwise
-        after ``max_steps``.
+        so one start per orbit suffices.  A float eps is read through its
+        repr.  Raises NoMixingError up front on a reducible space and, for
+        eps < 1/2, on a periodic one; otherwise after ``max_steps``.
         """
-        eps = self.eps if eps is None else _fraction(eps)
+        eps = Fraction(str(eps)) if isinstance(eps, float) else Fraction(eps)
         if not 0 < eps < 1:
             raise ValueError("eps must lie in (0,1)")
         if not self.irreducible:
@@ -446,15 +439,13 @@ def _deflated_extremes(rows, denom) -> tuple:
 def analyze(
     seq,
     start=None,
-    eps=Fraction(1, 100),
     variant: str = VARIANT_EXACT,
     cap: int = DEFAULT_CAP,
 ) -> StateSpaceAnalysis:
     """Enumerate the state space and wrap it in a StateSpaceAnalysis.
 
     ``start`` may be a Graph/Digraph, a canonical state tuple, or None for
-    the deterministic greedy realization.  ``eps`` is the default tolerance
-    for exact_mixing_time.
+    the deterministic greedy realization.
     """
     states = enum_states(seq, cap)
     if not states:
@@ -468,4 +459,4 @@ def analyze(
         start_state = start.canonical()
     else:
         start_state = tuple(sorted(tuple(e) for e in start))
-    return StateSpaceAnalysis(seq, states, start_state, variant, eps)
+    return StateSpaceAnalysis(seq, states, start_state, variant)

@@ -284,7 +284,7 @@ def test_criterion_10_bound_calculators():
             ref = mpmath.mpf(3) ** 14 * mpmath.mpf(84) ** 9 * (
                 42 * mpmath.log(84) + mpmath.log(100)
             )
-            assert abs(rep.value - ref) / ref < mpmath.mpf(10) ** -12
+            assert abs(mpmath.mpf(str(rep.value)) - ref) / ref < mpmath.mpf(10) ** -12
 
 
 def test_criterion_11_counting_identities_everywhere():

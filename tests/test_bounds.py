@@ -1,4 +1,6 @@
 import math
+import random
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import mpmath
@@ -11,6 +13,7 @@ from switchmix import (
     flow_components,
     mixing_bound,
 )
+from switchmix.bounds import nstr
 
 from conftest import random_graphical_sequence
 
@@ -23,7 +26,7 @@ def test_theorem_undirected_value():
         ref = mpmath.mpf(3) ** 14 * mpmath.mpf(84) ** 9 * (
             42 * mpmath.log(84) + mpmath.log(100)
         )
-        assert abs(rep.value - ref) / ref < mpmath.mpf(10) ** -30
+        assert abs(mpmath.mpf(str(rep.value)) - ref) / ref < mpmath.mpf(10) ** -30
 
 
 def test_theorem_directed_value():
@@ -37,7 +40,7 @@ def test_theorem_directed_value():
             * mpmath.mpf(64) ** 11
             * (64 * mpmath.log(64) + mpmath.log(100))
         )
-        assert abs(rep.value - ref) / ref < mpmath.mpf(10) ** -30
+        assert abs(mpmath.mpf(str(rep.value)) - ref) / ref < mpmath.mpf(10) ** -30
 
 
 def test_bound_monotone_in_eps():
@@ -109,3 +112,24 @@ def test_size_bound_dominates_enumeration(rng):
     for pairs in ([(1, 1)] * 4, [(2, 2)] * 4, [(1, 1)] * 3):
         dd = DirectedDegreeSequence(pairs)
         assert len(enum_states(dd)) <= math.factorial(dd.m)
+
+
+def test_nstr_matches_mpmath():
+    # dyadic values m * 2**k are exact both as a Decimal and as a 400-bit
+    # mpf, so both formatters round the same number
+    rng = random.Random(25)
+    values = [
+        Decimal(0),
+        Decimal("1234567890123456789012344.5"),  # a tie at the 26th digit
+        Decimal("9999999999999999999999999.5"),  # rounds up across 10**25
+    ]
+    with localcontext(Context(prec=400)), mpmath.workprec(400):
+        for exponent in range(-20, 61):
+            for _ in range(40):
+                m = rng.getrandbits(rng.randint(1, 120)) | 1
+                k = math.floor((exponent - math.log10(m)) / math.log10(2)) + rng.randint(0, 3)
+                values.append(Decimal(m) * Decimal(2) ** k)
+        assert {v.adjusted() for v in values[3:]} >= set(range(-20, 61))
+        assert [nstr(v) for v in values] == [mpmath.nstr(mpmath.mpf(str(v)), 25) for v in values]
+    assert nstr(values[1]) == "1234567890123456789012345.0"  # half up, not half even
+    assert nstr(values[2]) == "1.0e+25"

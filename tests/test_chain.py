@@ -78,7 +78,7 @@ def test_directed_three_cycle_always_holds():
     rng = random.Random(7)
     for _ in range(200):
         assert not step_directed(dg, rng)
-    assert sorted(dg.arcs) == [(0, 1), (1, 2), (2, 0)]
+    assert sorted(dg.edges) == [(0, 1), (1, 2), (2, 0)]
 
 
 def test_step_preserves_degrees_and_consistency(rng):

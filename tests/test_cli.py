@@ -1,9 +1,11 @@
 import json
+import math
 import os
 import pathlib
 import random
 import subprocess
 import sys
+from decimal import Decimal
 
 from switchmix import DegreeSequence, Graph, make_test_encoding, realize, save_encoding, write_edge_list
 from switchmix.cli import main
@@ -185,6 +187,23 @@ def test_bound_report(capsys):
     res = doc["result"]
     assert res["components"]["product_equals_bound"]
     assert not res["applicability"]["applicable"]
+
+
+def test_exact_values_past_the_int_str_limit(tmp_path, capsys):
+    # CPython refuses int-to-str conversions past 4300 digits; these exact
+    # values are longer and are still written out in full
+    code, doc = run_cli(capsys, "analyze", "--degrees", "1,2,2,1", "--horizon", "10000")
+    assert code == 0
+    assert doc["result"]["tv_final_exact"] == f"1/{Decimal(2 * 3**10000)}"
+    degrees = tmp_path / "ones.txt"
+    degrees.write_text("1 1\n" * 1800)
+    code, doc = run_cli(capsys, "bound", "--directed", "--degrees", str(degrees))
+    assert code == 0
+    assert doc["result"]["components"]["size_bound"] == str(Decimal(math.factorial(1800)))
+    code, doc = run_cli(capsys, "bound", "--degrees", ",".join(["3"] * 1200))
+    assert code == 0
+    num, den = doc["result"]["components"]["size_bound"].split("/")
+    assert len(num) > 4300 and doc["result"]["components"]["product_equals_bound"]
 
 
 def test_realize_writes_edge_list(tmp_path, capsys):

@@ -52,11 +52,11 @@ def test_realize_exact_degrees_randomized():
 def test_realize_directed_cycle():
     dg = realize_directed(DirectedDegreeSequence([(1, 1), (1, 1), (1, 1)]))
     assert dg.in_degree == [1, 1, 1] and dg.out_degree == [1, 1, 1]
-    assert len(dg.arcs) == 3
+    assert len(dg.edges) == 3
 
 
 def test_realize_directed_trivial_and_errors():
-    assert realize_directed(DirectedDegreeSequence([(0, 0)])).arcs == []
+    assert realize_directed(DirectedDegreeSequence([(0, 0)])).edges == []
     with pytest.raises(NotRealizableError):
         realize_directed(DirectedDegreeSequence([(1, 0), (0, 0)]))
 

@@ -461,7 +461,7 @@ def test_one_store_for_both_modes(rng):
     with pytest.raises(TypeError):
         Encoding.from_graph(Zd, Zu.degree_sequence())
     assert isinstance(Encoding.from_graph(Zd).as_graph(), Digraph)
-    assert Encoding.from_graph(Zd).as_graph().arcs == sorted(Zd.arcs)
+    assert Encoding.from_graph(Zd).as_graph().edges == sorted(Zd.edges)
     assert Encoding.from_graph(Zu).as_graph() == Zu
 
 
@@ -565,6 +565,8 @@ def test_load_matrix_errors_keep_their_wording():
         ((2, 2), 14, (3, 2)),
         (2, 14, (2, 1)),
         (2, 14, (2, 2)),
+        ((1, 1), 10, (0, 3)),
+        ((1, 1), 10, (1, 3)),
     ],
 )
 def test_unplaceable_profile_fails_before_any_draw(pairs, n, profile):
@@ -573,7 +575,8 @@ def test_unplaceable_profile_fails_before_any_draw(pairs, n, profile):
     # centre, which asks for degree 4 there (3 next to the centre's
     # (-1)-arc); every catalog layout of these undirected profiles puts a
     # vertex on a 2-defect and a (-1)-defect, or on two 2-defects, which a
-    # good encoding allows only at degree >= 3
+    # good encoding allows only at degree >= 3; three (-1)-arcs need a
+    # vertex with two of them on one side, which semi-degree 1 cannot hold
     if isinstance(pairs, tuple):
         Z = realize_directed(DirectedDegreeSequence([pairs] * n))
     else:

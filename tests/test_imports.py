@@ -50,8 +50,8 @@ CASES = {
                 {"mpmath", "switchmix.encoding", "switchmix.bounds"}),
     "irreducible": (["--directed", "--degrees", "1:1,1:1,1:1"], set(),
                     {"numpy", "mpmath", "switchmix.encoding", "switchmix.bounds"}),
-    "bound": (["--degrees", "3,3,3,3"], {"mpmath", "switchmix.bounds"},
-              {"numpy", "switchmix.encoding", "switchmix.statespace"}),
+    "bound": (["--degrees", "3,3,3,3"], {"switchmix.bounds"},
+              {"numpy", "mpmath", "switchmix.encoding", "switchmix.statespace"}),
 }
 
 

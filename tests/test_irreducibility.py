@@ -49,8 +49,8 @@ def test_classes_partition_random(rng):
         dg = Digraph(n)
         for u in range(n):
             for v in range(n):
-                if u != v and rng.random() < 0.3 and not dg.has_arc(u, v):
-                    dg.add_arc(u, v)
+                if u != v and rng.random() < 0.3 and not dg.has_edge(u, v):
+                    dg.add_edge(u, v)
         for tri in induced_triangles(dg):
             part = lamar_classes(dg, tri)
             pieces = [part.U0, part.Uminus, part.Uplus, part.Upm, part.leftover]
