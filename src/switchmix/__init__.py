@@ -25,8 +25,6 @@ _EXPORTS = {
         "advance",
         "derive_seed",
         "sample",
-        "step_directed",
-        "step_undirected",
         "switch_neighbours",
         "transition_probability",
     ),

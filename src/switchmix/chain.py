@@ -60,10 +60,10 @@ def advance(g, rng, steps: int, a: int | None = None) -> int:
     Every index is drawn as ``rng.getrandbits(n.bit_length())``, repeated
     while it is at least n: the rule by which ``random.Random.randrange(n)``
     draws, so a step consumes the stream exactly as ``randrange`` calls for
-    the edge indices and the matching would.  An accepted move removes the
-    two old edges by swap-with-last and appends the two new ones, in the
-    order of ``_EdgeStore.switch``.  The edge array is part of a seeded
-    trajectory.
+    the edge indices and the matching would.  An accepted move deletes the
+    two old edges in turn, each by moving the last edge into its slot, then
+    appends the two new ones.  This is the only code that reorders an edge
+    array after construction, and the order is part of a seeded trajectory.
 
     With fewer than two edges, or a == 0, no switch can ever apply and
     FrozenChainError is raised before any draw, unless no step is asked for.
@@ -131,32 +131,6 @@ def advance(g, rng, steps: int, a: int | None = None) -> int:
         edges.append(a2)
         accepted += 1
     return accepted
-
-
-def step_undirected(g: Graph, rng, variant: str = VARIANT_EXACT, a: int | None = None) -> bool:
-    """Advance one transition in place; True when the state changed.
-
-    ``a`` may be passed in to avoid recomputing the non-adjacent pair count
-    every step (it depends only on the degree sequence).
-
-    The exact variant draws uniformly among non-adjacent pairs, realized by
-    rejection resampling over all distinct pairs.  The all-pairs variant
-    draws among all distinct pairs and holds on adjacent ones (a lazier
-    chain).
-    """
-    if variant == VARIANT_EXACT:
-        if a is None:
-            a = g.degree_sequence().a
-    elif variant == VARIANT_ALL_PAIRS:
-        a = None
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return bool(advance(g, rng, 1, a))
-
-
-def step_directed(dg: Digraph, rng) -> bool:
-    """Advance one directed transition in place; True when the state changed."""
-    return bool(advance(dg, rng, 1))
 
 
 class ChainRun:

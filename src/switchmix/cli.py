@@ -343,6 +343,17 @@ def _at_least(low):
     return count
 
 
+def _open_unit(text):
+    """argparse type: a float strictly between 0 and 1 (else a usage error)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="switchmix", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -364,7 +375,7 @@ def _build_parser() -> _Parser:
                 default="exact",
             )
         if eps:
-            p.add_argument("--eps", type=float, default=0.01)
+            p.add_argument("--eps", type=_open_unit, default=0.01)
         if cap:
             p.add_argument("--cap", type=_at_least(1), default=None)
 
@@ -385,7 +396,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--horizon", type=_at_least(0), default=200)
     p.add_argument(
         "--mixing-cap",
-        type=int,
+        type=_at_least(0),
         default=16,
         help="compute worst-start mixing time only up to this many states",
     )

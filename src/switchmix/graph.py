@@ -2,11 +2,13 @@
 
 Both kinds share one store: edges live in an indexed array so a uniform
 random edge is one index draw, with a key -> index dict beside it for
-O(1) membership tests and O(1) deletion by swap-with-last.  ``Graph`` and
+O(1) membership tests.  The store only builds and reads a state; the one
+code that moves it, drawing edge pairs and rewriting the array by
+swap-with-last, is the chain kernel ``chain.advance``.  ``Graph`` and
 ``Digraph`` differ only in how a vertex pair is keyed (unordered as
-``(min, max)``, or ordered) and in which degrees a switch must keep.
-Degrees are counted from the edge array on demand, so they cannot drift
-from it.  Vertices are 0-indexed everywhere, including file I/O.
+``(min, max)``, or ordered).  Degrees are counted from the edge array on
+demand, so they cannot drift from it.  Vertices are 0-indexed everywhere,
+including file I/O.
 """
 
 from __future__ import annotations
@@ -41,72 +43,6 @@ class _EdgeStore:
             raise ValueError(f"duplicate edge {key}")
         self._pos[key] = len(self.edges)
         self.edges.append(key)
-
-    def remove_edge(self, u, v):
-        key = self._key(u, v)
-        if key not in self._pos:
-            raise ValueError(f"edge {key} not present")
-        self._delete(key)
-
-    def _delete(self, key):
-        pos = self._pos.pop(key)
-        last = self.edges.pop()
-        if last != key:
-            self.edges[pos] = last
-            self._pos[last] = pos
-
-    def switch(self, r1, r2, a1, a2):
-        """Replace stored edges ``r1``, ``r2`` by the keyed pairs ``a1``, ``a2``; unchecked.
-
-        ``r1`` and ``r2`` must be distinct stored keys and ``a1``, ``a2``
-        absent keys that keep every degree.  Removal and insertion order fix
-        the edge array, which is part of a seeded trajectory; the chain
-        kernel (``chain.advance``) applies its moves in the same order.
-        """
-        self._delete(r1)
-        self._delete(r2)
-        pos, edges = self._pos, self.edges
-        pos[a1] = len(edges)
-        edges.append(a1)
-        pos[a2] = len(edges)
-        edges.append(a2)
-
-    def replace_edges(self, remove, add):
-        """Swap two edges for two others, atomically.
-
-        Validates everything before touching the store: removed edges must be
-        present and distinct, added edges distinct, loop-free and absent
-        (unless they coincide with removed ones), and the exchange must keep
-        every degree.
-        """
-        r1, r2 = self._key(*remove[0]), self._key(*remove[1])
-        a1, a2 = self._key(*add[0]), self._key(*add[1])
-        if r1 == r2 or a1 == a2:
-            raise ValueError("edge pairs must be distinct")
-        if r1 not in self._pos or r2 not in self._pos:
-            raise ValueError("removed edge not present")
-        removed = {r1, r2}
-        for e in (a1, a2):
-            if e[0] == e[1]:
-                raise ValueError(f"added edge {e} is a loop")
-            if e not in removed and e in self._pos:
-                raise ValueError(f"added edge {e} already present")
-        if not self._keeps_degrees(r1, r2, a1, a2):
-            raise ValueError("exchange does not preserve degrees")
-        if removed != {a1, a2}:
-            self.switch(r1, r2, a1, a2)
-        return self
-
-    def random_edge_index_pair(self, rng):
-        """Uniform unordered pair of distinct edge indices."""
-        count = len(self.edges)
-        if count < 2:
-            raise ValueError("need at least 2 edges")
-        i = rng.randrange(count)
-        j = rng.randrange(count - 1)
-        if j >= i:
-            j += 1
-        return i, j
 
     def copy(self):
         g = type(self)(self.n)
@@ -157,10 +93,6 @@ class Graph(_EdgeStore):
     def _key(u, v):
         return (u, v) if u < v else (v, u)
 
-    @staticmethod
-    def _keeps_degrees(r1, r2, a1, a2):
-        return sorted(r1 + r2) == sorted(a1 + a2)
-
     @property
     def degree(self) -> list:
         return self._tally(v for e in self.edges for v in e)
@@ -183,11 +115,6 @@ class Digraph(_EdgeStore):
     @staticmethod
     def _key(u, v):
         return (u, v)
-
-    @staticmethod
-    def _keeps_degrees(r1, r2, a1, a2):
-        tails = sorted((r1[0], r2[0])) == sorted((a1[0], a2[0]))
-        return tails and sorted((r1[1], r2[1])) == sorted((a1[1], a2[1]))
 
     @property
     def in_degree(self) -> list:

@@ -104,6 +104,13 @@ def enum_states(seq, cap: int = DEFAULT_CAP) -> list:
 # Exact analysis
 
 
+def pair_masks(states) -> tuple:
+    """``(bit, masks)``: a bit for each vertex pair that occurs in ``states``,
+    in sorted pair order, and each state's mask, the sum of its pairs' bits."""
+    bit = {e: 1 << k for k, e in enumerate(sorted({e for st in states for e in st}))}
+    return bit, [sum(bit[e] for e in st) for st in states]
+
+
 def switch_rows(states, directed: bool = False) -> list:
     """Off-diagonal switch transitions of every state, as sparse integer rows.
 
@@ -119,7 +126,7 @@ def switch_rows(states, directed: bool = False) -> list:
     ``switch_neighbour_states``.
     """
     key = (Digraph if directed else Graph)._key
-    bit = {e: 1 << k for k, e in enumerate(sorted({e for st in states for e in st}))}
+    bit, masks = pair_masks(states)
     moves = {}
     for (x, y), (z, w) in combinations(bit, 2):
         if x == z or x == w or y == z or y == w:
@@ -132,7 +139,6 @@ def switch_rows(states, directed: bool = False) -> list:
                 added.append(bit[e1] | bit[e2])
         if added:
             moves[bit[x, y] | bit[z, w]] = added
-    masks = [sum(bit[e] for e in st) for st in states]
     index = {mask: i for i, mask in enumerate(masks)}
     rows = []
     for st, mask in zip(states, masks):
@@ -168,31 +174,32 @@ def components(rows) -> list:
     return _roots(len(rows), ((i, j) for i, row in enumerate(rows) for j in row))
 
 
-def relabelling_orbits(seq, index) -> list:
+def relabelling_orbits(seq, states) -> list:
     """Orbit root of every state under degree-preserving vertex relabellings.
 
-    ``index`` maps each state to its position, as ``StateSpaceAnalysis.index``
-    does.  Such relabellings commute with the switch chain, so states of one
-    orbit have identical TV curves.  Adjacent transpositions inside each
-    degree class ((in, out) class when directed) generate the group, so
-    union-find over their images gives the orbits without an isomorphism test.
+    Such relabellings commute with the switch chain, so states of one orbit
+    have identical TV curves.  Adjacent transpositions inside each degree
+    class ((in, out) class when directed) generate the group, so union-find
+    over their images gives the orbits without an isomorphism test.  A
+    transposition acts on the ``pair_masks`` keys as a map from each pair to
+    the bit of its image, which is again a pair of some state.
     """
     directed = isinstance(seq, DirectedDegreeSequence)
+    key = (Digraph if directed else Graph)._key
     classes = {}
     for v, label in enumerate(seq.pairs if directed else seq.degrees):
         classes.setdefault(label, []).append(v)
     swaps = [(vs[k], vs[k + 1]) for vs in classes.values() for k in range(len(vs) - 1)]
-
-    def swapped(state, u, v):
+    bit, masks = pair_masks(states)
+    index = {mask: i for i, mask in enumerate(masks)}
+    images = []
+    for u, v in swaps:
         perm = {u: v, v: u}
-        out = []
-        for x, y in state:
-            x, y = perm.get(x, x), perm.get(y, y)
-            out.append((x, y) if directed or x < y else (y, x))
-        return index[tuple(sorted(out))]
-
-    links = ((i, swapped(st, u, v)) for st, i in index.items() for u, v in swaps)
-    return _roots(len(index), links)
+        images.append({(x, y): bit[key(perm.get(x, x), perm.get(y, y))] for x, y in bit})
+    links = (
+        (i, index[sum(image[e] for e in st)]) for i, st in enumerate(states) for image in images
+    )
+    return _roots(len(states), links)
 
 
 class NoMixingError(RuntimeError):
@@ -213,10 +220,10 @@ class StateSpaceAnalysis:
         self.directed = isinstance(seq, DirectedDegreeSequence)
         self.variant = variant
         self.states = states
-        self.index = {s: i for i, s in enumerate(states)}
-        if start_state not in self.index:
-            raise ValueError("start state does not realize the degree sequence")
-        self.start_index = self.index[start_state]
+        try:
+            self.start_index = states.index(start_state)
+        except ValueError:
+            raise ValueError("start state does not realize the degree sequence") from None
         self._gap = None
         self._fraction_matrix = None
         self._build()
@@ -254,7 +261,7 @@ class StateSpaceAnalysis:
     @cached_property
     def start_orbits(self) -> list:
         """One state index (the union-find root) per relabelling orbit, ascending."""
-        return sorted(set(relabelling_orbits(self.seq, self.index)))
+        return sorted(set(relabelling_orbits(self.seq, self.states)))
 
     def is_symmetric(self) -> bool:
         rows = self._rows
@@ -444,19 +451,17 @@ def analyze(
 ) -> StateSpaceAnalysis:
     """Enumerate the state space and wrap it in a StateSpaceAnalysis.
 
-    ``start`` may be a Graph/Digraph, a canonical state tuple, or None for
-    the deterministic greedy realization.
+    ``start`` may be a Graph/Digraph, an iterable of vertex pairs (in any
+    order, each undirected pair either way round), or None for the
+    deterministic greedy realization.  Pairs are read into a store, so a
+    loop, a repeated pair or a vertex out of range raises ValueError.
     """
     states = enum_states(seq, cap)
     if not states:
         raise ValueError("degree sequence has no realizations")
+    directed = isinstance(seq, DirectedDegreeSequence)
     if start is None:
-        if isinstance(seq, DirectedDegreeSequence):
-            start_state = realize_directed(seq).canonical()
-        else:
-            start_state = realize(seq).canonical()
-    elif isinstance(start, (Graph, Digraph)):
-        start_state = start.canonical()
-    else:
-        start_state = tuple(sorted(tuple(e) for e in start))
-    return StateSpaceAnalysis(seq, states, start_state, variant)
+        start = realize_directed(seq) if directed else realize(seq)
+    elif not isinstance(start, (Graph, Digraph)):
+        start = (Digraph if directed else Graph)(seq.n, start)
+    return StateSpaceAnalysis(seq, states, start.canonical(), variant)

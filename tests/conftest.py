@@ -16,6 +16,7 @@ from switchmix.chain import (
     derive_seed,
     switch_neighbour_states,
 )
+from switchmix.statespace import _roots
 
 
 def count_nonadjacent_edge_pairs(g: Graph) -> int:
@@ -189,6 +190,29 @@ def switch_rows_by_tuples(states, directed=False) -> list:
     as a tuple and looked up in a dict of all states."""
     index = {s: i for i, s in enumerate(states)}
     return [Counter(index[nb] for nb in switch_neighbour_states(st, directed)) for st in states]
+
+
+def relabelling_orbits_by_tuples(seq, states) -> list:
+    """Orbit roots with every transposed state rebuilt as a sorted edge tuple
+    and looked up in a dict of all states.  The union-find is the library's,
+    fed the same links in the same order, so the roots themselves must agree."""
+    directed = isinstance(seq, DirectedDegreeSequence)
+    index = {s: i for i, s in enumerate(states)}
+    classes = {}
+    for v, label in enumerate(seq.pairs if directed else seq.degrees):
+        classes.setdefault(label, []).append(v)
+    swaps = [(vs[k], vs[k + 1]) for vs in classes.values() for k in range(len(vs) - 1)]
+
+    def swapped(state, u, v):
+        perm = {u: v, v: u}
+        out = []
+        for x, y in state:
+            x, y = perm.get(x, x), perm.get(y, y)
+            out.append((x, y) if directed or x < y else (y, x))
+        return index[tuple(sorted(out))]
+
+    links = ((i, swapped(st, u, v)) for st, i in index.items() for u, v in swaps)
+    return _roots(len(index), links)
 
 
 def erdos_gallai_quadratic(degrees) -> bool:
@@ -423,8 +447,35 @@ def counting_identities_by_mode(L):
 
 # ---------------------------------------------------------------------------
 # The per-step chain kernel that ``chain.advance`` replaced, kept as its
-# oracle: ``randrange`` draws through ``random_edge_index_pair``, collision
-# tests by ``has_edge`` and moves applied by the store's ``switch``.
+# oracle.  It shares no code with the library's move: pairs are drawn by
+# ``randrange``, collisions tested by ``has_edge`` and moves applied by its
+# own swap-with-last.
+
+
+def reference_edge_index_pair(g, rng):
+    """Uniform unordered pair of distinct edge indices, by two ``randrange`` calls."""
+    count = len(g.edges)
+    if count < 2:
+        raise ValueError("need at least 2 edges")
+    i = rng.randrange(count)
+    j = rng.randrange(count - 1)
+    if j >= i:
+        j += 1
+    return i, j
+
+
+def _reference_switch(g, r1, r2, a1, a2):
+    """Delete ``r1`` then ``r2``, each by moving the last edge into its slot,
+    then append ``a1`` and ``a2``."""
+    for key in (r1, r2):
+        pos = g._pos.pop(key)
+        last = g.edges.pop()
+        if last != key:
+            g.edges[pos] = last
+            g._pos[last] = pos
+    for key in (a1, a2):
+        g._pos[key] = len(g.edges)
+        g.edges.append(key)
 
 
 def _reference_disjoint_pair(g, rng, a=None):
@@ -433,7 +484,7 @@ def _reference_disjoint_pair(g, rng, a=None):
             "no pair of non-adjacent edges exists; the chain has no moves"
         )
     while True:
-        i, j = g.random_edge_index_pair(rng)
+        i, j = reference_edge_index_pair(g, rng)
         x, y = g.edges[i]
         z, w = g.edges[j]
         if x != z and x != w and y != z and y != w:
@@ -454,7 +505,7 @@ def reference_step_undirected(g, rng, a=None) -> bool:
     f1, f2 = ((x, z), (y, w)) if k == 1 else ((x, w), (y, z))
     if g.has_edge(*f1) or g.has_edge(*f2):
         return False
-    g.switch((x, y), (z, w), g._key(*f1), g._key(*f2))
+    _reference_switch(g, (x, y), (z, w), g._key(*f1), g._key(*f2))
     return True
 
 
@@ -465,7 +516,7 @@ def reference_step_directed(dg, rng) -> bool:
     a, b, c, d = pair
     if dg.has_edge(a, d) or dg.has_edge(c, b):
         return False
-    dg.switch((a, b), (c, d), (a, d), (c, b))
+    _reference_switch(dg, (a, b), (c, d), (a, d), (c, b))
     return True
 
 

@@ -12,11 +12,10 @@ from switchmix import (
     DirectedDegreeSequence,
     FrozenChainError,
     Graph,
+    advance,
     derive_seed,
     realize,
     sample,
-    step_directed,
-    step_undirected,
     switch_neighbours,
     transition_probability,
 )
@@ -56,7 +55,7 @@ def test_frozen_chain_reported():
     tri = Graph(3, [(0, 1), (1, 2), (0, 2)])
     rng = random.Random(0)
     with pytest.raises(FrozenChainError):
-        step_undirected(tri, rng)
+        advance(tri, rng, 1, tri.degree_sequence().a)
     run = ChainRun(start=tri, steps=0, seed=1)
     with pytest.raises(FrozenChainError):
         sample(run, 5)
@@ -64,9 +63,9 @@ def test_frozen_chain_reported():
     assert transition_probability(tri, tri) == 1
     # a single edge or arc freezes every variant alike
     with pytest.raises(FrozenChainError):
-        step_undirected(Graph(2, [(0, 1)]), rng, VARIANT_ALL_PAIRS)
+        advance(Graph(2, [(0, 1)]), rng, 1)
     with pytest.raises(FrozenChainError):
-        step_directed(Digraph(2, [(0, 1)]), rng)
+        advance(Digraph(2, [(0, 1)]), rng, 1)
     # with no proposals at all, every variant's law is the identity
     assert transition_probability(Digraph(2, [(0, 1)]), Digraph(2, [(0, 1)])) == 1
     assert transition_probability(Graph(2, [(0, 1)]), Graph(2, [(0, 1)]), VARIANT_ALL_PAIRS) == 1
@@ -76,8 +75,7 @@ def test_frozen_chain_reported():
 def test_directed_three_cycle_always_holds():
     dg = Digraph(3, [(0, 1), (1, 2), (2, 0)])
     rng = random.Random(7)
-    for _ in range(200):
-        assert not step_directed(dg, rng)
+    assert advance(dg, rng, 200) == 0
     assert sorted(dg.edges) == [(0, 1), (1, 2), (2, 0)]
 
 
@@ -85,15 +83,13 @@ def test_step_preserves_degrees_and_consistency(rng):
     g = realize(DegreeSequence([3, 3, 2, 2, 2, 2, 2, 2]))
     want = list(g.degree)
     a = g.degree_sequence().a
-    for _ in range(3000):
-        step_undirected(g, rng, a=a)
+    advance(g, rng, 3000, a)
     assert g.degree == want
     g.audit()
 
     dg = Digraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (2, 4), (1, 3), (3, 0), (4, 1)])
     din, dout = list(dg.in_degree), list(dg.out_degree)
-    for _ in range(3000):
-        step_directed(dg, rng)
+    advance(dg, rng, 3000)
     assert dg.in_degree == din and dg.out_degree == dout
     dg.audit()
 
@@ -101,7 +97,7 @@ def test_step_preserves_degrees_and_consistency(rng):
 def test_all_pairs_variant_steps(rng):
     g = realize(DegreeSequence([2, 2, 2, 1, 1]))
     want = list(g.degree)
-    moved = sum(step_undirected(g, rng, VARIANT_ALL_PAIRS) for _ in range(2000))
+    moved = advance(g, rng, 2000)  # a=None: the all-pairs variant
     assert g.degree == want and moved > 0
 
 

@@ -67,12 +67,25 @@ def test_sample_frozen_chain(capsys):
 def test_bad_counts_are_usage_errors(capsys):
     for argv in (
         ["analyze", "--degrees", "1,2,2,1", "--horizon", "-1"],
+        ["analyze", "--degrees", "1,2,2,1", "--mixing-cap", "-1"],
         ["irreducible", "--directed", "--degrees", "1:1,1:1,1:1", "--witness-states", "-1"],
         ["sample", "--degrees", "2,2,1,1", "--replicas", "0"],
         ["sample", "--degrees", "2,2,1,1", "--replicas", "-1"],
         ["sample", "--degrees", "2,2,1,1", "--count", "-1"],
     ):
         assert run_cli(capsys, *argv) == (1, None), argv
+
+
+def test_eps_outside_the_open_unit_interval_is_a_usage_error(capsys):
+    # a 70-state space skips the mixing time under the default --mixing-cap,
+    # so eps is checked by the parser, not by the computation that reads it
+    for command, degrees in (("analyze", "2,2,2,2,2,2"), ("analyze", "1,2,2,1"),
+                             ("bound", "3,3,3,3")):
+        for eps in ("5", "1", "0", "-0.5", "nan", "inf", "tiny"):
+            assert main([command, "--degrees", degrees, "--eps", eps]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("usage error: argument --eps"), (command, eps, err)
+        assert run_cli(capsys, command, "--degrees", degrees, "--eps", "0.5")[0] == 0
 
 
 def test_sample_determinism_and_files(tmp_path, capsys):

@@ -3,9 +3,9 @@ from collections import Counter
 
 import pytest
 
-from switchmix import Digraph, Graph, read_digraph, read_graph, write_edge_list
+from switchmix import Digraph, Graph, advance, read_digraph, read_graph, write_edge_list
 
-from conftest import random_graph
+from conftest import random_graph, reference_edge_index_pair
 
 
 def test_basic_graph_invariants():
@@ -24,39 +24,21 @@ def test_no_loops_or_duplicates():
         g.add_edge(1, 0)
 
 
-def test_replace_edges_example():
+def test_switch_example():
+    # the path 0-1-2-3 has one disjoint pair, and one matching of it applies
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    g.replace_edges(((0, 1), (2, 3)), ((0, 2), (1, 3)))
+    rng = random.Random(0)
+    while not advance(g, rng, 1, a=1):
+        pass
     assert set(g.edges) == {(0, 2), (1, 2), (1, 3)}
     assert g.degree == [1, 2, 2, 1]
     g.audit()
 
 
-def test_replace_edges_errors_leave_graph_untouched():
-    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    before = set(g.edges)
-    with pytest.raises(ValueError):
-        g.replace_edges(((0, 3), (1, 2)), ((0, 1), (2, 3)))  # (0,3) absent
-    with pytest.raises(ValueError):
-        g.replace_edges(((0, 1), (1, 2)), ((0, 2), (1, 2)))  # duplicate add
-    with pytest.raises(ValueError):
-        g.replace_edges(((0, 1), (2, 3)), ((0, 2), (2, 3)))  # degree drift
-    with pytest.raises(ValueError):
-        g.replace_edges(((0, 1), (1, 2)), ((1, 1), (0, 2)))  # loop, degrees kept
-    assert set(g.edges) == before
-    g.audit()
-
-
-def test_replace_edges_identity():
-    g = Graph(4, [(0, 1), (2, 3)])
-    g.replace_edges(((0, 1), (2, 3)), ((2, 3), (0, 1)))
-    assert set(g.edges) == {(0, 1), (2, 3)}
-
-
 def test_random_edge_pair_uniform():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     rng = random.Random(1)
-    counts = Counter(tuple(sorted(g.random_edge_index_pair(rng))) for _ in range(30000))
+    counts = Counter(tuple(sorted(reference_edge_index_pair(g, rng))) for _ in range(30000))
     assert set(counts) == {(0, 1), (0, 2), (1, 2)}
     for v in counts.values():
         assert abs(v - 10000) < 500
@@ -65,7 +47,7 @@ def test_random_edge_pair_uniform():
 def test_random_edge_pair_needs_two_edges():
     g = Graph(2, [(0, 1)])
     with pytest.raises(ValueError):
-        g.random_edge_index_pair(random.Random(0))
+        reference_edge_index_pair(g, random.Random(0))
 
 
 def test_random_edge_pair_k4_chi_square():
@@ -76,7 +58,7 @@ def test_random_edge_pair_k4_chi_square():
     for g, seed in ((k4, 2), (arcs, 3)):
         rng = random.Random(seed)
         counts = Counter(
-            tuple(sorted(g.random_edge_index_pair(rng))) for _ in range(100000)
+            tuple(sorted(reference_edge_index_pair(g, rng))) for _ in range(100000)
         )
         assert len(counts) == 15
         _, p = stats.chisquare(list(counts.values()))
@@ -85,21 +67,15 @@ def test_random_edge_pair_k4_chi_square():
 
 def test_degree_counters_after_mutation_storm(rng):
     g = random_graph(rng, 10, 0.4)
-    for _ in range(200):
-        if len(g.edges) < 2:
-            break
-        i, j = g.random_edge_index_pair(rng)
-        (x, y), (z, w) = g.edges[i], g.edges[j]
-        if len({x, y, z, w}) < 4:
-            continue
-        if not g.has_edge(x, z) and not g.has_edge(y, w):
-            g.replace_edges(((x, y), (z, w)), ((x, z), (y, w)))
+    want = g.degree
+    if len(g.edges) >= 2:
+        advance(g, rng, 200)
     g.audit()
     fresh = Counter()
     for u, v in g.edges:
         fresh[u] += 1
         fresh[v] += 1
-    assert [fresh[v] for v in range(g.n)] == g.degree
+    assert [fresh[v] for v in range(g.n)] == g.degree == want
 
 
 def test_digraph_basics():
@@ -115,16 +91,13 @@ def test_digraph_basics():
         dg.add_edge(0, 1)
 
 
-def test_digraph_replace_arcs():
+def test_digraph_switch_example():
     dg = Digraph(4, [(0, 1), (2, 3)])
-    dg.replace_edges(((0, 1), (2, 3)), ((0, 3), (2, 1)))
+    assert advance(dg, random.Random(0), 1) == 1  # the one pair always swaps heads
     assert set(dg.edges) == {(0, 3), (2, 1)}
-    with pytest.raises(ValueError):
-        dg.replace_edges(((0, 3), (2, 1)), ((0, 1), (1, 2)))  # head multiset drifts
     dg.audit()
     path = Digraph(3, [(0, 1), (1, 2)])
-    with pytest.raises(ValueError):
-        path.replace_edges(((0, 1), (1, 2)), ((0, 2), (1, 1)))  # loop, degrees kept
+    assert advance(path, random.Random(0), 20) == 0  # its one pair shares vertex 1
     assert path.edges == [(0, 1), (1, 2)]
 
 

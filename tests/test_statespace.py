@@ -13,6 +13,7 @@ from conftest import (
     dense_tv_curve,
     random_digraph_sequence,
     random_graphical_sequence,
+    relabelling_orbits_by_tuples,
     states_by_brute_force,
     switch_rows_by_tuples,
 )
@@ -27,7 +28,7 @@ from switchmix import (
     enum_good_encodings,
     enum_states,
 )
-from switchmix.statespace import switch_rows
+from switchmix.statespace import relabelling_orbits, switch_rows
 
 GOLDEN_CASES = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "analyze_exact.json").read_text()
@@ -172,6 +173,18 @@ def test_analyze_rejects_bad_start():
         analyze(DegreeSequence([1, 2, 2, 1]), start=((0, 3), (1, 2), (1, 3)))
 
 
+def test_analyze_reads_start_pairs_either_way_round():
+    seq = DegreeSequence([1, 1, 1, 1])
+    an = analyze(seq, start=[(1, 0), (3, 2)])
+    assert an.states[an.start_index] == ((0, 1), (2, 3))
+    directed = DirectedDegreeSequence([(1, 1)] * 4)
+    an = analyze(directed, start=[(3, 0), (1, 2), (0, 1), (2, 3)])
+    assert an.states[an.start_index] == ((0, 1), (1, 2), (2, 3), (3, 0))
+    for bad in ([(0, 1), (1, 0)], [(0, 0), (2, 3)], [(0, 1), (2, 4)]):
+        with pytest.raises(ValueError):
+            analyze(seq, start=bad)
+
+
 def test_random_small_spaces_are_well_formed(rng):
     from conftest import count_nonadjacent_edge_pairs, random_graphical_sequence
     from switchmix import Graph
@@ -313,7 +326,7 @@ def test_orbits_collapse_relabelled_starts():
     swap = {0: 1, 1: 0}
     for i, st in enumerate(an6.states):
         moved = tuple(sorted(tuple(sorted((swap.get(u, u), swap.get(v, v)))) for u, v in st))
-        assert an6.tv_curve(8, start_index=i) == an6.tv_curve(8, start_index=an6.index[moved])
+        assert an6.tv_curve(8, start_index=i) == an6.tv_curve(8, start_index=an6.states.index(moved))
 
 
 def test_reducible_space_has_no_mixing_time():
@@ -423,3 +436,31 @@ def test_switch_rows_match_tuple_oracle(rng, directed):
 def test_switch_rows_match_tuple_oracle_on_3507_states():
     states = enum_states(DegreeSequence([2] * 8))
     assert switch_rows(states) == switch_rows_by_tuples(states)
+
+
+# Every space the tests above analyse by a fixed sequence.
+ANALYSED_SPACES = [
+    DegreeSequence([1, 2, 2, 1]),
+    DegreeSequence([3, 3, 3, 3]),
+    DegreeSequence([2, 2, 1, 1, 0]),
+    DegreeSequence([1, 1, 1, 1]),
+    DegreeSequence([2] * 8),
+    DirectedDegreeSequence([(1, 1)] * 3),
+    DirectedDegreeSequence([(1, 1)] * 4),
+    DirectedDegreeSequence([(1, 1)] * 5),
+    DirectedDegreeSequence([(0, 1), (1, 0), (0, 1), (1, 0)]),
+    *GAP_SPACES,
+    *(
+        (DirectedDegreeSequence if case["directed"] else DegreeSequence)(case["degrees"])
+        for case in GOLDEN_CASES.values()
+    ),
+]
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_relabelling_orbits_match_tuple_oracle(rng, directed):
+    spaces = [seq for seq in ANALYSED_SPACES if isinstance(seq, DirectedDegreeSequence) == directed]
+    spaces += [an.seq for an in _random_spaces(rng, directed, 12, max_states=400)]
+    for seq in spaces:
+        states = enum_states(seq)
+        assert relabelling_orbits(seq, states) == relabelling_orbits_by_tuples(seq, states), seq

@@ -19,11 +19,10 @@ from switchmix import (
     ChainRun,
     DegreeSequence,
     DirectedDegreeSequence,
+    advance,
     realize,
     realize_directed,
     sample,
-    step_directed,
-    step_undirected,
 )
 from switchmix.cli import main
 
@@ -60,12 +59,8 @@ def _start(degrees, variant):
 
 def _raw_run(degrees, variant, steps, seed):
     g = _start(degrees, variant)
-    rng = random.Random(seed)
-    if variant is None:
-        accepted = sum(step_directed(g, rng) for _ in range(steps))
-    else:
-        a = g.degree_sequence().a
-        accepted = sum(step_undirected(g, rng, variant, a) for _ in range(steps))
+    a = g.degree_sequence().a if variant == VARIANT_EXACT else None
+    accepted = advance(g, random.Random(seed), steps, a)
     return {"accepted": accepted, "edges": [list(e) for e in g.edges]}
 
 
