@@ -25,8 +25,6 @@ _EXPORTS = {
         "advance",
         "derive_seed",
         "sample",
-        "switch_neighbours",
-        "transition_probability",
     ),
     "construct": ("realize", "realize_directed"),
     "degseq": (
@@ -69,7 +67,14 @@ _EXPORTS = {
         "lamar_classes",
         "switch_connectivity",
     ),
-    "statespace": ("NoMixingError", "StateSpaceAnalysis", "analyze", "enum_states"),
+    "statespace": (
+        "NoMixingError",
+        "StateSpaceAnalysis",
+        "analyze",
+        "enum_states",
+        "switch_neighbours",
+        "transition_probability",
+    ),
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
 

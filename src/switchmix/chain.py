@@ -10,15 +10,13 @@ at least 1/3 (the identity matching always holds).
 Directed transition: draw an unordered pair of distinct arcs uniformly; if
 the four endpoints are distinct and the crossed arcs are absent, swap the
 heads.  Neighbour probability 1/binom(m,2), hold probability at least
-m/binom(m,2).
+m/binom(m,2).  This module samples; ``statespace`` holds the exact law.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
-from .degseq import DirectedDegreeSequence
 from .graph import Digraph, Graph
 
 VARIANT_EXACT = "exact_nonadjacent"
@@ -61,16 +59,16 @@ def advance(g, rng, steps: int, a: int | None = None) -> int:
     while it is at least n: the rule by which ``random.Random.randrange(n)``
     draws, so a step consumes the stream exactly as ``randrange`` calls for
     the edge indices and the matching would.  An accepted move deletes the
-    two old edges in turn, each by moving the last edge into its slot, then
-    appends the two new ones.  This is the only code that reorders an edge
-    array after construction, and the order is part of a seeded trajectory.
+    two old edges in turn, each by moving the last edge into its drawn slot,
+    then appends the two new ones.  This is the only code that reorders an
+    edge array after construction, and the order is part of a seeded trajectory.
 
     With fewer than two edges, or a == 0, no switch can ever apply and
     FrozenChainError is raised before any draw, unless no step is asked for.
     """
     if steps <= 0:
         return 0
-    edges, pos = g.edges, g._pos
+    edges, members = g.edges, g._members
     count = len(edges)
     if count < 2 or a == 0:
         raise FrozenChainError(
@@ -113,20 +111,20 @@ def advance(g, rng, steps: int, a: int | None = None) -> int:
                 z, w = w, z
             a1 = (x, z) if x < z else (z, x)
             a2 = (y, w) if y < w else (w, y)
-        if a1 in pos or a2 in pos:
+        if a1 in members or a2 in members:
             continue
-        del pos[r1]
+        members.remove(r1)
+        members.remove(r2)
+        members.add(a1)
+        members.add(a2)
         tail = edges.pop()
         if i != last:
             edges[i] = tail
-            pos[tail] = i
-        j = pos.pop(r2)
+        if j == last:
+            j = i
         tail = edges.pop()
         if j != last - 1:
             edges[j] = tail
-            pos[tail] = j
-        pos[a1] = last - 1
-        pos[a2] = last
         edges.append(a1)
         edges.append(a2)
         accepted += 1
@@ -183,79 +181,3 @@ def sample(run: ChainRun, count: int, stream: int = 0) -> list:
         advance(g, rng, run.thinning, a)
         out.append(g.canonical())
     return out
-
-
-# ---------------------------------------------------------------------------
-# Exact one-step law
-
-
-def switch_neighbour_states(state: tuple, directed: bool = False):
-    """All states one switch away from a canonical state, with repetition-free
-    proposals: each neighbour appears exactly once.
-
-    Disjoint edges (x, y), (z, w) switch to (x, w), (z, y) and, when
-    undirected, also to (x, z), (y, w).
-    """
-    key = (Digraph if directed else Graph)._key
-    present = set(state)
-    out = []
-    for i, (x, y) in enumerate(state):
-        for j in range(i + 1, len(state)):
-            z, w = state[j]
-            if x == z or x == w or y == z or y == w:
-                continue
-            matchings = (((x, w), (z, y)),) if directed else (((x, z), (y, w)), ((x, w), (z, y)))
-            for p1, p2 in matchings:
-                e1, e2 = key(*p1), key(*p2)
-                if e1 in present or e2 in present:
-                    continue
-                nxt = [e for k, e in enumerate(state) if k != i and k != j]
-                nxt += (e1, e2)
-                out.append(tuple(sorted(nxt)))
-    return out
-
-
-def switch_neighbours(g):
-    """Neighbour states of a Graph or Digraph, as canonical tuples."""
-    return switch_neighbour_states(g.canonical(), directed=g.directed)
-
-
-def step_denominator(seq, variant: str = VARIANT_EXACT) -> int:
-    """Common denominator of the one-step law of the chain on ``seq``.
-
-    Each proposal has probability 1/(3a) (undirected exact variant),
-    1/(3*binom(E,2)) (all-pairs variant) or 1/binom(m,2) (directed), so
-    this is 3a, 3*binom(E,2) or binom(m,2).  A chain with no proposals
-    never moves (P = I), and its denominator is 1.
-    """
-    if isinstance(seq, DirectedDegreeSequence):
-        m = seq.m
-        proposals = m * (m - 1) // 2
-    elif variant == VARIANT_EXACT:
-        proposals = 3 * seq.a
-    else:
-        half = seq.M // 2
-        proposals = 3 * (half * (half - 1) // 2)
-    return proposals or 1
-
-
-def transition_probability(x, y, variant: str = VARIANT_EXACT) -> Fraction:
-    """Exact one-step probability between two states of the same chain.
-
-    Off-diagonal entries are 1/``step_denominator`` when the states differ
-    by exactly one switch, and 0 otherwise.  The diagonal is 1 minus the
-    off-diagonal row sum, so a chain with no proposals holds with
-    probability 1.
-    """
-    directed = x.directed
-    if directed != y.directed:
-        raise TypeError("cannot mix graphs and digraphs")
-    ds_x, ds_y = x.degree_sequence(), y.degree_sequence()
-    if ds_x != ds_y:
-        raise ValueError("states have different degree sequences")
-    denom = step_denominator(ds_x, variant)
-    cx, cy = x.canonical(), y.canonical()
-    neighbours = switch_neighbour_states(cx, directed)
-    if cx == cy:
-        return 1 - Fraction(len(neighbours), denom)
-    return Fraction(int(cy in neighbours), denom)

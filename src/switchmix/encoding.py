@@ -105,6 +105,8 @@ _TEMPLATE_ARCS = {
 }
 # per mode: (most 2-defects, most (-1)-defects, most defects) in one template
 _DEFECT_CAPS = {False: (2, 3, 4), True: (3, 3, 5)}
+# enum_good_encodings searches no instance with more vertices or edges (arcs)
+_ENUM_MAX_N, _ENUM_MAX_EDGES = 6, 7
 
 
 def _bits(mask):
@@ -749,9 +751,11 @@ DIRECTED_PROFILES = tuple(
 )
 
 # make_test_encoding scrambles Z for at least this many chain steps per
-# attempt, and gives up after this many attempts
+# attempt, and gives up after this many attempts, or in one injection after
+# this many dead-end completions
 _MIN_SCRAMBLE_STEPS = 20
 _RESTARTS = 60
+_INJECT_TRIES = 400
 
 
 def _scrambled_copy(g, rng, steps):
@@ -773,7 +777,8 @@ def _plan_layout(L: Encoding, Z, rng, profile, level):
     Picks a catalog template and a subset of its arcs with the requested
     (p, q) counts, then embeds the subset onto actual vertex pairs that are
     statically feasible: a future 2 needs an L-edge absent from Z, a future
-    -1 needs a Z-edge absent from L.  Any subset of an embeddable layout is
+    -1 needs a Z-edge absent from L, and every vertex must meet its
+    ``_degree_needs``.  Any subset of an embeddable layout is
     itself embeddable, so defects injected one at a time stay valid at every
     intermediate step.
 
@@ -795,14 +800,9 @@ def _plan_layout(L: Encoding, Z, rng, profile, level):
     good = level == "good" and not directed
 
     def degree_feasible(layout):
-        # a vertex with zeta 2-defects and eta (-1)-defects on one side still
-        # needs d - 2*zeta + eta label-1 entries there; reject layouts that
-        # would force that count negative
-        for v, (zi, zo, ei, eo) in _defect_sides(layout, directed).items():
-            d = deg_out[v]
-            if deg_in[v] - 2 * zi + ei < 0 or d - 2 * zo + eo < 0:
-                return False
-            if good and d < _good_floor(zo, eo):
+        for v, sides in _defect_sides(layout, directed).items():
+            need_in, need_out = _degree_needs(*sides, good)
+            if deg_in[v] < need_in or deg_out[v] < need_out:
                 return False
         return True
 
@@ -879,22 +879,26 @@ def _good_floor(zeta, eta) -> int:
     return 4 if zeta >= 2 else 3 if eta else 2
 
 
+def _degree_needs(zeta_in, zeta_out, eta_in, eta_out, good) -> tuple:
+    """Least (in, out) degrees of a vertex with these defect counts: a side
+    keeps d - 2*zeta + eta >= 0 label-1 entries, each (-1)-entry sits on its
+    own edge of Z there (d >= eta), and at level "good" (undirected) the
+    degree is at least the ``_good_floor``."""
+    floor = _good_floor(zeta_out, eta_out) if good else 0
+    return max(2 * zeta_in - eta_in, eta_in), max(2 * zeta_out - eta_out, eta_out, floor)
+
+
 def _placeable(target, p, q, level) -> bool:
     """Whether some (p, q)-subset of a catalog template can be laid out on
-    the target's degrees, by the per-vertex rules that ``_plan_layout``
-    applies to every layout it accepts: d - 2*zeta + eta >= 0 on each side,
-    and at level "good" (undirected) the ``_good_floor``.  Each (-1)-entry
-    sits on an edge of Z, which has the target degrees, so d >= eta too."""
+    the target's degrees, by the ``_degree_needs`` that ``_plan_layout``
+    asks of every layout it accepts."""
     directed = isinstance(target, DirectedDegreeSequence)
     good = level == "good" and not directed
     classes = Counter(target.pairs if directed else zip(target.degrees, target.degrees))
     for template in _CATALOGS[directed]:
         for sub in _subsets_with_counts(template, p, q):
             sides = _defect_sides([(lab, (x, y)) for x, y, lab in sub], directed)
-            needs = [
-                (max(2 * zi - ei, ei), max(2 * zo - eo, eo, _good_floor(zo, eo) if good else 0))
-                for zi, zo, ei, eo in sides.values()
-            ]
+            needs = [_degree_needs(*counts, good) for counts in sides.values()]
             if _fits(needs, classes):
                 return True
     return False
@@ -912,7 +916,7 @@ def _subsets_with_counts(template, p, q):
     return out
 
 
-def _inject_at(L: Encoding, Z, kind: str, pos, rng, protected, tries: int = 400) -> bool:
+def _inject_at(L: Encoding, Z, kind: str, pos, rng, protected) -> bool:
     """One reverse phase switch creating a defect exactly at ``pos``.
 
     ``protected`` holds the canonical keys of all planned defect positions;
@@ -934,7 +938,7 @@ def _inject_at(L: Encoding, Z, kind: str, pos, rng, protected, tries: int = 400)
     def ones_into(v):
         return _bits(L.ones_in[v])
 
-    budget = tries
+    budget = _INJECT_TRIES
 
     def complete(a1, b1, a2, fixed_a2=False):
         # free slots: a2 (unless fixed), b3 from a1's ones, b2 with
@@ -1095,13 +1099,7 @@ def make_test_encoding(
 # Exhaustive encoding enumeration (desk scale)
 
 
-def enum_good_encodings(
-    Z,
-    require_good: bool | None = None,
-    max_n: int = 6,
-    max_edges: int = 7,
-    cap: int = DEFAULT_CAP,
-) -> list:
+def enum_good_encodings(Z, require_good: bool | None = None) -> list:
     """All encodings consistent with Z whose defect layout passes the catalog.
 
     Entries are searched position by position over {-1,0,1,2} (restricted by
@@ -1112,15 +1110,15 @@ def enum_good_encodings(
     on defect incidences; it defaults to True for graphs and False for
     digraphs, matching the encoding families the repair analysis counts.
 
-    Exponential in the instance size: guarded to n <= max_n and
-    |E| <= max_edges (arcs for digraphs).
+    Exponential in the instance size: guarded to ``_ENUM_MAX_N`` vertices,
+    ``_ENUM_MAX_EDGES`` edges (arcs) and ``DEFAULT_CAP`` encodings.
     """
     directed = Z.directed
     if require_good is None:
         require_good = not directed
     n = Z.n
     edge_count = len(Z.edges)
-    if n > max_n or edge_count > max_edges:
+    if n > _ENUM_MAX_N or edge_count > _ENUM_MAX_EDGES:
         raise CapExceededError(
             f"instance too large for exhaustive encoding search (n={n}, edges={edge_count})"
         )
@@ -1165,8 +1163,8 @@ def enum_good_encodings(
                         enc._set(i, j, val)
                 if enc.is_valid() and (not require_good or enc.is_good()):
                     results.append(enc)
-                    if len(results) > cap:
-                        raise CapExceededError(f"more than {cap} encodings")
+                    if len(results) > DEFAULT_CAP:
+                        raise CapExceededError(f"more than {DEFAULT_CAP} encodings")
             return
         i, j = positions[k]
         for val in allowed[k]:

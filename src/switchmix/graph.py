@@ -1,7 +1,7 @@
 """Simple graph and digraph stores tuned for switch-chain stepping.
 
 Both kinds share one store: edges live in an indexed array so a uniform
-random edge is one index draw, with a key -> index dict beside it for
+random edge is one index draw, with a set of the same keys beside it for
 O(1) membership tests.  The store only builds and reads a state; the one
 code that moves it, drawing edge pairs and rewriting the array by
 swap-with-last, is the chain kernel ``chain.advance``.  ``Graph`` and
@@ -17,7 +17,7 @@ from .degseq import DegreeSequence, DirectedDegreeSequence
 
 
 class _EdgeStore:
-    __slots__ = ("n", "edges", "_pos")
+    __slots__ = ("n", "edges", "_members")
 
     directed = False
 
@@ -26,12 +26,12 @@ class _EdgeStore:
             raise ValueError("negative vertex count")
         self.n = n
         self.edges = []
-        self._pos = {}
+        self._members = set()
         for u, v in edges:
             self.add_edge(u, v)
 
     def has_edge(self, u, v) -> bool:
-        return self._key(u, v) in self._pos
+        return self._key(u, v) in self._members
 
     def add_edge(self, u, v):
         if u == v:
@@ -39,15 +39,15 @@ class _EdgeStore:
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"edge ({u},{v}) out of range")
         key = self._key(u, v)
-        if key in self._pos:
+        if key in self._members:
             raise ValueError(f"duplicate edge {key}")
-        self._pos[key] = len(self.edges)
+        self._members.add(key)
         self.edges.append(key)
 
     def copy(self):
         g = type(self)(self.n)
         g.edges = list(self.edges)
-        g._pos = dict(self._pos)
+        g._members = set(self._members)
         return g
 
     def canonical(self) -> tuple:
@@ -60,21 +60,20 @@ class _EdgeStore:
         return deg
 
     def audit(self):
-        """Debug consistency check between the edge array and the index."""
-        assert len(self._pos) == len(self.edges)
-        for idx, (u, v) in enumerate(self.edges):
-            assert u != v and 0 <= u < self.n and 0 <= v < self.n
-            assert self._key(u, v) == (u, v) and self._pos[(u, v)] == idx
+        """Debug consistency check between the edge array and the set."""
+        assert len(self._members) == len(self.edges) and self._members == set(self.edges)
+        for u, v in self.edges:
+            assert u != v and 0 <= u < self.n and 0 <= v < self.n and self._key(u, v) == (u, v)
 
     def __eq__(self, other):
         return (
             type(other) is type(self)
             and self.n == other.n
-            and set(self.edges) == set(other.edges)
+            and self._members == other._members
         )
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.edges)))
+        return hash((self.n, frozenset(self._members)))
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n}, edges={sorted(self.edges)!r})"

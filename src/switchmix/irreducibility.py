@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .degseq import DirectedDegreeSequence
+from .degseq import DirectedDegreeSequence, NotRealizableError
 from .graph import Digraph
 from .statespace import DEFAULT_CAP, components, enum_states, switch_rows
 
@@ -137,8 +137,10 @@ def connectivity_report(states, directed: bool) -> dict:
     """Component structure of the switch graph over the given realizations.
 
     ``states`` are all the realizations of one sequence, as ``enum_states``
-    lists them.
+    lists them; none raises NotRealizableError.
     """
+    if not states:
+        raise NotRealizableError("degree sequence has no realizations")
     roots = components(switch_rows(states, directed))
     component_sizes = sorted(Counter(roots).values(), reverse=True)
     return {

@@ -1,8 +1,8 @@
 """Exhaustive state-space enumeration and exact transition-matrix analysis.
 
 One backtracking search enumerates graphs and digraphs: it keeps an in-
-and an out-residual per vertex, one aliased list for a graph.  The one-step
-denominator is ``chain.step_denominator``, as in ``transition_probability``.
+and an out-residual per vertex, one aliased list for a graph.  The exact
+one-step law is written here once: one switch rule and one denominator.
 Transition matrices and total-variation curves are kept in exact rational
 arithmetic (integer numerators over a power of the one-step denominator);
 the matrix is held as sparse integer rows, so propagation touches only the
@@ -23,9 +23,15 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, islice
 
-from .chain import VARIANT_EXACT, step_denominator
+from .chain import VARIANT_EXACT
 from .construct import realize, realize_directed
-from .degseq import DEFAULT_CAP, CapExceededError, DegreeSequence, DirectedDegreeSequence
+from .degseq import (
+    DEFAULT_CAP,
+    CapExceededError,
+    DegreeSequence,
+    DirectedDegreeSequence,
+    NotRealizableError,
+)
 from .graph import Digraph, Graph
 
 
@@ -101,7 +107,75 @@ def enum_states(seq, cap: int = DEFAULT_CAP) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Exact analysis
+# Exact one-step law and analysis
+
+
+def _switches(p, q, directed: bool) -> tuple:
+    """The keyed pairs each switch of ``p`` = (x, y) and ``q`` = (z, w) puts in
+    their place: (x, w), (z, y), and first (x, z), (y, w) when undirected;
+    none when they share a vertex."""
+    x, y = p
+    z, w = q
+    if x == z or x == w or y == z or y == w:
+        return ()
+    if directed:
+        return (((x, w), (z, y)),)
+    key = Graph._key
+    return ((key(x, z), key(y, w)), (key(x, w), key(z, y)))
+
+
+def switch_neighbour_states(state: tuple, directed: bool = False) -> list:
+    """All states one switch away from a canonical state, with repetition-free
+    proposals: each neighbour appears exactly once."""
+    present = set(state)
+    out = []
+    for i, j in combinations(range(len(state)), 2):
+        for e1, e2 in _switches(state[i], state[j], directed):
+            if e1 not in present and e2 not in present:
+                rest = [e for k, e in enumerate(state) if k != i and k != j]
+                out.append(tuple(sorted(rest + [e1, e2])))
+    return out
+
+
+def switch_neighbours(g):
+    """Neighbour states of a Graph or Digraph, as canonical tuples."""
+    return switch_neighbour_states(g.canonical(), directed=g.directed)
+
+
+def step_denominator(seq, variant: str = VARIANT_EXACT) -> int:
+    """Common denominator of the one-step law of the chain on ``seq``.
+
+    Each proposal has probability 1/(3a) (undirected exact variant),
+    1/(3*binom(E,2)) (all-pairs variant) or 1/binom(m,2) (directed), so
+    this is 3a, 3*binom(E,2) or binom(m,2).  A chain with no proposals
+    never moves (P = I), and its denominator is 1.
+    """
+    if isinstance(seq, DirectedDegreeSequence):
+        proposals = seq.m * (seq.m - 1) // 2
+    elif variant == VARIANT_EXACT:
+        proposals = 3 * seq.a
+    else:
+        half = seq.M // 2
+        proposals = 3 * (half * (half - 1) // 2)
+    return proposals or 1
+
+
+def transition_probability(x, y, variant: str = VARIANT_EXACT) -> Fraction:
+    """Exact one-step probability between two states of the same chain:
+    1/``step_denominator`` when they differ by one switch, 0 when they differ
+    by more, and on the diagonal 1 minus the off-diagonal row sum (so 1 for
+    a chain with no proposals)."""
+    if x.directed != y.directed:
+        raise TypeError("cannot mix graphs and digraphs")
+    seq = x.degree_sequence()
+    if seq != y.degree_sequence():
+        raise ValueError("states have different degree sequences")
+    denom = step_denominator(seq, variant)
+    cx, cy = x.canonical(), y.canonical()
+    neighbours = switch_neighbour_states(cx, x.directed)
+    if cx == cy:
+        return 1 - Fraction(len(neighbours), denom)
+    return Fraction(int(cy in neighbours), denom)
 
 
 def pair_masks(states) -> tuple:
@@ -119,26 +193,18 @@ def switch_rows(states, directed: bool = False) -> list:
     mass; connectivity needs only the keys.
 
     Each state is keyed by a bitmask over the vertex pairs that occur in
-    the states, and each pair of disjoint pairs carries its switches as
+    the states, and each pair of disjoint pairs carries its ``_switches`` as
     (removed, added) masks, so a neighbour is one dictionary lookup of
     ``mask ^ removed | added``.  A switch whose new pairs never occur in a
     state can never apply and is left out.  Neighbours come in the order of
     ``switch_neighbour_states``.
     """
-    key = (Digraph if directed else Graph)._key
     bit, masks = pair_masks(states)
     moves = {}
-    for (x, y), (z, w) in combinations(bit, 2):
-        if x == z or x == w or y == z or y == w:
-            continue
-        matchings = (((x, w), (z, y)),) if directed else (((x, z), (y, w)), ((x, w), (z, y)))
-        added = []
-        for p1, p2 in matchings:
-            e1, e2 = key(*p1), key(*p2)
-            if e1 in bit and e2 in bit:
-                added.append(bit[e1] | bit[e2])
+    for p, q in combinations(bit, 2):
+        added = [bit[a] | bit[b] for a, b in _switches(p, q, directed) if a in bit and b in bit]
         if added:
-            moves[bit[x, y] | bit[z, w]] = added
+            moves[bit[p] | bit[q]] = added
     index = {mask: i for i, mask in enumerate(masks)}
     rows = []
     for st, mask in zip(states, masks):
@@ -324,14 +390,14 @@ class StateSpaceAnalysis:
         start = self.start_index if start_index is None else start_index
         return list(islice(self._tvs(start), horizon + 1))
 
-    def exact_mixing_time(self, eps, max_steps: int = 100000) -> int:
+    def exact_mixing_time(self, eps) -> int:
         """Least T with TV(t) <= eps for all t >= T, from the worst start.
 
         TV to stationarity is non-increasing in t, so per start this is the
         first crossing time; states in one relabelling orbit cross together,
         so one start per orbit suffices.  A float eps is read through its
         repr.  Raises NoMixingError up front on a reducible space and, for
-        eps < 1/2, on a periodic one; otherwise after ``max_steps``.
+        eps < 1/2, on a periodic one; otherwise after ``MAX_MIXING_STEPS``.
         """
         eps = Fraction(str(eps)) if isinstance(eps, float) else Fraction(eps)
         if not 0 < eps < 1:
@@ -345,8 +411,8 @@ class StateSpaceAnalysis:
             for t, tv in enumerate(self._tvs(s0)):
                 if tv <= eps:
                     break
-                if t >= max_steps:
-                    raise NoMixingError(f"no mixing within {max_steps} steps")
+                if t >= MAX_MIXING_STEPS:
+                    raise NoMixingError(f"no mixing within {MAX_MIXING_STEPS} steps")
             worst = max(worst, t)
         return worst
 
@@ -391,6 +457,7 @@ class StateSpaceAnalysis:
         return self._gap
 
 
+MAX_MIXING_STEPS = 100000  # exact_mixing_time gives up past this many steps
 _LANCZOS_SEED = 20170125
 _LANCZOS_TOL = 1e-14
 
@@ -458,7 +525,7 @@ def analyze(
     """
     states = enum_states(seq, cap)
     if not states:
-        raise ValueError("degree sequence has no realizations")
+        raise NotRealizableError("degree sequence has no realizations")
     directed = isinstance(seq, DirectedDegreeSequence)
     if start is None:
         start = realize_directed(seq) if directed else realize(seq)

@@ -9,13 +9,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from switchmix import DegreeSequence, DirectedDegreeSequence, Graph
-from switchmix.chain import (
-    VARIANT_EXACT,
-    FrozenChainError,
-    derive_seed,
-    switch_neighbour_states,
-)
+from switchmix import DegreeSequence, DirectedDegreeSequence, Digraph, Graph
+from switchmix.chain import VARIANT_EXACT, FrozenChainError, derive_seed
 from switchmix.statespace import _roots
 
 
@@ -185,11 +180,38 @@ def dense_gap(an) -> float:
     return float(1.0 - max(abs(vals[0]), vals[-2]))
 
 
+def oracle_neighbour_states(state: tuple, directed: bool = False):
+    """All states one switch away from a canonical state, each once, written
+    out pair by pair with its own disjointness test and matchings.
+
+    Disjoint edges (x, y), (z, w) switch to (x, w), (z, y) and, when
+    undirected, also to (x, z), (y, w).
+    """
+    key = (Digraph if directed else Graph)._key
+    present = set(state)
+    out = []
+    for i, (x, y) in enumerate(state):
+        for j in range(i + 1, len(state)):
+            z, w = state[j]
+            if x == z or x == w or y == z or y == w:
+                continue
+            matchings = (((x, w), (z, y)),) if directed else (((x, z), (y, w)), ((x, w), (z, y)))
+            for p1, p2 in matchings:
+                e1, e2 = key(*p1), key(*p2)
+                if e1 in present or e2 in present:
+                    continue
+                nxt = [e for k, e in enumerate(state) if k != i and k != j]
+                nxt += (e1, e2)
+                out.append(tuple(sorted(nxt)))
+    return out
+
+
 def switch_rows_by_tuples(states, directed=False) -> list:
     """Switch rows keyed by sorted edge tuples: every neighbour state is built
-    as a tuple and looked up in a dict of all states."""
+    as a tuple by ``oracle_neighbour_states`` and looked up in a dict of all
+    states."""
     index = {s: i for i, s in enumerate(states)}
-    return [Counter(index[nb] for nb in switch_neighbour_states(st, directed)) for st in states]
+    return [Counter(index[nb] for nb in oracle_neighbour_states(st, directed)) for st in states]
 
 
 def relabelling_orbits_by_tuples(seq, states) -> list:
@@ -449,7 +471,7 @@ def counting_identities_by_mode(L):
 # The per-step chain kernel that ``chain.advance`` replaced, kept as its
 # oracle.  It shares no code with the library's move: pairs are drawn by
 # ``randrange``, collisions tested by ``has_edge`` and moves applied by its
-# own swap-with-last.
+# own swap-with-last, which finds each slot by searching the edge array.
 
 
 def reference_edge_index_pair(g, rng):
@@ -468,14 +490,14 @@ def _reference_switch(g, r1, r2, a1, a2):
     """Delete ``r1`` then ``r2``, each by moving the last edge into its slot,
     then append ``a1`` and ``a2``."""
     for key in (r1, r2):
-        pos = g._pos.pop(key)
+        pos = g.edges.index(key)
         last = g.edges.pop()
         if last != key:
             g.edges[pos] = last
-            g._pos[last] = pos
+        g._members.remove(key)
     for key in (a1, a2):
-        g._pos[key] = len(g.edges)
         g.edges.append(key)
+        g._members.add(key)
 
 
 def _reference_disjoint_pair(g, rng, a=None):

@@ -36,10 +36,13 @@ from switchmix import (
     switch_connectivity,
     verify_counting_identities,
 )
-from switchmix.chain import switch_neighbour_states
 from switchmix.encoding import DIRECTED_PROFILES, UNDIRECTED_PROFILES, apply_3switch
 
-from conftest import count_nonadjacent_edge_pairs, random_graphical_sequence
+from conftest import (
+    count_nonadjacent_edge_pairs,
+    oracle_neighbour_states,
+    random_graphical_sequence,
+)
 
 
 @contextmanager
@@ -133,7 +136,7 @@ def test_criterion_6_directed_reducibility_witness():
         rep = switch_connectivity(dd)
         assert rep["component_count"] == 2 and not rep["irreducible"]
         for st in states:
-            assert switch_neighbour_states(st, directed=True) == []
+            assert oracle_neighbour_states(st, directed=True) == []
             dg = Digraph(3, st)
             tris = induced_triangles(dg)
             assert tris == [(0, 1, 2)]

@@ -194,6 +194,24 @@ def test_irreducible_report(capsys):
     assert all(w["witness"] is None for w in res["witness_samples"])
 
 
+def test_no_realization_is_a_validation_failure(capsys):
+    # analyze on non-graphical, odd-sum and non-digraphical sequences, and
+    # irreducible on a non-graphical and an unbalanced one: exit 2 with an
+    # error document, never a bare error line or a report on an empty space
+    cases = [
+        ("analyze", "--degrees", "3,1"),
+        ("analyze", "--degrees", "1,1,1"),
+        ("analyze", "--directed", "--degrees", "2:0,0:2"),
+        ("irreducible", "--degrees", "3,1"),
+        ("irreducible", "--directed", "--degrees", "1:0,1:1"),
+    ]
+    for argv in cases:
+        code, doc = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert doc["error"] == {"reason": "degree sequence has no realizations"}, argv
+        assert "result" not in doc
+
+
 def test_bound_report(capsys):
     code, doc = run_cli(capsys, "bound", "--degrees", "3,3,3,3", "--eps", "0.01")
     assert code == 0

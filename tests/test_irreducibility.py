@@ -4,11 +4,13 @@ from switchmix import (
     DegreeSequence,
     Digraph,
     DirectedDegreeSequence,
+    NotRealizableError,
     find_useful,
     induced_triangles,
     lamar_classes,
     switch_connectivity,
 )
+from switchmix.irreducibility import connectivity_report
 
 
 def three_cycle(n, extra=()):
@@ -96,6 +98,15 @@ def test_switch_connectivity_examples():
     assert rep["state_count"] == 70 and rep["irreducible"]
     rep = switch_connectivity(DirectedDegreeSequence([(1, 1)] * 4))
     assert rep["state_count"] == 9 and rep["irreducible"]
+
+
+def test_no_realization_has_no_connectivity_report():
+    for seq in (DegreeSequence([3, 1]), DirectedDegreeSequence([(1, 0), (1, 1)])):
+        with pytest.raises(NotRealizableError):
+            switch_connectivity(seq)
+    for directed in (False, True):
+        with pytest.raises(NotRealizableError):
+            connectivity_report([], directed)
 
 
 def test_find_useful_none_for_both_cycle_states():

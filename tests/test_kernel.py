@@ -1,8 +1,8 @@
 """The fused kernel ``chain.advance`` against the per-step reference kernel.
 
-Both must leave the same edge array (and index), count the same accepted
-moves and consume the random stream to the same ``getstate()``, so every
-seeded trajectory is unchanged.
+Both must leave the same edge array and membership set, count the same
+accepted moves and consume the random stream to the same ``getstate()``, so
+every seeded trajectory is unchanged.
 """
 
 import random
@@ -53,7 +53,7 @@ def _assert_same_run(g, seed, steps, a, chunks=(1,)):
         k += 1
     assert accepted == reference_advance(slow, rng_slow, steps, a)
     assert fast.edges == slow.edges
-    assert fast._pos == slow._pos
+    assert fast._members == slow._members
     assert rng_fast.getstate() == rng_slow.getstate()
     fast.audit()
     return accepted

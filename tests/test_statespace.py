@@ -11,6 +11,7 @@ import pytest
 from conftest import (
     dense_gap,
     dense_tv_curve,
+    oracle_neighbour_states,
     random_digraph_sequence,
     random_graphical_sequence,
     relabelling_orbits_by_tuples,
@@ -24,11 +25,12 @@ from switchmix import (
     DirectedDegreeSequence,
     Graph,
     NoMixingError,
+    NotRealizableError,
     analyze,
     enum_good_encodings,
     enum_states,
 )
-from switchmix.statespace import relabelling_orbits, switch_rows
+from switchmix.statespace import relabelling_orbits, switch_neighbour_states, switch_rows
 
 GOLDEN_CASES = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "analyze_exact.json").read_text()
@@ -171,6 +173,16 @@ def test_analyze_directed_space():
 def test_analyze_rejects_bad_start():
     with pytest.raises(ValueError):
         analyze(DegreeSequence([1, 2, 2, 1]), start=((0, 3), (1, 2), (1, 3)))
+
+
+def test_analyze_rejects_a_sequence_without_realizations():
+    for seq in (
+        DegreeSequence([3, 1]),
+        DegreeSequence([1, 1, 1]),
+        DirectedDegreeSequence([(2, 0), (0, 2)]),
+    ):
+        with pytest.raises(NotRealizableError):
+            analyze(seq)
 
 
 def test_analyze_reads_start_pairs_either_way_round():
@@ -431,6 +443,13 @@ def test_spectral_gap_allocates_no_dense_matrix():
 def test_switch_rows_match_tuple_oracle(rng, directed):
     for an in _random_spaces(rng, directed, 12, max_states=400):
         assert switch_rows(an.states, directed) == switch_rows_by_tuples(an.states, directed)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_switch_neighbour_states_match_oracle(rng, directed):
+    for an in _random_spaces(rng, directed, 12, max_states=400):
+        for st in an.states:
+            assert switch_neighbour_states(st, directed) == oracle_neighbour_states(st, directed)
 
 
 def test_switch_rows_match_tuple_oracle_on_3507_states():
