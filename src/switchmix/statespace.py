@@ -5,20 +5,20 @@ and an out-residual per vertex, one aliased list for a graph.  The exact
 one-step law is written here once: one switch rule and one denominator.
 Transition matrices and total-variation curves are kept in exact rational
 arithmetic (integer numerators over a power of the one-step denominator);
-the matrix is held as sparse integer rows, so propagation touches only the
-non-zeros.  States are keyed by bitmasks over vertex pairs while the rows are
-built.  Floating point appears only in the spectral gap: a Lanczos iteration
-with full reorthogonalisation on the same rows, deflated by the uniform
-vector (the known eigenvalue-1 eigenvector of the symmetric P) and started
-from a fixed pseudo-random vector, so it is deterministic and never forms a
-dense matrix.  It stops once both extreme Ritz values have residual at most
-1e-14 (which a breakdown also gives) or at dimension N - 1.  numpy is imported only inside
+the matrix is held as a list of neighbour indices per state (the holding
+mass is computed), so propagation touches only the non-zeros.  States are
+keyed by bitmasks over vertex pairs while the rows are built.  Floating point
+appears only in the spectral gap: a Lanczos iteration with full
+reorthogonalisation on the same rows, deflated by the uniform vector (the
+known eigenvalue-1 eigenvector of the symmetric P) and started from a fixed
+pseudo-random vector, so it is deterministic and never forms a dense matrix.
+It stops once both extreme Ritz values have residual at most 1e-14 (which a
+breakdown also gives) or at dimension N - 1.  numpy is imported only inside
 the gap computation, so commands that never analyse a space do not load it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, islice
@@ -186,11 +186,11 @@ def pair_masks(states) -> tuple:
 
 
 def switch_rows(states, directed: bool = False) -> list:
-    """Off-diagonal switch transitions of every state, as sparse integer rows.
+    """Switch neighbours of every state, as lists of state indices.
 
-    Row i maps the index of each switch neighbour of ``states[i]`` to the
-    number of proposals reaching it.  The exact analysis adds the holding
-    mass; connectivity needs only the keys.
+    Row i lists each switch neighbour of ``states[i]`` once: a switch's
+    symmetric difference fixes the pairs it removes and the pairs it adds,
+    so exactly one proposal reaches each neighbour.
 
     Each state is keyed by a bitmask over the vertex pairs that occur in
     the states, and each pair of disjoint pairs carries its ``_switches`` as
@@ -216,7 +216,7 @@ def switch_rows(states, directed: bool = False) -> list:
                 for added in moves.get(removed, ()):
                     if not mask & added:
                         row.append(index[mask ^ removed | added])
-        rows.append(Counter(row))
+        rows.append(row)
     return rows
 
 
@@ -275,10 +275,10 @@ class NoMixingError(RuntimeError):
 class StateSpaceAnalysis:
     """Exact chain diagnostics over a fully enumerated state space.
 
-    The transition matrix is held as sparse integer rows (``{j: numerator}``,
-    holding mass on the diagonal) over the common ``step_denominator`` (3a,
-    3*binom(E,2) or binom(m,2)), so propagation is pure integer arithmetic
-    over the non-zeros and every reported TV value is an exact Fraction.
+    The transition matrix is held as ``switch_rows`` neighbour lists (numerator
+    1 each; the holding mass ``denom - len(row)`` is computed, never stored) over
+    the common ``step_denominator`` (3a, 3*binom(E,2) or binom(m,2)), so
+    propagation is pure integer arithmetic and every TV value is an exact Fraction.
     """
 
     def __init__(self, seq, states, start_state, variant=VARIANT_EXACT):
@@ -292,32 +292,30 @@ class StateSpaceAnalysis:
             raise ValueError("start state does not realize the degree sequence") from None
         self._gap = None
         self._fraction_matrix = None
-        self._build()
+        self._denom = step_denominator(seq, variant)
+        self._rows = switch_rows(states, self.directed)
+        if min(self._holds()) < 0:
+            raise AssertionError("negative holding mass; denominator too small")
 
-    def _build(self):
-        denom = step_denominator(self.seq, self.variant)
-        rows = switch_rows(self.states, self.directed)
-        for i, row in enumerate(rows):
-            hold = denom - sum(row.values())
-            if hold < 0:
-                raise AssertionError("negative holding mass; denominator too small")
-            if hold:
-                row[i] = hold
-        self._rows = rows
-        self._denom = denom
+    def _holds(self) -> list:
+        """Diagonal numerator of each state: the proposals that reach no neighbour."""
+        return [self._denom - len(row) for row in self._rows]
 
     @property
     def transition_matrix(self):
         """The exact matrix as Fractions (built on first use)."""
         if self._fraction_matrix is None:
-            rows, count, d = self._rows, len(self._rows), self._denom
-            self._fraction_matrix = [[Fraction(r.get(j, 0), d) for j in range(count)] for r in rows]
+            count, d = len(self._rows), self._denom
+            self._fraction_matrix = [
+                [Fraction(hold if j == i else int(j in nb), d) for j in range(count)]
+                for i, (nb, hold) in enumerate(zip(map(set, self._rows), self._holds()))
+            ]
         return self._fraction_matrix
 
     @property
     def nnz(self) -> int:
         """Non-zero entries of the transition matrix."""
-        return sum(len(row) for row in self._rows)
+        return sum(map(len, self._rows)) + sum(map(bool, self._holds()))
 
     @cached_property
     def irreducible(self) -> bool:
@@ -331,13 +329,13 @@ class StateSpaceAnalysis:
 
     def is_symmetric(self) -> bool:
         rows = self._rows
-        return all(rows[j].get(i) == c for i, row in enumerate(rows) for j, c in row.items())
+        return all(i in rows[j] for i, row in enumerate(rows) for j in row)
 
     def rows_sum_to_one(self) -> bool:
-        return all(sum(row.values()) == self._denom for row in self._rows)
+        return min(self._holds()) >= 0
 
     def min_diagonal(self) -> Fraction:
-        return Fraction(min(row.get(i, 0) for i, row in enumerate(self._rows)), self._denom)
+        return Fraction(min(self._holds()), self._denom)
 
     def laziness_floor(self) -> Fraction:
         """Guaranteed lower bound on every diagonal entry.
@@ -360,12 +358,12 @@ class StateSpaceAnalysis:
         return Fraction(1, 3)
 
     def uniform_is_stationary(self) -> bool:
-        """Column sums equal the common denominator (exact check)."""
+        """Column sums equal the denominator: each state is in as many rows as its row lists."""
         col = [0] * len(self._rows)
         for row in self._rows:
-            for j, c in row.items():
-                col[j] += c
-        return all(c == self._denom for c in col)
+            for j in row:
+                col[j] += 1
+        return all(c == len(row) for c, row in zip(col, self._rows))
 
     def _tvs(self, start: int):
         """Exact TV to uniform after t = 0, 1, 2, ... steps from state ``start``.
@@ -373,16 +371,16 @@ class StateSpaceAnalysis:
         The distribution is kept as integer numerators over ``denom**t``, and
         each step scatters only the non-zeros of the occupied rows.
         """
-        rows, count = self._rows, len(self._rows)
+        rows, holds, count = self._rows, self._holds(), len(self._rows)
         vec, den = [0] * count, 1
         vec[start] = 1
         while True:
             yield Fraction(sum(abs(count * v - den) for v in vec), 2 * count * den)
-            nxt = [0] * count
+            nxt = [v * hold for v, hold in zip(vec, holds)]
             for v, row in zip(vec, rows):
                 if v:
-                    for j, c in row.items():
-                        nxt[j] += v * c
+                    for j in row:
+                        nxt[j] += v
             vec, den = nxt, den * self._denom
 
     def tv_curve(self, horizon: int, start_index: int | None = None) -> list:
@@ -425,7 +423,7 @@ class StateSpaceAnalysis:
         mass sits on one side and TV to uniform never falls below 1/2.
         """
         rows = self._rows
-        if any(i in row for i, row in enumerate(rows)):
+        if any(self._holds()):
             return False
         side = [None] * len(rows)
         side[0] = 0
@@ -475,15 +473,16 @@ def _deflated_extremes(rows, denom) -> tuple:
     dimension N - 1; the extremes are then those of the small tridiagonal
     matrix.  The residuals never exceed beta_k, so a breakdown (beta_k near
     0: every distinct eigenvalue the start vector meets is already in the
-    Krylov space) stops it too.  Each product with P is one
-    ``bincount`` over the non-zeros, so memory is the rows plus the basis.
+    Krylov space) stops it too.  Each product with P is one ``bincount`` of
+    x[j] * (1/denom) over the listed neighbours j plus the holding mass times
+    x, so memory is two index arrays plus the basis.
     """
     import numpy as np
 
     count = len(rows)
     row_idx = np.repeat(np.arange(count), [len(row) for row in rows])
     col_idx = np.fromiter(chain.from_iterable(rows), np.intp, len(row_idx))
-    data = np.fromiter(chain.from_iterable(map(Counter.values, rows)), float, len(row_idx)) / denom
+    hold = (denom - np.bincount(row_idx, minlength=count)) / denom
     basis = np.empty((min(count, 64), count))
     basis[0] = 1.0 / np.sqrt(count)
     q = np.random.default_rng(_LANCZOS_SEED).standard_normal(count)
@@ -493,8 +492,9 @@ def _deflated_extremes(rows, denom) -> tuple:
     alphas, betas = [], []
     k = 1
     while True:
-        w = np.bincount(row_idx, weights=data * basis[k][col_idx], minlength=count)
-        alphas.append(basis[k] @ w)
+        x = basis[k]
+        w = np.bincount(row_idx, weights=x[col_idx] * (1 / denom), minlength=count) + hold * x
+        alphas.append(x @ w)
         known = basis[: k + 1]
         for _ in range(2):
             w -= (known @ w) @ known

@@ -2,7 +2,6 @@
 
 import math
 import random
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -167,16 +166,19 @@ def dense_tv_curve(matrix, horizon: int, start: int) -> list:
 def dense_gap(an) -> float:
     """1 - max(|lambda_min|, lambda_2) from numpy.linalg.eigvalsh on the dense matrix.
 
-    The analysis's integer rows are scattered into a states x states float
-    array, so this is only for spaces of a few thousand states.
+    Each entry of the analysis's neighbour rows adds one proposal to its
+    column, and the diagonal gets the holding mass, the denominator less the
+    row length.  The states x states float array limits this to spaces of a
+    few thousand states.
     """
-    count = len(an._rows)
+    count, denom = len(an._rows), an._denom
     if count == 1:
         return 1.0
     P = np.zeros((count, count))
     for i, row in enumerate(an._rows):
-        P[i, list(row)] = list(row.values())
-    vals = np.linalg.eigvalsh(P / an._denom)
+        np.add.at(P[i], row, 1)
+        P[i, i] += denom - len(row)
+    vals = np.linalg.eigvalsh(P / denom)
     return float(1.0 - max(abs(vals[0]), vals[-2]))
 
 
@@ -207,11 +209,11 @@ def oracle_neighbour_states(state: tuple, directed: bool = False):
 
 
 def switch_rows_by_tuples(states, directed=False) -> list:
-    """Switch rows keyed by sorted edge tuples: every neighbour state is built
-    as a tuple by ``oracle_neighbour_states`` and looked up in a dict of all
-    states."""
+    """Switch rows as ordered neighbour lists: every neighbour state is built
+    as a sorted edge tuple by ``oracle_neighbour_states``, in its order, and
+    looked up in a dict of all states."""
     index = {s: i for i, s in enumerate(states)}
-    return [Counter(index[nb] for nb in oracle_neighbour_states(st, directed)) for st in states]
+    return [[index[nb] for nb in oracle_neighbour_states(st, directed)] for st in states]
 
 
 def relabelling_orbits_by_tuples(seq, states) -> list:

@@ -26,6 +26,7 @@ from switchmix import (
     Graph,
     NoMixingError,
     NotRealizableError,
+    StateSpaceAnalysis,
     analyze,
     enum_good_encodings,
     enum_states,
@@ -361,15 +362,10 @@ def test_periodic_space_detected_up_front():
     assert an.exact_mixing_time(Fraction(1, 2)) == 0
 
 
-def _eigvalsh_gap(an):
-    vals = np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in an.transition_matrix]))
-    return 1.0 - max(abs(vals[0]), vals[-2])
-
-
 @pytest.mark.parametrize("seq", GAP_SPACES, ids=repr)
 def test_spectral_gap_matches_dense_eigvalsh(seq):
     an = analyze(seq)
-    assert abs(an.spectral_gap - _eigvalsh_gap(an)) <= 1e-12
+    assert abs(an.spectral_gap - dense_gap(an)) <= 1e-12
 
 
 @pytest.mark.parametrize("seq", [DegreeSequence([1, 2, 2, 1]), *GAP_SPACES], ids=repr)
@@ -439,10 +435,27 @@ def test_spectral_gap_allocates_no_dense_matrix():
     assert peak < 16 * 2**20
 
 
+def test_analysis_keeps_under_16_bytes_per_nonzero():
+    """Rows are neighbour lists over shared index ints: one list slot per
+    non-zero, with no per-entry count and no stored diagonal."""
+    seq = DegreeSequence([2] * 8)
+    states = enum_states(seq)
+    tracemalloc.start()
+    try:
+        an = StateSpaceAnalysis(seq, states, states[0])
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert an.nnz == 119007
+    assert kept < 16 * an.nnz
+
+
 @pytest.mark.parametrize("directed", [False, True])
 def test_switch_rows_match_tuple_oracle(rng, directed):
     for an in _random_spaces(rng, directed, 12, max_states=400):
-        assert switch_rows(an.states, directed) == switch_rows_by_tuples(an.states, directed)
+        rows = switch_rows(an.states, directed)
+        assert rows == switch_rows_by_tuples(an.states, directed)
+        assert all(len(set(row)) == len(row) for row in rows)  # one proposal per neighbour
 
 
 @pytest.mark.parametrize("directed", [False, True])
@@ -454,7 +467,9 @@ def test_switch_neighbour_states_match_oracle(rng, directed):
 
 def test_switch_rows_match_tuple_oracle_on_3507_states():
     states = enum_states(DegreeSequence([2] * 8))
-    assert switch_rows(states) == switch_rows_by_tuples(states)
+    rows = switch_rows(states)
+    assert rows == switch_rows_by_tuples(states)
+    assert all(len(set(row)) == len(row) for row in rows)
 
 
 # Every space the tests above analyse by a fixed sequence.
