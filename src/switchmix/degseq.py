@@ -15,6 +15,32 @@ class CapExceededError(RuntimeError):
     """Enumeration would exceed the configured state cap."""
 
 
+def _erdos_gallai(degrees) -> bool:
+    """Erdos-Gallai test (with the even-sum requirement) in O(n log n).
+
+    With d sorted in non-increasing order, the tail sum_{i >= k} min(k, d_i)
+    is k * max(0, p - k) + suffix[max(k, p)], where p = #{i : d_i >= k}
+    only falls as k grows and suffix[j] = sum_{i >= j} d_i.  The empty list
+    is graphical.
+    """
+    d = sorted(degrees, reverse=True)
+    n = len(d)
+    suffix = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + d[i]
+    if suffix[0] % 2:
+        return False
+    p = n
+    prefix = 0
+    for k in range(1, n + 1):
+        prefix += d[k - 1]
+        while p and d[p - 1] < k:
+            p -= 1
+        if prefix > k * (k - 1) + k * max(0, p - k) + suffix[max(k, p)]:
+            return False
+    return True
+
+
 class DegreeSequence:
     """Prescribed degrees for a simple undirected graph on vertices 0..n-1.
 
@@ -56,28 +82,8 @@ class DegreeSequence:
         return f"DegreeSequence({list(self.degrees)!r})"
 
     def is_graphical(self) -> bool:
-        """Erdos-Gallai test (with the even-sum requirement) in O(n log n).
-
-        With d sorted in non-increasing order, the tail sum_{i >= k} min(k, d_i)
-        is k * max(0, p - k) + suffix[max(k, p)], where p = #{i : d_i >= k}
-        only falls as k grows and suffix[j] = sum_{i >= j} d_i.
-        """
-        if self.M % 2:
-            return False
-        d = sorted(self.degrees, reverse=True)
-        n = self.n
-        suffix = [0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + d[i]
-        p = n
-        prefix = 0
-        for k in range(1, n + 1):
-            prefix += d[k - 1]
-            while p and d[p - 1] < k:
-                p -= 1
-            if prefix > k * (k - 1) + k * max(0, p - k) + suffix[max(k, p)]:
-                return False
-        return True
+        """Erdos-Gallai test (with the even-sum requirement) in O(n log n)."""
+        return _erdos_gallai(self.degrees)
 
     def classify(self) -> dict:
         graphical = self.is_graphical()

@@ -5,8 +5,8 @@ and an out-residual per vertex, one aliased list for a graph.  The exact
 one-step law is written here once: one switch rule and one denominator.
 Transition matrices and total-variation curves are kept in exact rational
 arithmetic (integer numerators over a power of the one-step denominator);
-the matrix is held as a list of neighbour indices per state (the holding
-mass is computed), so propagation touches only the non-zeros.  States are
+the matrix is held as a list of neighbour indices per state and each
+state's holding mass, so propagation touches only the non-zeros.  States are
 keyed by bitmasks over vertex pairs while the rows are built.  Floating point
 appears only in the spectral gap: a Lanczos iteration with full
 reorthogonalisation on the same rows, deflated by the uniform vector (the
@@ -28,9 +28,9 @@ from .construct import realize, realize_directed
 from .degseq import (
     DEFAULT_CAP,
     CapExceededError,
-    DegreeSequence,
     DirectedDegreeSequence,
     NotRealizableError,
+    _erdos_gallai,
 )
 from .graph import Digraph, Graph
 
@@ -51,7 +51,8 @@ def enum_states(seq, cap: int = DEFAULT_CAP) -> list:
     and ``out_res`` (as ``Encoding`` aliases ``zeta_in`` and ``zeta_out``),
     so the vertices before u are spent and its partners are higher-indexed.
     Graphs prune on Erdos-Gallai over the later residuals, digraphs on each
-    in-residual against the rows still able to send to it.
+    in-residual against the rows still able to send to it.  States share
+    their pair tuples, from one n x n table.
     """
     directed = isinstance(seq, DirectedDegreeSequence)
     if directed:
@@ -64,6 +65,7 @@ def enum_states(seq, cap: int = DEFAULT_CAP) -> list:
         if seq.M % 2:
             return []
     n = len(in_res)
+    pairs = [[(u, v) for v in range(n)] for u in range(n)]
     states = []
     chosen = []
 
@@ -77,7 +79,7 @@ def enum_states(seq, cap: int = DEFAULT_CAP) -> list:
                 if in_res[v] > rows - (v >= u):
                     return False
             return True
-        return u == n or DegreeSequence(in_res[u:]).is_graphical()
+        return _erdos_gallai(in_res[u:])
 
     def rec(u):
         while u < n and not out_res[u]:
@@ -94,7 +96,7 @@ def enum_states(seq, cap: int = DEFAULT_CAP) -> list:
         for pick in combinations(cand, need):
             for v in pick:
                 in_res[v] -= 1
-                chosen.append((u, v))
+                chosen.append(pairs[u][v])
             if feasible(u + 1):
                 rec(u + 1)
             for v in pick:
@@ -220,35 +222,36 @@ def switch_rows(states, directed: bool = False) -> list:
     return rows
 
 
-def _roots(count: int, links) -> list:
-    """Union-find root of each of ``count`` elements after merging every (i, j)."""
-    parent = list(range(count))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in links:
-        parent[find(i)] = find(j)
-    return [find(i) for i in range(count)]
-
-
 def components(rows) -> list:
-    """Component root of every state in the switch graph given by ``rows``."""
-    return _roots(len(rows), ((i, j) for i, row in enumerate(rows) for j in row))
+    """Least state index in each state's class of the graph given by ``rows``.
+
+    The rows must be symmetric, as switch rows (each switch has a reverse)
+    and the orbit rows of ``relabelling_orbits`` are.  Then a breadth-first
+    pass from each unlabelled state, in index order, labels its whole class.
+    """
+    label = [None] * len(rows)
+    for root in range(len(rows)):
+        if label[root] is None:
+            label[root] = root
+            queue = [root]
+            for i in queue:
+                for j in rows[i]:
+                    if label[j] is None:
+                        label[j] = root
+                        queue.append(j)
+    return label
 
 
 def relabelling_orbits(seq, states) -> list:
-    """Orbit root of every state under degree-preserving vertex relabellings.
+    """Least state index in each state's orbit under degree-preserving relabellings.
 
     Such relabellings commute with the switch chain, so states of one orbit
     have identical TV curves.  Adjacent transpositions inside each degree
-    class ((in, out) class when directed) generate the group, so union-find
-    over their images gives the orbits without an isomorphism test.  A
-    transposition acts on the ``pair_masks`` keys as a map from each pair to
-    the bit of its image, which is again a pair of some state.
+    class ((in, out) class when directed) generate the group, so the orbits
+    are the ``components`` of rows listing each state's image under each
+    transposition (symmetric, as a transposition is its own inverse), with
+    no isomorphism test.  A transposition acts on the ``pair_masks`` keys as
+    a map from each pair to the bit of its image, a pair of some state.
     """
     directed = isinstance(seq, DirectedDegreeSequence)
     key = (Digraph if directed else Graph)._key
@@ -262,10 +265,7 @@ def relabelling_orbits(seq, states) -> list:
     for u, v in swaps:
         perm = {u: v, v: u}
         images.append({(x, y): bit[key(perm.get(x, x), perm.get(y, y))] for x, y in bit})
-    links = (
-        (i, index[sum(image[e] for e in st)]) for i, st in enumerate(states) for image in images
-    )
-    return _roots(len(states), links)
+    return components([[index[sum(image[e] for e in st)] for image in images] for st in states])
 
 
 class NoMixingError(RuntimeError):
@@ -276,7 +276,7 @@ class StateSpaceAnalysis:
     """Exact chain diagnostics over a fully enumerated state space.
 
     The transition matrix is held as ``switch_rows`` neighbour lists (numerator
-    1 each; the holding mass ``denom - len(row)`` is computed, never stored) over
+    1 each) and the holding mass ``denom - len(row)`` of each state, over
     the common ``step_denominator`` (3a, 3*binom(E,2) or binom(m,2)), so
     propagation is pure integer arithmetic and every TV value is an exact Fraction.
     """
@@ -294,12 +294,10 @@ class StateSpaceAnalysis:
         self._fraction_matrix = None
         self._denom = step_denominator(seq, variant)
         self._rows = switch_rows(states, self.directed)
-        if min(self._holds()) < 0:
+        # diagonal numerator of each state: the proposals that reach no neighbour
+        self._holds = [self._denom - len(row) for row in self._rows]
+        if min(self._holds) < 0:
             raise AssertionError("negative holding mass; denominator too small")
-
-    def _holds(self) -> list:
-        """Diagonal numerator of each state: the proposals that reach no neighbour."""
-        return [self._denom - len(row) for row in self._rows]
 
     @property
     def transition_matrix(self):
@@ -308,14 +306,14 @@ class StateSpaceAnalysis:
             count, d = len(self._rows), self._denom
             self._fraction_matrix = [
                 [Fraction(hold if j == i else int(j in nb), d) for j in range(count)]
-                for i, (nb, hold) in enumerate(zip(map(set, self._rows), self._holds()))
+                for i, (nb, hold) in enumerate(zip(map(set, self._rows), self._holds))
             ]
         return self._fraction_matrix
 
     @property
     def nnz(self) -> int:
         """Non-zero entries of the transition matrix."""
-        return sum(map(len, self._rows)) + sum(map(bool, self._holds()))
+        return sum(map(len, self._rows)) + sum(map(bool, self._holds))
 
     @cached_property
     def irreducible(self) -> bool:
@@ -324,18 +322,23 @@ class StateSpaceAnalysis:
 
     @cached_property
     def start_orbits(self) -> list:
-        """One state index (the union-find root) per relabelling orbit, ascending."""
+        """The least state index of each relabelling orbit, ascending."""
         return sorted(set(relabelling_orbits(self.seq, self.states)))
 
     def is_symmetric(self) -> bool:
+        """Each sorted row equals its column, built here in index order and not kept."""
         rows = self._rows
-        return all(i in rows[j] for i, row in enumerate(rows) for j in row)
+        cols = [[] for _ in rows]
+        for i, row in enumerate(rows):
+            for j in row:
+                cols[j].append(i)
+        return all(col == sorted(row) for col, row in zip(cols, rows))
 
     def rows_sum_to_one(self) -> bool:
-        return min(self._holds()) >= 0
+        return min(self._holds) >= 0
 
     def min_diagonal(self) -> Fraction:
-        return Fraction(min(self._holds()), self._denom)
+        return Fraction(min(self._holds), self._denom)
 
     def laziness_floor(self) -> Fraction:
         """Guaranteed lower bound on every diagonal entry.
@@ -371,7 +374,7 @@ class StateSpaceAnalysis:
         The distribution is kept as integer numerators over ``denom**t``, and
         each step scatters only the non-zeros of the occupied rows.
         """
-        rows, holds, count = self._rows, self._holds(), len(self._rows)
+        rows, holds, count = self._rows, self._holds, len(self._rows)
         vec, den = [0] * count, 1
         vec[start] = 1
         while True:
@@ -415,27 +418,17 @@ class StateSpaceAnalysis:
         return worst
 
     def _periodic(self) -> bool:
-        """Period 2 test for the (symmetric, irreducible) chain.
+        """Whether the chain has period 2, which is exactly when no state holds.
 
-        Such a chain is periodic exactly when no state holds and the switch
-        graph is bipartite.  Its two sides then have equal size (uniform is
-        stationary and all mass crosses each step), so from any start the
-        mass sits on one side and TV to uniform never falls below 1/2.
+        A holding state makes the chain aperiodic.  An undirected state always
+        holds: the identity matching is a proposal.  A directed state holds for
+        no proposal only when its arcs are pairwise vertex-disjoint, so each
+        vertex is one arc's source, one arc's sink, or isolated.  Then the
+        states are the m! bijections from sources to sinks and each switch is
+        a transposition, so the switch graph is bipartite by parity with equal
+        sides: all mass crosses sides each step and TV stays at least 1/2.
         """
-        rows = self._rows
-        if any(self._holds()):
-            return False
-        side = [None] * len(rows)
-        side[0] = 0
-        queue = [0]
-        for i in queue:
-            for j in rows[i]:
-                if side[j] is None:
-                    side[j] = 1 - side[i]
-                    queue.append(j)
-                elif side[j] == side[i]:
-                    return False
-        return True
+        return not any(self._holds)
 
     @property
     def spectral_gap(self) -> float:

@@ -10,7 +10,6 @@ import pytest
 
 from switchmix import DegreeSequence, DirectedDegreeSequence, Digraph, Graph
 from switchmix.chain import VARIANT_EXACT, FrozenChainError, derive_seed
-from switchmix.statespace import _roots
 
 
 def count_nonadjacent_edge_pairs(g: Graph) -> int:
@@ -216,10 +215,47 @@ def switch_rows_by_tuples(states, directed=False) -> list:
     return [[index[nb] for nb in oracle_neighbour_states(st, directed)] for st in states]
 
 
+def least_roots(count: int, links) -> list:
+    """Union-find over ``count`` elements after merging every (i, j) link;
+    each class is rooted at its least element."""
+    parent = list(range(count))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in links:
+        a, b = find(i), find(j)
+        parent[max(a, b)] = min(a, b)
+    return [find(i) for i in range(count)]
+
+
+def two_colourable(rows) -> bool:
+    """Whether the graph given by symmetric ``rows`` is bipartite: a
+    breadth-first two-colouring from every uncoloured vertex meets no edge
+    inside one side."""
+    side = [None] * len(rows)
+    for start in range(len(rows)):
+        if side[start] is not None:
+            continue
+        side[start] = 0
+        queue = [start]
+        for i in queue:
+            for j in rows[i]:
+                if side[j] is None:
+                    side[j] = 1 - side[i]
+                    queue.append(j)
+                elif side[j] == side[i]:
+                    return False
+    return True
+
+
 def relabelling_orbits_by_tuples(seq, states) -> list:
-    """Orbit roots with every transposed state rebuilt as a sorted edge tuple
-    and looked up in a dict of all states.  The union-find is the library's,
-    fed the same links in the same order, so the roots themselves must agree."""
+    """Orbit labels with every transposed state rebuilt as a sorted edge tuple
+    and looked up in a dict of all states, merged by ``least_roots``, so each
+    state is labelled with the least index in its orbit."""
     directed = isinstance(seq, DirectedDegreeSequence)
     index = {s: i for i, s in enumerate(states)}
     classes = {}
@@ -236,7 +272,7 @@ def relabelling_orbits_by_tuples(seq, states) -> list:
         return index[tuple(sorted(out))]
 
     links = ((i, swapped(st, u, v)) for st, i in index.items() for u, v in swaps)
-    return _roots(len(index), links)
+    return least_roots(len(index), links)
 
 
 def erdos_gallai_quadratic(degrees) -> bool:

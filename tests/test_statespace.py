@@ -4,6 +4,7 @@ import pathlib
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -11,12 +12,14 @@ import pytest
 from conftest import (
     dense_gap,
     dense_tv_curve,
+    least_roots,
     oracle_neighbour_states,
     random_digraph_sequence,
     random_graphical_sequence,
     relabelling_orbits_by_tuples,
     states_by_brute_force,
     switch_rows_by_tuples,
+    two_colourable,
 )
 from switchmix import (
     CapExceededError,
@@ -31,7 +34,12 @@ from switchmix import (
     enum_good_encodings,
     enum_states,
 )
-from switchmix.statespace import relabelling_orbits, switch_neighbour_states, switch_rows
+from switchmix.statespace import (
+    components,
+    relabelling_orbits,
+    switch_neighbour_states,
+    switch_rows,
+)
 
 GOLDEN_CASES = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "analyze_exact.json").read_text()
@@ -360,6 +368,31 @@ def test_periodic_space_detected_up_front():
         an.exact_mixing_time(Fraction(1, 100))
     # TV sits at exactly 1/2 from the start, so eps = 1/2 is met at once
     assert an.exact_mixing_time(Fraction(1, 2)) == 0
+    # three sources and three sinks: the 3! bijections, switched by transpositions
+    an = analyze(DirectedDegreeSequence([(0, 1), (1, 0)] * 3))
+    assert len(an.states) == 6 and an._periodic()
+    assert min(np.linalg.eigvalsh(np.array(an.transition_matrix, dtype=float))) == pytest.approx(-1)
+
+
+def test_periodic_matches_two_colouring_oracle():
+    """On every digraphical sequence with at least 2 arcs on at most 5
+    vertices (3084 spaces), an irreducible chain is periodic exactly when no
+    state holds and its switch graph is two-colourable."""
+    spaces = periodic = 0
+    for n in range(2, 6):
+        for pairs in combinations_with_replacement(product(range(n), repeat=2), n):
+            seq = DirectedDegreeSequence(pairs)
+            if seq.sum_in != seq.sum_out or seq.sum_in < 2 or not seq.is_digraphical():
+                continue
+            spaces += 1
+            an = analyze(seq)
+            if not an.irreducible:
+                continue
+            rows = switch_rows(an.states, directed=True)
+            holds = any(len(row) < an._denom for row in rows)
+            assert an._periodic() == (not holds and two_colourable(rows)), seq
+            periodic += an._periodic()
+    assert spaces == 3084 and periodic == 2
 
 
 @pytest.mark.parametrize("seq", GAP_SPACES, ids=repr)
@@ -450,6 +483,19 @@ def test_analysis_keeps_under_16_bytes_per_nonzero():
     assert kept < 16 * an.nnz
 
 
+def test_enum_states_keeps_under_250_bytes_per_state():
+    """States share one tuple per vertex pair: each keeps its own tuple of
+    references and a list slot, not a fresh tuple per pair."""
+    tracemalloc.start()
+    try:
+        states = enum_states(DegreeSequence([2] * 8))
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(states) == 3507
+    assert kept < 250 * len(states)
+
+
 @pytest.mark.parametrize("directed", [False, True])
 def test_switch_rows_match_tuple_oracle(rng, directed):
     for an in _random_spaces(rng, directed, 12, max_states=400):
@@ -489,6 +535,21 @@ ANALYSED_SPACES = [
         for case in GOLDEN_CASES.values()
     ),
 ]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 2], [2, 0], [0, 1], [6, 4], [3, 5], [4, 6], [5, 3], []],  # C3, C4, isolated
+        [[], [], []],  # isolated vertices
+        [[], [4], [3], [4, 2], [3, 1], []],  # the path 1-4-3-2, listed backwards
+        [[3], [2, 5], [1], [0, 4], [3], [1]],  # two components, interleaved
+        switch_rows(enum_states(DirectedDegreeSequence([(1, 1)] * 3)), directed=True),
+    ],
+)
+def test_components_label_each_class_with_its_least_index(rows):
+    links = ((i, j) for i, row in enumerate(rows) for j in row)
+    assert components(rows) == least_roots(len(rows), links)
 
 
 @pytest.mark.parametrize("directed", [False, True])
