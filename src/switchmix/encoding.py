@@ -12,6 +12,10 @@ small fixed catalog of configurations, and (undirected mode) *good* when
 defect incidences also respect minimum-degree conditions.  A defect-free
 encoding is just a graph with the target degrees.
 
+No encoding keeps a dense n x n matrix: label-1 entries are per-vertex
+bitmasks and defects are two position sets, so an encoding takes O(n + m)
+space and its checks, counts and searches walk set bits and defect keys.
+
 3-switches walk a 6-cycle pattern on six distinct vertices, decrementing
 three entries and incrementing three others, so they preserve every row and
 column sum.  ``repair`` drives an encoding back to a defect-free graph with
@@ -201,12 +205,13 @@ class Encoding:
     out-side lists.  ``target_in``/``target_out`` are the column and row sums
     the target asks for.
 
-    The label-1 entries are also indexed as bitmask rows: bit v of
-    ``ones_out[u]`` is set when L(u, v) = 1 and bit u of ``ones_in[v]``
-    likewise, so "which entries are 1" costs a walk over set bits, not a
-    scan of the n x n matrix.  In undirected mode ``ones_in`` is
-    ``ones_out``, which the mirrored entries keep symmetric.  The dense
-    ``matrix`` stays the store every entry is read from.
+    No dense matrix is kept: every entry is read from the indices.  The
+    label-1 entries are bitmask rows: bit v of ``ones_out[u]`` is set when
+    L(u, v) = 1 and bit u of ``ones_in[v]`` likewise; in undirected mode
+    ``ones_in`` is ``ones_out``, which the mirrored entries keep symmetric.
+    The defects are the keys in ``two`` and ``minus`` (unordered pairs when
+    undirected).  Any other entry is 0.  One copy therefore takes O(n + m)
+    space, and ``matrix`` builds a fresh dense list of lists on each read.
     """
 
     __slots__ = (
@@ -215,7 +220,6 @@ class Encoding:
         "target_in",
         "target_out",
         "n",
-        "matrix",
         "two",
         "minus",
         "ones_in",
@@ -238,7 +242,6 @@ class Encoding:
             raise TypeError("an encoding needs a DegreeSequence or DirectedDegreeSequence target")
         self.target = target
         self.n = n = target.n
-        self.matrix = [[0] * n for _ in range(n)]
         self.two = set()
         self.minus = set()
         self.ones_out = [0] * n
@@ -264,6 +267,16 @@ class Encoding:
         """Per-vertex (-1)-defect counts of an undirected encoding (None when directed)."""
         return None if self.directed else self.eta_out
 
+    @property
+    def matrix(self):
+        """The entries as a dense n x n list of lists, built afresh on every read."""
+        rows = [[0] * self.n for _ in range(self.n)]
+        for label in (1, 2, -1):
+            for u, mask in enumerate(self._masks((label,))):
+                for v in _bits(mask):
+                    rows[u][v] = label
+        return rows
+
     def _load_matrix(self, matrix):
         n = self.n
         if len(matrix) != n or any(len(row) != n for row in matrix):
@@ -275,14 +288,11 @@ class Encoding:
                 for j, v in enumerate(row):
                     if not ENTRY_MIN <= v <= ENTRY_MAX:
                         raise ValueError(f"entry {v} at ({i},{j}) out of range")
-        mine = self.matrix
-        for i, row in enumerate(matrix):
-            mine_row = mine[i]
-            for j in [j for j, v in enumerate(row) if v and v != mine_row[j]]:
-                self._set(i, j, row[j])
-        # a mirrored write can only have overwritten an entry of an asymmetric matrix
-        if any(list(row) != mine[i] for i, row in enumerate(matrix)):
+        if not self.directed and list(map(tuple, matrix)) != list(zip(*matrix)):
             raise ValueError("matrix not symmetric")
+        for i, row in enumerate(matrix):
+            for j in [j for j, v in enumerate(row) if v and (self.directed or i < j)]:
+                self._set(i, j, row[j])
         rows_ok, cols_ok = self._sums_match()
         if not rows_ok:
             side = "out-degrees" if self.directed else "degrees"
@@ -291,9 +301,10 @@ class Encoding:
             raise ValueError("column sums do not match the target in-degrees")
 
     def _sums_match(self):
-        """(row sums == target out-degrees, column sums == target in-degrees)."""
-        rows = tuple(map(sum, self.matrix))
-        cols = tuple(map(sum, zip(*self.matrix)))
+        """(row sums == target out-degrees, column sums == target in-degrees),
+        a line summing its 1-entries, twice its 2-entries, less its (-1)-entries."""
+        rows = tuple(o.bit_count() + 2 * z - e for o, z, e in zip(self.ones_out, self.zeta_out, self.eta_out))
+        cols = tuple(i.bit_count() + 2 * z - e for i, z, e in zip(self.ones_in, self.zeta_in, self.eta_in))
         return rows == self.target_out, cols == self.target_in
 
     # -- low-level entry update with defect bookkeeping --------------------
@@ -307,7 +318,7 @@ class Encoding:
             raise ValueError("diagonal entries are fixed at zero")
         if not ENTRY_MIN <= val <= ENTRY_MAX:
             raise ValueError(f"entry {val} out of range")
-        old = self.matrix[u][v]
+        old = self.entry(u, v)
         if old == val:
             return
         key = self._key(u, v)
@@ -324,8 +335,6 @@ class Encoding:
         elif old == 1:
             self.ones_out[u] &= ~(1 << v)
             self.ones_in[v] &= ~(1 << u)
-        for a, b in _orientations((u, v), self.directed):
-            self.matrix[a][b] = val
         if val == 2:
             self.two.add(key)
             self.zeta_out[u] += 1
@@ -361,7 +370,6 @@ class Encoding:
         enc.target_in = self.target_in
         enc.target_out = self.target_out
         enc.n = self.n
-        enc.matrix = [row[:] for row in self.matrix]
         enc.two = set(self.two)
         enc.minus = set(self.minus)
         enc.ones_out = list(self.ones_out)
@@ -376,11 +384,13 @@ class Encoding:
         return (
             isinstance(other, Encoding)
             and self.directed == other.directed
-            and self.matrix == other.matrix
+            and self.ones_out == other.ones_out
+            and self.two == other.two
+            and self.minus == other.minus
         )
 
     def __hash__(self):
-        return hash((self.mode, tuple(tuple(r) for r in self.matrix)))
+        return hash((self.mode, tuple(self.ones_out), frozenset(self.two), frozenset(self.minus)))
 
     def __repr__(self):
         p, q = len(self.two), len(self.minus)
@@ -389,7 +399,20 @@ class Encoding:
     # -- queries -------------------------------------------------------------
 
     def entry(self, u, v) -> int:
-        return self.matrix[u][v]
+        if self.ones_out[u] >> v & 1:
+            return 1
+        key = self._key(u, v)
+        return 2 if key in self.two else -1 if key in self.minus else 0
+
+    def _masks(self, labels, cols=False):
+        """Bitmask rows of the entries labelled in ``labels`` (of 1, 2, -1):
+        bit v of row u is set when L(u, v) is; with ``cols``, bit u of column v."""
+        masks = list(self.ones_in if cols else self.ones_out) if 1 in labels else [0] * self.n
+        for label, keys in ((2, self.two), (-1, self.minus)):
+            for pos in keys if label in labels else ():
+                for u, v in _orientations(pos[::-1] if cols else pos, self.directed):
+                    masks[u] |= 1 << v
+        return masks
 
     def defect_counts(self):
         return len(self.two), len(self.minus)
@@ -417,15 +440,14 @@ class Encoding:
         return [(u, v) for u, mask in enumerate(self.ones_out) for v in _bits(mask)]
 
     def is_consistent_with(self, Z) -> bool:
+        """L + Z stays inside {0, 1, 2}: no 2-entry on an edge of Z and no
+        (-1)-entry off Z, as no other entry can leave the range."""
         if Z.n != self.n:
             return False
-        for u in range(self.n):
-            for v in range(self.n):
-                if u == v:
-                    continue
-                if not 0 <= self.matrix[u][v] + (1 if Z.has_edge(u, v) else 0) <= 2:
-                    return False
-        return True
+        has_z = Z.has_edge
+        return not any(
+            has_z(*o) for pos in self.two for o in _orientations(pos, self.directed)
+        ) and all(has_z(*o) for pos in self.minus for o in _orientations(pos, self.directed))
 
     def _defect_edges(self):
         out = [(u, v, 2) for (u, v) in self.two]
@@ -469,11 +491,20 @@ class Encoding:
         return store(self.n, [pos for pos in self.ones_pairs() if key(*pos) == pos])
 
     def audit(self):
-        """Recompute all bookkeeping from the matrix and compare."""
-        fresh = Encoding(self.target, self.matrix)
-        assert fresh.two == self.two and fresh.minus == self.minus
-        for name in ("ones_in", "ones_out", "zeta_in", "zeta_out", "eta_in", "eta_out"):
-            assert getattr(fresh, name) == getattr(self, name)
+        """Recompute the counters from the defect sets and ``ones_in`` from
+        ``ones_out``, and compare; each defect key is an off-diagonal canonical
+        position that no label-1 bit claims, and no 1-bit is on the diagonal."""
+        assert not self.two & self.minus
+        for u, v in self.two | self.minus:
+            assert u != v and self._key(u, v) == (u, v) and not self.ones_out[u] >> v & 1
+        ones_in = [0] * self.n
+        for u, v in self.ones_pairs():
+            assert u != v
+            ones_in[v] |= 1 << u
+        assert ones_in == self.ones_in
+        for label, side_in, side_out in ((2, self.zeta_in, self.zeta_out), (-1, self.eta_in, self.eta_out)):
+            assert [m.bit_count() for m in self._masks((label,))] == side_out
+            assert [m.bit_count() for m in self._masks((label,), cols=True)] == side_in
         for side in ("ones", "zeta", "eta"):
             assert (getattr(self, side + "_in") is getattr(self, side + "_out")) == (not self.directed)
 
@@ -490,15 +521,15 @@ def encode(G, Gp, Z) -> Encoding:
     ds = G.degree_sequence()
     if Gp.degree_sequence() != ds or Z.degree_sequence() != ds:
         raise ValueError("degree sequences differ")
-    n = G.n
-    matrix = [
-        [
-            (G.has_edge(u, v) + Gp.has_edge(u, v) - Z.has_edge(u, v)) if u != v else 0
-            for v in range(n)
-        ]
-        for u in range(n)
-    ]
-    return Encoding(ds, matrix)
+    # edge keys are the encoding's defect-set keys: unordered pairs when undirected
+    values = Counter(G.edges)
+    values.update(Gp.edges)
+    values.subtract(Z.edges)
+    L = Encoding(ds)
+    for pos, val in values.items():
+        if val:
+            L._set(*pos, val)
+    return L
 
 
 def defect_profile(L: Encoding) -> DefectProfile:
@@ -525,8 +556,8 @@ def _shift(L: Encoding, tup, sign):
             raise ValueError(f"vertex {v} out of range")
     dec = ((a1, b1), (a2, b2), (a3, b3))
     inc = ((a2, b1), (a3, b2), (a1, b3))
-    updates = [(u, v, L.matrix[u][v] - sign) for (u, v) in dec]
-    updates += [(u, v, L.matrix[u][v] + sign) for (u, v) in inc]
+    updates = [(u, v, L.entry(u, v) - sign) for (u, v) in dec]
+    updates += [(u, v, L.entry(u, v) + sign) for (u, v) in inc]
     for _, _, val in updates:
         if not ENTRY_MIN <= val <= ENTRY_MAX:
             raise ValueError("3-switch would push an entry out of range")
@@ -560,7 +591,7 @@ def choice_count_and_bound(L: Encoding, anchors, stage: str) -> dict:
     stage "third_pair": anchors (a1, b1, a2, b2) with L(a2,b2)=1; counts
     ordered (a3, b3) with L(a3,b3)=1, L(a1,b3)=L(a3,b2)=0, all six distinct.
     """
-    mat = L.matrix
+    ones = L.ones_out
     n = L.n
     z_in, z_out = L.zeta_in, L.zeta_out
     e_in, e_out = L.eta_in, L.eta_out
@@ -573,17 +604,13 @@ def choice_count_and_bound(L: Encoding, anchors, stage: str) -> dict:
         if len(anchors) != 2:
             raise ValueError("second_pair anchors are (a1, b1)")
         a1, b1 = anchors
-        if a1 == b1 or mat[a1][b1] == 0:
+        if a1 == b1 or L.entry(a1, b1) == 0:
             raise ValueError("anchor needs distinct a1, b1 with L(a1,b1) != 0")
-        exact = 0
-        for a2 in range(n):
-            if a2 == a1 or a2 == b1 or mat[a2][b1] != 0:
-                continue
-            row = mat[a2]
-            for b2 in range(n):
-                if row[b2] == 1 and b2 != a1 and b2 != b1 and b2 != a2:
-                    exact += 1
-        hat_in_b1 = [y for y in range(n) if y != b1 and mat[y][b1] != 0]
+        col_b1 = L._masks((1, 2, -1), cols=True)[b1]
+        banned = 1 << a1 | 1 << b1
+        skip = col_b1 | banned
+        exact = sum((ones[a2] & ~banned).bit_count() for a2 in range(n) if not skip >> a2 & 1)
+        hat_in_b1 = _bits(col_b1)
         bad = dmax * (dmax - z_in[b1] + 2 * e_in[b1] + 2)
         bad += e_in[a1] + e_out[b1] - 2 * (z_in[a1] + z_out[b1])
         bad += sum(e_out[y] - 2 * z_out[y] for y in hat_in_b1)
@@ -593,26 +620,17 @@ def choice_count_and_bound(L: Encoding, anchors, stage: str) -> dict:
         if len(anchors) != 4:
             raise ValueError("third_pair anchors are (a1, b1, a2, b2)")
         a1, b1, a2, b2 = anchors
-        if len({a1, b1, a2, b2}) != 4 or mat[a2][b2] != 1:
+        if len({a1, b1, a2, b2}) != 4 or not ones[a2] >> b2 & 1:
             raise ValueError("anchors must be distinct with L(a2,b2) = 1")
-        banned = {a1, b1, a2, b2}
-        exact = 0
-        for a3 in range(n):
-            if a3 in banned or mat[a3][b2] != 0:
-                continue
-            row = mat[a3]
-            for b3 in range(n):
-                if (
-                    row[b3] == 1
-                    and b3 not in banned
-                    and b3 != a3
-                    and mat[a1][b3] == 0
-                ):
-                    exact += 1
+        banned = 1 << a1 | 1 << b1 | 1 << a2 | 1 << b2
+        row_a1 = L._masks((1, 2, -1))[a1]
+        col_b2 = L._masks((1, 2, -1), cols=True)[b2]
+        heads, skip = ~(banned | row_a1), col_b2 | banned
+        exact = sum((ones[a3] & heads).bit_count() for a3 in range(n) if not skip >> a3 & 1)
         eta_star = e_in[a1] + e_out[b1] + e_in[a2] + e_out[b2]
         zeta_star = z_in[a1] + z_out[b1] + z_in[a2] + z_out[b2]
-        hat_out_a1 = [x for x in range(n) if x != a1 and mat[a1][x] != 0]
-        hat_in_b2 = [y for y in range(n) if y != b2 and mat[y][b2] != 0]
+        hat_out_a1 = _bits(row_a1)
+        hat_in_b2 = _bits(col_b2)
         bad = dmax * (2 * dmax - (z_out[a1] + z_in[b2]) + 2 * (e_out[a1] + e_in[b2]) + 4)
         bad += eta_star - 2 * zeta_star
         bad += sum(e_in[x] - 2 * z_in[x] for x in hat_out_a1)
@@ -670,26 +688,30 @@ def find_phase_switch(L: Encoding, phase: str):
     if not _phase_admits(L, phase):
         return None
     spec = _PHASES[phase]
-    lab2 = spec.second
-    mat = L.matrix
-    ones = L.ones_pairs()
+    ones = L.ones_out
+    nonzero = L._masks((1, 2, -1))
+    full = (1 << L.n) - 1
+    zero_in = [full & ~mask for mask in L._masks((1, 2, -1), cols=True)]
+    # bit a2 of second_in[b1] is set when L(a2, b1) has the phase's second label
+    second_in = zero_in if spec.second == 0 else L._masks((spec.second,), cols=True)
     if spec.first == 1:
-        firsts = ones
+        firsts = L.ones_pairs()
     else:
         keys = L.two if spec.first == 2 else L.minus
         firsts = sorted(o for pos in keys for o in _orientations(pos, L.directed))
+    # walking set bits upwards visits the (a2, b2) and (a3, b3) label-1
+    # entries in lexicographic order, so the first hit is the least tuple
     for a1, b1 in firsts:
-        for a2, b2 in ones:
-            if mat[a2][b1] != lab2:
-                continue
-            if len({a1, b1, a2, b2}) != 4:
-                continue
-            for a3, b3 in ones:
-                if a3 in (a1, b1, a2, b2) or b3 in (a1, b1, a2, b2) or a3 == b3:
-                    continue
-                if mat[a3][b2] != 0 or mat[a1][b3] != 0:
-                    continue
-                return (a1, b1, a2, b2, a3, b3)
+        pair = 1 << a1 | 1 << b1
+        for a2 in _bits(second_in[b1] & ~pair):
+            for b2 in _bits(ones[a2] & ~pair):
+                banned = pair | 1 << a2 | 1 << b2
+                # b3 off the four with L(a1, b3) = 0; a3 off them with L(a3, b2) = 0
+                heads = ~(banned | nonzero[a1])
+                for a3 in _bits(zero_in[b2] & ~banned):
+                    hit = ones[a3] & heads
+                    if hit:
+                        return (a1, b1, a2, b2, a3, (hit & -hit).bit_length() - 1)
     return None
 
 
@@ -790,10 +812,10 @@ def _plan_layout(L: Encoding, Z, rng, profile, level):
         return []
     directed = L.directed
     has_z = Z.has_edge
-    mat = L.matrix
+    nonzero = L._masks((1, 2, -1))
     key = L._key
     two_pool = [pos for pos in L.ones_pairs() if key(*pos) == pos and not has_z(*pos)]
-    minus_pool = [key(u, v) for (u, v) in Z.edges if mat[u][v] == 0]
+    minus_pool = [key(u, v) for (u, v) in Z.edges if not nonzero[u] >> v & 1]
     if len(two_pool) < p or len(minus_pool) < q:
         return None
     deg_in, deg_out = L.target_in, L.target_out
@@ -924,7 +946,8 @@ def _inject_at(L: Encoding, Z, kind: str, pos, rng, protected) -> bool:
     so positions planned for later injections keep their labels.  Undirected
     positions try both orientations of the anchor.
     """
-    mat = L.matrix
+    # L changes only when a completion is applied, and then the search ends
+    nonzero = L._masks((1, 2, -1))
     n = L.n
     has_z = Z.has_edge
     key = L._key
@@ -954,12 +977,12 @@ def _inject_at(L: Encoding, Z, kind: str, pos, rng, protected) -> bool:
                 for b2 in _shuffled(range(n), rng):
                     if (
                         b2 in (a1, b1, a2_, b3)
-                        or mat[a2_][b2] != 0
+                        or nonzero[a2_] >> b2 & 1
                         or not free(a2_, b2)
                     ):
                         continue
                     for a3 in _shuffled(ones_into(b2), rng):
-                        if a3 in (a1, b1, a2_, b2, b3) or mat[a3][b3] != 0:
+                        if a3 in (a1, b1, a2_, b2, b3) or nonzero[a3] >> b3 & 1:
                             continue
                         if not free(a3, b2) or not free(a3, b3):
                             continue
@@ -974,7 +997,7 @@ def _inject_at(L: Encoding, Z, kind: str, pos, rng, protected) -> bool:
     if removes == (1, 0):
         # new 2 at pos=(a1,b1): needs L=1 and Z-absent there (planned)
         for a1, b1 in _shuffled(_orientations(pos, L.directed), rng):
-            if mat[a1][b1] != 1 or has_z(a1, b1):
+            if not L.ones_out[a1] >> b1 & 1 or has_z(a1, b1):
                 continue
             if complete(a1, b1, None):
                 return True
@@ -985,10 +1008,10 @@ def _inject_at(L: Encoding, Z, kind: str, pos, rng, protected) -> bool:
     if removes == (0, 1):
         # new -1 at pos=(a2,b1): needs L=0 and Z-present there (planned)
         for a2, b1 in _shuffled(_orientations(pos, L.directed), rng):
-            if mat[a2][b1] != 0 or not has_z(a2, b1):
+            if nonzero[a2] >> b1 & 1 or not has_z(a2, b1):
                 continue
             for a1 in _shuffled(range(n), rng):
-                if a1 in (a2, b1) or mat[a1][b1] != 0 or not free(a1, b1):
+                if a1 in (a2, b1) or nonzero[a1] >> b1 & 1 or not free(a1, b1):
                     continue
                 if complete(a1, b1, a2, fixed_a2=True):
                     return True
@@ -1004,9 +1027,9 @@ def _inject_at(L: Encoding, Z, kind: str, pos, rng, protected) -> bool:
     b1 = shared.pop()
     a1 = two_pos[0] if two_pos[1] == b1 else two_pos[1]
     a2 = minus_pos[0] if minus_pos[1] == b1 else minus_pos[1]
-    if mat[a1][b1] != 1 or has_z(a1, b1):
+    if not L.ones_out[a1] >> b1 & 1 or has_z(a1, b1):
         return False
-    if mat[a2][b1] != 0 or not has_z(a2, b1):
+    if nonzero[a2] >> b1 & 1 or not has_z(a2, b1):
         return False
     return complete(a1, b1, a2, fixed_a2=True)
 
@@ -1262,20 +1285,15 @@ def verify_counting_identities(L: Encoding):
     per 2-entry plus one per (-1)-entry (M - 4p + 2q symmetric entries, or
     m - 2p + q arcs), and per vertex both neighbourhood sizes on each side
     against the degree/counter formulas d - 2*zeta + eta and
-    d - zeta + 2*eta.  One pass over the matrix tallies the row (out) and
-    column (in) counts; an undirected encoding checks its symmetric rows and
-    columns alike.
+    d - zeta + 2*eta.  The row (out) and column (in) counts are popcounts of
+    the label-1 bitmasks, and of those with the defect positions added; an
+    undirected encoding checks its symmetric rows and columns alike.
     """
     n = L.n
-    n_out, n_in, hat_out, hat_in = [0] * n, [0] * n, [0] * n, [0] * n
-    for u, row in enumerate(L.matrix):
-        for v, x in enumerate(row):
-            if x:
-                hat_out[u] += 1
-                hat_in[v] += 1
-                if x == 1:
-                    n_out[u] += 1
-                    n_in[v] += 1
+    n_out = [mask.bit_count() for mask in L.ones_out]
+    n_in = [mask.bit_count() for mask in L.ones_in]
+    hat_out = [mask.bit_count() for mask in L._masks((1, 2, -1))]
+    hat_in = [mask.bit_count() for mask in L._masks((1, 2, -1), cols=True)]
     p, q = L.defect_counts()
     per_key = 1 if L.directed else 2  # entries behind one defect-set key
     expected = sum(L.target_out) - per_key * (2 * p - q)

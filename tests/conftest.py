@@ -451,24 +451,66 @@ def embed_by_linear_scan(arcs, candidates_by_label, directed, accept=None):
     return layout if extend(0) else None
 
 
-def ones_by_scan(L):
-    """The label-1 entries of an encoding by a dense scan of its matrix:
+# ---------------------------------------------------------------------------
+# A dense encoding model: a plain list of lists, moved by its own 3-switch.
+# An ``Encoding`` keeps no dense matrix, so its ``matrix`` is a view of the
+# store's indices; these oracles read this model instead.
+
+
+def dense_of(Z):
+    """The 0/1 adjacency matrix of a state: the entries of its defect-free encoding."""
+    mat = [[0] * Z.n for _ in range(Z.n)]
+    for u, v in Z.edges:
+        mat[u][v] = 1
+        if not Z.directed:
+            mat[v][u] = 1
+    return mat
+
+
+def dense_3switch(mat, tup, sign, directed) -> bool:
+    """Apply the 3-switch on ``tup`` (sign +1) or its reverse (sign -1) to
+    the model: (a1,b1), (a2,b2), (a3,b3) drop by ``sign`` and (a2,b1),
+    (a3,b2), (a1,b3) rise by it, mirrored when undirected.  Returns False,
+    with the model unchanged, when an entry would leave {-1, 0, 1, 2}."""
+    a1, b1, a2, b2, a3, b3 = tup
+    moves = [((a1, b1), -sign), ((a2, b2), -sign), ((a3, b3), -sign)]
+    moves += [((a2, b1), sign), ((a3, b2), sign), ((a1, b3), sign)]
+    if any(not -1 <= mat[u][v] + d <= 2 for (u, v), d in moves):
+        return False
+    for (u, v), d in moves:
+        mat[u][v] += d
+        if not directed:
+            mat[v][u] += d
+    return True
+
+
+def dense_defect_counts(mat, directed):
+    """(2-entries, (-1)-entries) of the model; an undirected pair counts once."""
+    n = len(mat)
+    cells = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
+    return sum(mat[u][v] == 2 for u, v in cells), sum(mat[u][v] == -1 for u, v in cells)
+
+
+def ones_by_scan(mat):
+    """The label-1 entries of a dense matrix by a scan of every cell:
     the lexicographic pair list, then per vertex its out- and in-lists."""
-    mat, n = L.matrix, L.n
+    n = len(mat)
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v and mat[u][v] == 1]
     outs = [[v for v in range(n) if v != u and mat[u][v] == 1] for u in range(n)]
     ins = [[u for u in range(n) if u != v and mat[u][v] == 1] for v in range(n)]
     return pairs, outs, ins
 
 
-def counting_identities_by_mode(L):
+def counting_identities_by_mode(L, mat=None):
     """The encoding counting identities with one branch per mode, by generator sums.
 
-    Kept as an oracle for the merged single-pass check; raises ValueError on
-    a mismatch, then audits the bookkeeping like the library does.
+    Counts neighbourhoods in the dense ``mat`` (default: the view
+    ``L.matrix``) against L's defect counts and counters.  Kept as an oracle
+    for the merged single-pass check; raises ValueError on a mismatch, then
+    audits the bookkeeping like the library does.
     """
     p, q = L.defect_counts()
-    mat = L.matrix
+    mat = L.matrix if mat is None else mat
     n = L.n
     if L.mode == "undirected":
         ones_edges = sum(1 for u in range(n) for v in range(u + 1, n) if mat[u][v] == 1)

@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -353,8 +353,13 @@ def test_serialization_round_trip(tmp_path, rng):
 
 
 def _random_encoding(rng, n, directed):
+    """A random encoding of its own row/column sums (see ``_random_matrix``)."""
+    return Encoding(*_random_matrix(rng, n, directed))
+
+
+def _random_matrix(rng, n, directed):
     """A random matrix over {-1, 0, 1, 2} (symmetric when undirected) with
-    non-negative sums, loaded as an encoding of its own row/column sums."""
+    non-negative sums, and the target of its row/column sums."""
     while True:
         mat = [[0] * n for _ in range(n)]
         for u in range(n):
@@ -367,7 +372,7 @@ def _random_encoding(rng, n, directed):
         cols = [sum(col) for col in zip(*mat)]
         if min(rows + cols) >= 0:
             target = DirectedDegreeSequence(zip(cols, rows)) if directed else DegreeSequence(rows)
-            return Encoding(target, mat)
+            return target, mat
 
 
 def _oracle_encodings(rng):
@@ -428,10 +433,11 @@ def test_counting_identities_agree_with_two_branch_oracle(rng):
         ones = L.ones_pairs()
         dropped = L.copy()
         if ones:
+            # clear one label-1 entry from the bitmasks alone (both mirrored
+            # bits when undirected, where ones_in is ones_out)
             u, w = ones[rng.randrange(len(ones))]
-            dropped.matrix[u][w] = 0
-            if not L.directed:
-                dropped.matrix[w][u] = 0
+            dropped.ones_out[u] &= ~(1 << w)
+            dropped.ones_in[w] &= ~(1 << u)
         for broken in (bumped, dropped) if ones else (bumped,):
             got = _identity_outcome(verify_counting_identities, broken)
             assert got is not None
@@ -466,12 +472,12 @@ def test_one_store_for_both_modes(rng):
 
 
 def test_ones_index_follows_every_update(rng):
-    from conftest import ones_by_scan
+    from conftest import dense_3switch, ones_by_scan
 
     from switchmix.encoding import _bits
 
-    def check(L):
-        pairs, outs, ins = ones_by_scan(L)
+    def check(L, model):
+        pairs, outs, ins = ones_by_scan(model)
         assert L.ones_pairs() == pairs
         assert [_bits(m) for m in L.ones_out] == outs
         assert [_bits(m) for m in L.ones_in] == ins
@@ -479,23 +485,30 @@ def test_ones_index_follows_every_update(rng):
 
     for directed in (False, True):
         for _ in range(6):
-            L = _random_encoding(rng, rng.randint(7, 10), directed)
-            check(L)
+            target, model = _random_matrix(rng, rng.randint(7, 10), directed)
+            L = Encoding(target, model)
+            check(L, model)
             switched = 0
             for _ in range(150):
-                try:
-                    apply_3switch(L, rng.sample(range(L.n), 6))
-                except ValueError:
+                tup = rng.sample(range(L.n), 6)
+                if not dense_3switch(model, tup, +1, directed):
+                    with pytest.raises(ValueError):
+                        apply_3switch(L, tup)
                     continue
+                apply_3switch(L, tup)
                 switched += 1
-                check(L)
+                check(L, model)
                 L.audit()
             assert switched >= 10
-            check(L.copy())
+            check(L.copy(), model)
             for _ in range(60):
                 u, v = rng.sample(range(L.n), 2)
-                L._set(u, v, rng.choice((-1, 0, 1, 2)))
-                check(L)
+                val = rng.choice((-1, 0, 1, 2))
+                L._set(u, v, val)
+                model[u][v] = val
+                if not directed:
+                    model[v][u] = val
+                check(L, model)
             # a bitmask corrupted behind the store's back fails the audit
             L = _random_encoding(rng, 8, directed)
             for side in ("ones_out", "ones_in"):
@@ -504,6 +517,130 @@ def test_ones_index_follows_every_update(rng):
                 getattr(broken, side)[u] ^= 1 << v
                 with pytest.raises(AssertionError):
                     broken.audit()
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_store_moves_in_lockstep_with_a_dense_model(directed, rng, tmp_path):
+    from conftest import counting_identities_by_mode, dense_3switch, dense_defect_counts, dense_of
+
+    if directed:
+        Z = realize_directed(DirectedDegreeSequence([(3, 3)] * 10))
+    else:
+        Z = realize(DegreeSequence([3] * 10))
+    L = Encoding.from_graph(Z)
+    model = dense_of(Z)
+    csv_path = tmp_path / "enc.csv"
+    refused = 0
+    most = [0, 0]
+    for _ in range(200):
+        # draw until the model finds a legal switch (or reverse); the store
+        # must refuse every draw the model refuses, and stay as it was
+        while True:
+            tup = tuple(rng.sample(range(Z.n), 6))
+            sign = rng.choice((1, -1))
+            move = apply_3switch if sign == 1 else _apply_reverse_3switch
+            if dense_3switch(model, tup, sign, directed):
+                break
+            with pytest.raises(ValueError):
+                move(L, tup)
+            refused += 1
+        move(L, tup)
+        assert L.matrix == model
+        assert L.defect_counts() == dense_defect_counts(model, directed)
+        most = [max(pair) for pair in zip(most, L.defect_counts())]
+        verify_counting_identities(L)
+        counting_identities_by_mode(L, model)
+        assert Encoding(L.target, L.matrix) == L
+        save_encoding(L, csv_path)
+        loaded = load_encoding(csv_path)
+        assert loaded == L and loaded.matrix == model
+    assert refused >= 100 and min(most) >= 3
+
+
+def test_phase_switch_is_the_least_match_in_a_dense_scan(rng):
+    from switchmix.encoding import _phase_admits
+
+    # labels each phase pins at (a1, b1) and (a2, b1)
+    pins = {"P1": (2, -1), "P2": (2, 0), "P3": (1, -1), "A": (2, 0), "B": (1, -1)}
+
+    def least_by_scan(mat, first, second):
+        n = len(mat)
+        for a1, b1, a2, b2 in product(range(n), repeat=4):
+            if len({a1, b1, a2, b2}) != 4 or (mat[a1][b1], mat[a2][b1], mat[a2][b2]) != (first, second, 1):
+                continue
+            for a3, b3 in product(range(n), repeat=2):
+                if len({a1, b1, a2, b2, a3, b3}) == 6 and (mat[a3][b3], mat[a3][b2], mat[a1][b3]) == (1, 0, 0):
+                    return (a1, b1, a2, b2, a3, b3)
+        return None
+
+    found = 0
+    for _ in range(150):
+        directed = rng.random() < 0.5
+        L = _random_encoding(rng, rng.randint(6, 9), directed)
+        mat = L.matrix
+        for phase in ("A", "B") if directed else ("P1", "P2", "P3"):
+            want = least_by_scan(mat, *pins[phase]) if _phase_admits(L, phase) else None
+            assert find_phase_switch(L, phase) == want
+            found += want is not None
+    assert found > 50
+
+
+def test_copy_holds_no_dense_matrix():
+    import tracemalloc
+
+    Z = realize_directed(DirectedDegreeSequence([(4, 4)] * 130))
+    L = make_test_encoding(Z, random.Random(5), profile=(2, 3))
+    assert "matrix" not in Encoding.__slots__
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[1]
+        copy = L.copy()
+        allocated = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # a dense 130 x 130 matrix alone would take about 150 KB
+    assert copy == L and allocated < 32 * 1024
+    first, second = L.matrix, L.matrix
+    assert first == second and first is not second
+    assert not any(a is b for a, b in zip(first, second))
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_encode_and_consistency_agree_with_a_dense_model(directed, rng):
+    from conftest import dense_of
+
+    from switchmix import chain
+
+    if directed:
+        start = realize_directed(DirectedDegreeSequence([(2, 2)] * 9))
+        other = realize_directed(DirectedDegreeSequence([(2, 2)] * 10))
+    else:
+        start = realize(DegreeSequence([3] * 10))
+        other = realize(DegreeSequence([3] * 12))
+    n = start.n
+
+    def scrambled(g=start, steps=30):
+        g = g.copy()
+        chain.advance(g, rng, steps)
+        return g
+
+    seen = Counter()
+    for _ in range(60):
+        G, Gp, Z = scrambled(), scrambled(), scrambled()
+        L = encode(G, Gp, Z)
+        a, b, c = dense_of(G), dense_of(Gp), dense_of(Z)
+        model = [[a[u][v] + b[u][v] - c[u][v] for v in range(n)] for u in range(n)]
+        assert L.matrix == model
+        L.audit()
+        # Z itself, states one step off Z, and far ones
+        for W in (Z, scrambled(Z, 1), scrambled(Z, 1), G, scrambled()):
+            w = dense_of(W)
+            want = all(0 <= model[u][v] + w[u][v] <= 2 for u in range(n) for v in range(n))
+            assert L.is_consistent_with(W) == want
+            seen[want] += 1
+        assert not L.is_consistent_with(other)
+    assert seen[True] >= 100 and seen[False] >= 100
 
 
 def test_indexed_embedder_returns_the_linear_scan_layout(rng):
