@@ -47,7 +47,6 @@ _EXPORTS = {
         "RepairStuckError",
         "apply_3switch",
         "choice_count_and_bound",
-        "defect_profile",
         "encode",
         "enum_good_encodings",
         "find_phase_switch",

@@ -131,9 +131,9 @@ class DirectedDegreeSequence:
 
     @property
     def m(self) -> int:
-        """Arc count of any realization; requires balanced in/out sums."""
+        """Arc count of any realization; NotRealizableError on unbalanced in/out sums."""
         if self.sum_in != self.sum_out:
-            raise ValueError(
+            raise NotRealizableError(
                 f"in-degree sum {self.sum_in} differs from out-degree sum {self.sum_out}"
             )
         return self.sum_in

@@ -4,17 +4,18 @@ An encoding L is an integer matrix with entries in {-1, 0, 1, 2}, zero
 diagonal, row sums equal to the target out-degrees and column sums equal to
 the target in-degrees.  Entries equal to -1 or 2 are defects.  One store
 serves both modes: an undirected encoding is the symmetric directed one, in
-which each unordered pair is two mirrored entries, every degree is both an
-in- and an out-degree and the in-side defect counters are the out-side ones.
-L is *consistent* with a reference state Z when L + Z stays inside
-{0, 1, 2}; it is *valid* when its defect edges form a labelled subgraph of a
-small fixed catalog of configurations, and (undirected mode) *good* when
-defect incidences also respect minimum-degree conditions.  A defect-free
-encoding is just a graph with the target degrees.
+which each unordered pair is two mirrored entries and every degree is both an
+in- and an out-degree.  L is *consistent* with a reference state Z when
+L + Z stays inside {0, 1, 2}; it is *valid* when its defect edges form a
+labelled subgraph of a small fixed catalog of configurations, and
+(undirected mode) *good* when defect incidences also respect minimum-degree
+conditions.  A defect-free encoding is just a graph with the target degrees.
 
-No encoding keeps a dense n x n matrix: label-1 entries are per-vertex
-bitmasks and defects are two position sets, so an encoding takes O(n + m)
-space and its checks, counts and searches walk set bits and defect keys.
+No encoding keeps a dense n x n matrix or any per-vertex counter: label-1
+entries are per-vertex bitmasks and defects are two position sets, from
+which the per-vertex defect counts are tallied on each read.  An encoding
+takes O(n + m) space and its checks, counts and searches walk set bits and
+defect keys.
 
 3-switches walk a 6-cycle pattern on six distinct vertices, decrementing
 three entries and incrementing three others, so they preserve every row and
@@ -196,14 +197,15 @@ class DefectProfile:
 
 
 class Encoding:
-    """Mutable defect encoding with incremental defect bookkeeping.
+    """Mutable defect encoding; it stores its entries and no per-vertex counter.
 
     The mode follows from the target: a ``DegreeSequence`` gives an
     undirected (symmetric) encoding, a ``DirectedDegreeSequence`` a directed
     one.  ``zeta_*``/``eta_*`` count the 2- and (-1)-entries per row (out)
-    and per column (in); in undirected mode the in-side lists are the
-    out-side lists.  ``target_in``/``target_out`` are the column and row sums
-    the target asks for.
+    and per column (in), tallied from the defect keys into a fresh list on
+    each read; in undirected mode the in-side counts equal the out-side
+    ones.  ``target_in``/``target_out`` are the column and row sums the
+    target asks for.
 
     No dense matrix is kept: every entry is read from the indices.  The
     label-1 entries are bitmask rows: bit v of ``ones_out[u]`` is set when
@@ -224,10 +226,6 @@ class Encoding:
         "minus",
         "ones_in",
         "ones_out",
-        "zeta_in",
-        "zeta_out",
-        "eta_in",
-        "eta_out",
     )
 
     def __init__(self, target, matrix=None):
@@ -246,16 +244,27 @@ class Encoding:
         self.minus = set()
         self.ones_out = [0] * n
         self.ones_in = [0] * n if self.directed else self.ones_out
-        self.zeta_out = [0] * n
-        self.eta_out = [0] * n
-        self.zeta_in = [0] * n if self.directed else self.zeta_out
-        self.eta_in = [0] * n if self.directed else self.eta_out
         if matrix is not None:
             self._load_matrix(matrix)
 
     @property
     def mode(self) -> str:
         return MODE_DIRECTED if self.directed else MODE_UNDIRECTED
+
+    def _tally(self, keys, side):
+        """Per-vertex count of the defect ``keys`` at their tail (side 0,
+        rows) or head (side 1, columns); an undirected key counts at both
+        of its ends."""
+        counts = [0] * self.n
+        for pos in keys:
+            for o in _orientations(pos, self.directed):
+                counts[o[side]] += 1
+        return counts
+
+    zeta_out = property(lambda self: self._tally(self.two, 0), doc="2-entries per row.")
+    zeta_in = property(lambda self: self._tally(self.two, 1), doc="2-entries per column.")
+    eta_out = property(lambda self: self._tally(self.minus, 0), doc="(-1)-entries per row.")
+    eta_in = property(lambda self: self._tally(self.minus, 1), doc="(-1)-entries per column.")
 
     @property
     def zeta(self):
@@ -307,7 +316,7 @@ class Encoding:
         cols = tuple(i.bit_count() + 2 * z - e for i, z, e in zip(self.ones_in, self.zeta_in, self.eta_in))
         return rows == self.target_out, cols == self.target_in
 
-    # -- low-level entry update with defect bookkeeping --------------------
+    # -- low-level entry update ----------------------------------------------
 
     def _key(self, u, v):
         """The defect-set key of entry (u, v): the unordered pair when undirected."""
@@ -322,27 +331,17 @@ class Encoding:
         if old == val:
             return
         key = self._key(u, v)
-        # the counters of (u, v) are the out-side of u and the in-side of v;
-        # in undirected mode those lists coincide, so both endpoints count
         if old == 2:
             self.two.discard(key)
-            self.zeta_out[u] -= 1
-            self.zeta_in[v] -= 1
         elif old == -1:
             self.minus.discard(key)
-            self.eta_out[u] -= 1
-            self.eta_in[v] -= 1
         elif old == 1:
             self.ones_out[u] &= ~(1 << v)
             self.ones_in[v] &= ~(1 << u)
         if val == 2:
             self.two.add(key)
-            self.zeta_out[u] += 1
-            self.zeta_in[v] += 1
         elif val == -1:
             self.minus.add(key)
-            self.eta_out[u] += 1
-            self.eta_in[v] += 1
         elif val == 1:
             self.ones_out[u] |= 1 << v
             self.ones_in[v] |= 1 << u
@@ -374,10 +373,6 @@ class Encoding:
         enc.minus = set(self.minus)
         enc.ones_out = list(self.ones_out)
         enc.ones_in = list(self.ones_in) if self.directed else enc.ones_out
-        enc.zeta_out = list(self.zeta_out)
-        enc.eta_out = list(self.eta_out)
-        enc.zeta_in = list(self.zeta_in) if self.directed else enc.zeta_out
-        enc.eta_in = list(self.eta_in) if self.directed else enc.eta_out
         return enc
 
     def __eq__(self, other):
@@ -476,8 +471,7 @@ class Encoding:
             return False
         if self.directed:
             return True
-        deg = self.target_out
-        return all(deg[v] >= _good_floor(self.zeta_out[v], self.eta_out[v]) for v in range(self.n))
+        return all(d >= _good_floor(z, e) for d, z, e in zip(self.target_out, self.zeta_out, self.eta_out))
 
     def is_defect_free(self) -> bool:
         return not self.two and not self.minus
@@ -491,9 +485,9 @@ class Encoding:
         return store(self.n, [pos for pos in self.ones_pairs() if key(*pos) == pos])
 
     def audit(self):
-        """Recompute the counters from the defect sets and ``ones_in`` from
-        ``ones_out``, and compare; each defect key is an off-diagonal canonical
-        position that no label-1 bit claims, and no 1-bit is on the diagonal."""
+        """Recompute ``ones_in`` from ``ones_out`` and compare; the defect sets
+        are disjoint, each defect key is an off-diagonal canonical position
+        that no label-1 bit claims, and no 1-bit is on the diagonal."""
         assert not self.two & self.minus
         for u, v in self.two | self.minus:
             assert u != v and self._key(u, v) == (u, v) and not self.ones_out[u] >> v & 1
@@ -502,11 +496,7 @@ class Encoding:
             assert u != v
             ones_in[v] |= 1 << u
         assert ones_in == self.ones_in
-        for label, side_in, side_out in ((2, self.zeta_in, self.zeta_out), (-1, self.eta_in, self.eta_out)):
-            assert [m.bit_count() for m in self._masks((label,))] == side_out
-            assert [m.bit_count() for m in self._masks((label,), cols=True)] == side_in
-        for side in ("ones", "zeta", "eta"):
-            assert (getattr(self, side + "_in") is getattr(self, side + "_out")) == (not self.directed)
+        assert (self.ones_in is self.ones_out) == (not self.directed)
 
 
 # ---------------------------------------------------------------------------
@@ -530,10 +520,6 @@ def encode(G, Gp, Z) -> Encoding:
         if val:
             L._set(*pos, val)
     return L
-
-
-def defect_profile(L: Encoding) -> DefectProfile:
-    return L.profile()
 
 
 def validate(L: Encoding, Z) -> dict:
@@ -573,10 +559,6 @@ def apply_3switch(L: Encoding, tup) -> Encoding:
     would leave {-1,0,1,2}.
     """
     return _shift(L, tup, +1)
-
-
-def _apply_reverse_3switch(L: Encoding, tup) -> Encoding:
-    return _shift(L, tup, -1)
 
 
 # -- choice counting -----------------------------------------------------------
@@ -746,8 +728,6 @@ def repair(L: Encoding) -> RepairResult:
             break
         tup = None
         for phase in phases:
-            if not _phase_admits(work, phase):
-                continue
             tup = find_phase_switch(work, phase)
             if tup is not None:
                 apply_3switch(work, tup)
@@ -986,7 +966,7 @@ def _inject_at(L: Encoding, Z, kind: str, pos, rng, protected) -> bool:
                             continue
                         if not free(a3, b2) or not free(a3, b3):
                             continue
-                        _apply_reverse_3switch(L, (a1, b1, a2_, b2, a3, b3))
+                        _shift(L, (a1, b1, a2_, b2, a3, b3), -1)
                         return True
                     budget -= 1
                     if budget <= 0:

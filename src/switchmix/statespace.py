@@ -48,7 +48,7 @@ def enum_states(seq, cap: int = DEFAULT_CAP) -> list:
     Vertex u, in index order, takes its remaining out-residual as partners
     among the vertices that still have in-residual.  A digraph's partners
     are any other vertex.  A graph's one residual list is both ``in_res``
-    and ``out_res`` (as ``Encoding`` aliases ``zeta_in`` and ``zeta_out``),
+    and ``out_res`` (as ``Encoding`` aliases ``ones_in`` and ``ones_out``),
     so the vertices before u are spent and its partners are higher-indexed.
     Graphs prune on Erdos-Gallai over the later residuals, digraphs on each
     in-residual against the rows still able to send to it.  States share

@@ -491,6 +491,11 @@ def dense_defect_counts(mat, directed):
     return sum(mat[u][v] == 2 for u, v in cells), sum(mat[u][v] == -1 for u, v in cells)
 
 
+def dense_line_counts(mat, label):
+    """(per-row, per-column) counts of ``label`` in the model."""
+    return [row.count(label) for row in mat], [list(col).count(label) for col in zip(*mat)]
+
+
 def ones_by_scan(mat):
     """The label-1 entries of a dense matrix by a scan of every cell:
     the lexicographic pair list, then per vertex its out- and in-lists."""

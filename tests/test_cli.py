@@ -212,6 +212,15 @@ def test_no_realization_is_a_validation_failure(capsys):
         assert "result" not in doc
 
 
+def test_bound_directed_unbalanced_is_a_validation_failure(capsys):
+    # like validate, realize, analyze and irreducible: exit 2 with an error
+    # document, not a bare error line
+    code, doc = run_cli(capsys, "bound", "--directed", "--degrees", "1:0,0:0")
+    assert code == 2
+    assert doc["error"] == {"reason": "in-degree sum 1 differs from out-degree sum 0"}
+    assert "result" not in doc
+
+
 def test_bound_report(capsys):
     code, doc = run_cli(capsys, "bound", "--degrees", "3,3,3,3", "--eps", "0.01")
     assert code == 0

@@ -13,7 +13,6 @@ from switchmix import (
     RepairStuckError,
     apply_3switch,
     choice_count_and_bound,
-    defect_profile,
     encode,
     enum_good_encodings,
     find_phase_switch,
@@ -29,7 +28,7 @@ from switchmix import (
 from switchmix.encoding import (
     DIRECTED_PROFILES,
     UNDIRECTED_PROFILES,
-    _apply_reverse_3switch,
+    _shift,
 )
 
 PATH = Graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -93,7 +92,7 @@ def test_encode_full_defect_example():
     L = encode(PATH, PATH, ALT)
     assert L.entry(0, 1) == 2 and L.entry(2, 3) == 2
     assert L.entry(0, 2) == -1 and L.entry(1, 3) == -1
-    prof = defect_profile(L)
+    prof = L.profile()
     assert (prof.p, prof.q) == (2, 2)
     assert prof.zeta[0] == 1 and prof.eta[0] == 1
     # non-defect edge count: M/2 - 2p + q = 3 - 4 + 2 = 1
@@ -192,7 +191,7 @@ def test_apply_3switch_plain_graph():
     g2 = L.as_graph()
     assert g2.degree == g.degree
     # and the reverse restores it
-    _apply_reverse_3switch(L, found)
+    _shift(L, found, -1)
     assert L.matrix == before
 
 
@@ -426,19 +425,14 @@ def test_counting_identities_agree_with_two_branch_oracle(rng):
     for L in _oracle_encodings(rng):
         assert _identity_outcome(verify_counting_identities, L) is None
         assert _identity_outcome(counting_identities_by_mode, L) is None
-        # corrupt the bookkeeping behind the store's back: both checks object
-        bumped = L.copy()
-        v = rng.randrange(L.n)
-        (bumped.zeta_in if rng.random() < 0.5 else bumped.eta_out)[v] += 1
+        # clear one label-1 entry from the bitmasks alone (both mirrored bits
+        # when undirected, where ones_in is ones_out): both checks object
         ones = L.ones_pairs()
-        dropped = L.copy()
         if ones:
-            # clear one label-1 entry from the bitmasks alone (both mirrored
-            # bits when undirected, where ones_in is ones_out)
+            broken = L.copy()
             u, w = ones[rng.randrange(len(ones))]
-            dropped.ones_out[u] &= ~(1 << w)
-            dropped.ones_in[w] &= ~(1 << u)
-        for broken in (bumped, dropped) if ones else (bumped,):
+            broken.ones_out[u] &= ~(1 << w)
+            broken.ones_in[w] &= ~(1 << u)
             got = _identity_outcome(verify_counting_identities, broken)
             assert got is not None
             assert got == _identity_outcome(counting_identities_by_mode, broken)
@@ -450,17 +444,20 @@ def test_one_store_for_both_modes(rng):
     Lu = make_test_encoding(Zu, rng, profile=(1, 1))
     Ld = make_test_encoding(Zd, rng, profile=(1, 1))
     assert (Lu.mode, Ld.mode) == ("undirected", "directed")
-    # undirected: the in-side counters are the out-side ones, also in a copy
+    # undirected: the in-side counters equal the out-side ones, also in a
+    # copy, and a defect counts at both of its ends
     for L in (Lu, Lu.copy()):
-        assert L.zeta_in is L.zeta_out and L.eta_in is L.eta_out
-        assert L.zeta is L.zeta_out and L.eta is L.eta_out
+        assert L.zeta_in == L.zeta_out and L.eta_in == L.eta_out
+        assert L.zeta == L.zeta_out and L.eta == L.eta_out
+        assert (sum(L.zeta_out), sum(L.eta_out)) == (2, 2)
     for L in (Ld, Ld.copy()):
-        assert L.zeta_in is not L.zeta_out and L.eta_in is not L.eta_out
+        assert (sum(L.zeta_in), sum(L.zeta_out), sum(L.eta_in), sum(L.eta_out)) == (1, 1, 1, 1)
         assert L.zeta is None and L.eta is None
     copy = Lu.copy()
     apply_3switch(copy, find_phase_switch(copy, "P2"))
     copy.audit()
-    Lu.audit()  # the copy's counters are its own
+    Lu.audit()  # the copy's entries are its own
+    assert (copy.defect_counts(), Lu.defect_counts()) == ((0, 1), (1, 1))
     # the mode follows from the target; a mode string is no target
     with pytest.raises(TypeError):
         Encoding("undirected", Zu.degree_sequence())
@@ -521,7 +518,13 @@ def test_ones_index_follows_every_update(rng):
 
 @pytest.mark.parametrize("directed", [False, True])
 def test_store_moves_in_lockstep_with_a_dense_model(directed, rng, tmp_path):
-    from conftest import counting_identities_by_mode, dense_3switch, dense_defect_counts, dense_of
+    from conftest import (
+        counting_identities_by_mode,
+        dense_3switch,
+        dense_defect_counts,
+        dense_line_counts,
+        dense_of,
+    )
 
     if directed:
         Z = realize_directed(DirectedDegreeSequence([(3, 3)] * 10))
@@ -538,15 +541,16 @@ def test_store_moves_in_lockstep_with_a_dense_model(directed, rng, tmp_path):
         while True:
             tup = tuple(rng.sample(range(Z.n), 6))
             sign = rng.choice((1, -1))
-            move = apply_3switch if sign == 1 else _apply_reverse_3switch
             if dense_3switch(model, tup, sign, directed):
                 break
             with pytest.raises(ValueError):
-                move(L, tup)
+                _shift(L, tup, sign)
             refused += 1
-        move(L, tup)
+        _shift(L, tup, sign)
         assert L.matrix == model
         assert L.defect_counts() == dense_defect_counts(model, directed)
+        assert (L.zeta_out, L.zeta_in) == dense_line_counts(model, 2)
+        assert (L.eta_out, L.eta_in) == dense_line_counts(model, -1)
         most = [max(pair) for pair in zip(most, L.defect_counts())]
         verify_counting_identities(L)
         counting_identities_by_mode(L, model)
@@ -590,7 +594,7 @@ def test_copy_holds_no_dense_matrix():
 
     Z = realize_directed(DirectedDegreeSequence([(4, 4)] * 130))
     L = make_test_encoding(Z, random.Random(5), profile=(2, 3))
-    assert "matrix" not in Encoding.__slots__
+    assert not {"matrix", "zeta_in", "zeta_out", "eta_in", "eta_out"} & set(Encoding.__slots__)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -599,11 +603,18 @@ def test_copy_holds_no_dense_matrix():
         allocated = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    # a dense 130 x 130 matrix alone would take about 150 KB
-    assert copy == L and allocated < 32 * 1024
+    # a dense 130 x 130 matrix alone would take about 150 KB, and four
+    # per-vertex counter lists about 4.4 KB
+    assert copy == L and allocated < 4 * 1024
     first, second = L.matrix, L.matrix
     assert first == second and first is not second
     assert not any(a is b for a, b in zip(first, second))
+    # the counters are fresh lists: writing into one changes nothing
+    profile = L.profile()
+    zeta_out = L.zeta_out
+    zeta_out[0] += 7
+    assert L == copy and L.zeta_out != zeta_out and L.profile() == profile
+    verify_counting_identities(L)
 
 
 @pytest.mark.parametrize("directed", [False, True])

@@ -19,8 +19,8 @@ PUBLIC = [
     "FrozenChainError", "Graph", "LamarPartition", "NoMixingError", "NotRealizableError",
     "RepairResult", "RepairStuckError", "StateSpaceAnalysis", "UsefulWitness",
     "VARIANT_ALL_PAIRS", "VARIANT_EXACT", "advance", "analyze", "apply_3switch",
-    "choice_count_and_bound", "classify", "classify_directed", "defect_profile",
-    "derive_seed", "encode", "enum_good_encodings", "enum_states", "find_phase_switch",
+    "choice_count_and_bound", "classify", "classify_directed", "derive_seed", "encode",
+    "enum_good_encodings", "enum_states", "find_phase_switch",
     "find_useful", "flow_components", "induced_triangles", "lamar_classes", "load_degrees",
     "load_encoding", "make_test_encoding", "mixing_bound", "parse_degrees",
     "read_degree_file", "read_digraph", "read_graph", "realize", "realize_directed",
