@@ -20,7 +20,6 @@ _EXPORTS = {
     "chain": (
         "VARIANT_ALL_PAIRS",
         "VARIANT_EXACT",
-        "ChainRun",
         "FrozenChainError",
         "advance",
         "derive_seed",
@@ -33,8 +32,6 @@ _EXPORTS = {
         "DegreeSequence",
         "DirectedDegreeSequence",
         "NotRealizableError",
-        "classify",
-        "classify_directed",
         "load_degrees",
         "parse_degrees",
         "read_degree_file",

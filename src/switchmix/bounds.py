@@ -72,7 +72,7 @@ class FlowComponents:
 
 @dataclass
 class BoundReport:
-    directed: bool
+    components: FlowComponents  # the factors the bound multiplies
     eps: float
     applicability: dict
     formula: str
@@ -168,7 +168,7 @@ def mixing_bound(seq, eps) -> BoundReport:
         }
         formula = "theorem-undirected"
     return BoundReport(
-        directed=comps.directed,
+        components=comps,
         eps=eps_f,
         applicability=applicability,
         formula=formula,

@@ -131,53 +131,40 @@ def advance(g, rng, steps: int, a: int | None = None) -> int:
     return accepted
 
 
-class ChainRun:
-    """A reproducible chain configuration.
+def sample(
+    start: Graph | Digraph,
+    count: int,
+    *,
+    steps: int = 0,
+    seed: int = 0,
+    variant: str = VARIANT_EXACT,
+    thinning: int = 1,
+    stream: int = 0,
+) -> list:
+    """Run the chain from ``start`` and return `count` canonical states (sorted edge tuples).
 
-    ``steps`` is the burn-in; samples are then taken every ``thinning``
-    steps.  The trajectory is a pure function of (start, seed, variant).
+    ``steps`` is the burn-in; states are then recorded every ``thinning``
+    steps, at burn-in + thinning, burn-in + 2*thinning, ...  Replica
+    ``stream`` uses its own derived sub-seed.  The trajectory is a pure
+    function of (start, seed, variant, stream).
     """
-
-    __slots__ = ("start", "steps", "seed", "variant", "thinning")
-
-    def __init__(
-        self,
-        start: Graph | Digraph,
-        steps: int = 0,
-        seed: int = 0,
-        variant: str = VARIANT_EXACT,
-        thinning: int = 1,
-    ):
-        if steps < 0:
-            raise ValueError("negative burn-in")
-        if thinning < 1:
-            raise ValueError("thinning must be >= 1")
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}")
-        self.start = start
-        self.steps = steps
-        self.seed = seed
-        self.variant = variant
-        self.thinning = thinning
-
-
-def sample(run: ChainRun, count: int, stream: int = 0) -> list:
-    """Run the chain and return `count` canonical states (sorted edge tuples).
-
-    States are recorded at burn-in + thinning, burn-in + 2*thinning, ...
-    Replica ``stream`` uses its own derived sub-seed.
-    """
+    if steps < 0:
+        raise ValueError("negative burn-in")
+    if thinning < 1:
+        raise ValueError("thinning must be >= 1")
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
     if count < 0:
         raise ValueError("negative sample count")
     if count == 0:
         return []
-    g = run.start.copy()
-    rng = random.Random(derive_seed(run.seed, stream))
-    exact = not g.directed and run.variant == VARIANT_EXACT
+    g = start.copy()
+    rng = random.Random(derive_seed(seed, stream))
+    exact = not g.directed and variant == VARIANT_EXACT
     a = g.degree_sequence().a if exact else None
-    advance(g, rng, run.steps, a)
+    advance(g, rng, steps, a)
     out = []
     for _ in range(count):
-        advance(g, rng, run.thinning, a)
+        advance(g, rng, thinning, a)
         out.append(g.canonical())
     return out

@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .degseq import DEFAULT_CAP, CapExceededError, NotRealizableError, load_degrees
+from .degseq import DEFAULT_CAP, CapExceededError, NotRealizableError, load_degrees, stats
 
 SCHEMA_VERSION = 1
 
@@ -135,15 +135,7 @@ def _cmd_validate(args):
             raise ValidationFailure("not digraphical", result)
     else:
         flags = seq.classify()
-        result = {
-            "directed": False,
-            **flags,
-            "M": seq.M,
-            "M2": seq.M2,
-            "a": seq.a,
-            "d_min": seq.d_min,
-            "d_max": seq.d_max,
-        }
+        result = {"directed": False, **flags, **stats(seq)}
         if not flags["graphical"]:
             raise ValidationFailure("not graphical", result)
     return result, args.out
@@ -165,21 +157,18 @@ def _cmd_realize(args):
 
 
 def _cmd_sample(args):
-    from .chain import ChainRun, FrozenChainError, derive_seed, sample
+    from .chain import FrozenChainError, derive_seed, sample
     from .construct import realize, realize_directed
     from .graph import edge_list_text
 
     seq = _load_seq(args)
     start = realize_directed(seq) if args.directed else realize(seq)
-    run = ChainRun(
-        start=start,
-        steps=args.steps,
-        seed=args.seed,
-        variant=args.variant,
-        thinning=args.thin,
-    )
     try:
-        replica_states = [sample(run, args.count, stream=r) for r in range(args.replicas)]
+        replica_states = [
+            sample(start, args.count, steps=args.steps, seed=args.seed,
+                   variant=args.variant, thinning=args.thin, stream=r)
+            for r in range(args.replicas)
+        ]
     except FrozenChainError as exc:
         raise ValidationFailure(str(exc)) from None
     result = {
@@ -271,11 +260,10 @@ def _cmd_irreducible(args):
 
 
 def _cmd_bound(args):
-    from .bounds import flow_components, mixing_bound, nstr
+    from .bounds import mixing_bound, nstr
 
-    seq = _load_seq(args)
-    rep = mixing_bound(seq, args.eps)
-    comps = flow_components(seq)
+    rep = mixing_bound(_load_seq(args), args.eps)
+    comps = rep.components
     return {
         "eps": args.eps,
         "formula": rep.formula,

@@ -184,14 +184,6 @@ def stats(d: DegreeSequence) -> dict:
     return {"M": d.M, "M2": d.M2, "a": d.a, "d_min": d.d_min, "d_max": d.d_max}
 
 
-def classify(d: DegreeSequence) -> dict:
-    return d.classify()
-
-
-def classify_directed(dd: DirectedDegreeSequence) -> dict:
-    return dd.classify()
-
-
 def parse_degrees(text: str, directed: bool = False):
     """Parse an inline degree spec: "1,2,2,1" or "1:1,1:1,1:1" (in:out)."""
     items = [tok for tok in text.replace(";", ",").split(",") if tok.strip()]

@@ -267,16 +267,6 @@ class Encoding:
     eta_in = property(lambda self: self._tally(self.minus, 1), doc="(-1)-entries per column.")
 
     @property
-    def zeta(self):
-        """Per-vertex 2-defect counts of an undirected encoding (None when directed)."""
-        return None if self.directed else self.zeta_out
-
-    @property
-    def eta(self):
-        """Per-vertex (-1)-defect counts of an undirected encoding (None when directed)."""
-        return None if self.directed else self.eta_out
-
-    @property
     def matrix(self):
         """The entries as a dense n x n list of lists, built afresh on every read."""
         rows = [[0] * self.n for _ in range(self.n)]

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, islice
 
-from .chain import VARIANT_EXACT
+from .chain import VARIANT_EXACT, VARIANTS
 from .construct import realize, realize_directed
 from .degseq import (
     DEFAULT_CAP,
@@ -150,8 +150,11 @@ def step_denominator(seq, variant: str = VARIANT_EXACT) -> int:
     Each proposal has probability 1/(3a) (undirected exact variant),
     1/(3*binom(E,2)) (all-pairs variant) or 1/binom(m,2) (directed), so
     this is 3a, 3*binom(E,2) or binom(m,2).  A chain with no proposals
-    never moves (P = I), and its denominator is 1.
+    never moves (P = I), and its denominator is 1.  A variant outside
+    ``chain.VARIANTS`` raises ValueError.
     """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
     if isinstance(seq, DirectedDegreeSequence):
         proposals = seq.m * (seq.m - 1) // 2
     elif variant == VARIANT_EXACT:

@@ -3,12 +3,12 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 import pytest
 
-from switchmix import DegreeSequence, DirectedDegreeSequence, Digraph, Graph
+from switchmix import DegreeSequence, DirectedDegreeSequence, Digraph, Graph, enum_states
 from switchmix.chain import VARIANT_EXACT, FrozenChainError, derive_seed
 
 
@@ -373,6 +373,20 @@ def rng():
     return random.Random(0x5EED)
 
 
+@pytest.fixture(scope="session")
+def balanced_directed_corpus():
+    """Every in/out-balanced directed sequence on 1 to 5 vertices with
+    semi-degrees below n, each with its ``enum_states`` (empty when it is
+    not digraphical), enumerated once per session."""
+    corpus = []
+    for n in range(1, 6):
+        for pairs in combinations_with_replacement(product(range(n), repeat=2), n):
+            seq = DirectedDegreeSequence(pairs)
+            if seq.sum_in == seq.sum_out:
+                corpus.append((seq, enum_states(seq)))
+    return corpus
+
+
 def embeds_by_search(defects, template, directed) -> bool:
     """Injective label-preserving embedding of defect edges into a template.
 
@@ -522,13 +536,14 @@ def counting_identities_by_mode(L, mat=None):
         expected = L.target.M // 2 - 2 * p + q
         if ones_edges != expected:
             raise ValueError(f"non-defect edge count {ones_edges} != {expected}")
+        zeta, eta = L.zeta_out, L.eta_out
         for v in range(n):
             nv = sum(1 for w in range(n) if w != v and mat[v][w] == 1)
             hat = sum(1 for w in range(n) if w != v and mat[v][w] != 0)
             d = L.target.degrees[v]
-            if nv != d - 2 * L.zeta[v] + L.eta[v]:
+            if nv != d - 2 * zeta[v] + eta[v]:
                 raise ValueError(f"|N_L({v})| breaks the degree identity")
-            if hat != d - L.zeta[v] + 2 * L.eta[v]:
+            if hat != d - zeta[v] + 2 * eta[v]:
                 raise ValueError(f"|N^_L({v})| breaks the degree identity")
     else:
         ones_arcs = sum(1 for u in range(n) for v in range(n) if u != v and mat[u][v] == 1)
@@ -634,14 +649,14 @@ def reference_advance(g, rng, steps, a=None) -> int:
     return sum(reference_step_undirected(g, rng, a) for _ in range(steps))
 
 
-def reference_sample(run, count, stream=0) -> list:
+def reference_sample(start, count, *, steps=0, seed=0, variant=VARIANT_EXACT, thinning=1, stream=0) -> list:
     """``chain.sample`` stepped one reference step at a time."""
-    g = run.start.copy()
-    rng = random.Random(derive_seed(run.seed, stream))
-    a = None if g.directed or run.variant != VARIANT_EXACT else g.degree_sequence().a
+    g = start.copy()
+    rng = random.Random(derive_seed(seed, stream))
+    a = None if g.directed or variant != VARIANT_EXACT else g.degree_sequence().a
     out = []
-    reference_advance(g, rng, run.steps, a)
+    reference_advance(g, rng, steps, a)
     for _ in range(count):
-        reference_advance(g, rng, run.thinning, a)
+        reference_advance(g, rng, thinning, a)
         out.append(g.canonical())
     return out

@@ -14,7 +14,6 @@ from fractions import Fraction
 import mpmath
 
 from switchmix import (
-    ChainRun,
     DegreeSequence,
     Digraph,
     DirectedDegreeSequence,
@@ -37,6 +36,7 @@ from switchmix import (
     verify_counting_identities,
 )
 from switchmix.encoding import DIRECTED_PROFILES, UNDIRECTED_PROFILES, apply_3switch
+from switchmix.irreducibility import connectivity_report
 
 from conftest import (
     count_nonadjacent_edge_pairs,
@@ -90,8 +90,7 @@ def test_criterion_3_empirical_uniformity():
 
         d = DegreeSequence([2] * 6)
         states = enum_states(d)
-        run = ChainRun(start=realize(d), steps=2000, seed=424242, thinning=10)
-        draws = sample(run, 70000)
+        draws = sample(realize(d), 70000, steps=2000, seed=424242, thinning=10)
         counts = Counter(draws)
         tv = Fraction(1, 2) * sum(
             abs(Fraction(counts.get(s, 0), 70000) - Fraction(1, 70)) for s in states
@@ -143,25 +142,19 @@ def test_criterion_6_directed_reducibility_witness():
             assert find_useful(dg, tris[0]) is None
 
 
-def test_criterion_7_triangle_witness_lemma():
+def test_criterion_7_triangle_witness_lemma(balanced_directed_corpus):
     with criterion(7, "connected spaces: every induced 3-cycle has a witness (n <= 5)"):
-        for n in range(1, 6):
-            vals = list(itertools.product(range(n), range(n)))
-            for combo in itertools.combinations_with_replacement(vals, n):
-                dd = DirectedDegreeSequence(combo)
-                if dd.sum_in != dd.sum_out:
-                    continue
-                states = enum_states(dd)
-                # enumeration doubles as the digraphicality oracle
-                assert bool(states) == dd.is_digraphical()
-                if not states:
-                    continue
-                if not switch_connectivity(dd)["irreducible"]:
-                    continue
-                for st in states:
-                    dg = Digraph(n, st)
-                    for tri in induced_triangles(dg):
-                        assert find_useful(dg, tri) is not None, (combo, st, tri)
+        for dd, states in balanced_directed_corpus:
+            # enumeration doubles as the digraphicality oracle
+            assert bool(states) == dd.is_digraphical()
+            if not states:
+                continue
+            if not connectivity_report(states, directed=True)["irreducible"]:
+                continue
+            for st in states:
+                dg = Digraph(dd.n, st)
+                for tri in induced_triangles(dg):
+                    assert find_useful(dg, tri) is not None, (dd.pairs, st, tri)
 
 
 def _random_theorem1_sequence(rng):

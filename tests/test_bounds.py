@@ -73,6 +73,7 @@ def test_product_identity_exact():
     ):
         rep = mixing_bound(seq, 0.01)
         comps = flow_components(seq)
+        assert rep.components == comps
         assert comps.product_bound(0.01) == rep.value
         assert comps.product_bound(0.001) == mixing_bound(seq, 0.001).value
 

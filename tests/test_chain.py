@@ -6,7 +6,6 @@ import pytest
 from switchmix import (
     VARIANT_ALL_PAIRS,
     VARIANT_EXACT,
-    ChainRun,
     DegreeSequence,
     Digraph,
     DirectedDegreeSequence,
@@ -56,9 +55,8 @@ def test_frozen_chain_reported():
     rng = random.Random(0)
     with pytest.raises(FrozenChainError):
         advance(tri, rng, 1, tri.degree_sequence().a)
-    run = ChainRun(start=tri, steps=0, seed=1)
     with pytest.raises(FrozenChainError):
-        sample(run, 5)
+        sample(tri, 5, seed=1)
     # the state is absorbing in the exact law
     assert transition_probability(tri, tri) == 1
     # a single edge or arc freezes every variant alike
@@ -103,13 +101,13 @@ def test_all_pairs_variant_steps(rng):
 
 def test_sample_determinism_and_counts():
     start = realize(DegreeSequence([2] * 6))
-    run = ChainRun(start=start, steps=50, seed=123, thinning=3)
-    s1 = sample(run, 40)
-    s2 = sample(run, 40)
+    settings = {"steps": 50, "seed": 123, "thinning": 3}
+    s1 = sample(start, 40, **settings)
+    s2 = sample(start, 40, **settings)
     assert s1 == s2 and len(s1) == 40
-    assert sample(run, 0) == []
+    assert sample(start, 0, **settings) == []
     # distinct sub-streams differ
-    assert sample(run, 40, stream=1) != s1
+    assert sample(start, 40, stream=1, **settings) != s1
 
 
 def test_derive_seed_is_stable():
@@ -119,13 +117,22 @@ def test_derive_seed_is_stable():
 
 
 def test_chain_run_validation():
+    # the settings are checked before the count and before any draw, in the
+    # order burn-in, thinning, variant (a frozen start would raise otherwise)
     g = Graph(2, [(0, 1)])
-    with pytest.raises(ValueError):
-        ChainRun(start=g, steps=-1)
-    with pytest.raises(ValueError):
-        ChainRun(start=g, thinning=0)
-    with pytest.raises(ValueError):
-        ChainRun(start=g, variant="bogus")
+    with pytest.raises(ValueError, match="burn-in"):
+        sample(g, -1, steps=-1, thinning=0, variant="bogus")
+    with pytest.raises(ValueError, match="thinning"):
+        sample(g, -1, thinning=0, variant="bogus")
+    with pytest.raises(ValueError, match="unknown variant"):
+        sample(g, -1, variant="bogus")
+    with pytest.raises(ValueError, match="negative sample count"):
+        sample(g, -1)
+    # the CLI's spellings are not variants
+    with pytest.raises(ValueError, match="unknown variant"):
+        sample(g, 0, variant="exact")
+    with pytest.raises(TypeError):
+        sample(g, 1, 0)  # the settings are keyword-only
 
 
 @pytest.mark.parametrize(
@@ -168,8 +175,7 @@ def test_switch_neighbours_match_matrix():
 def test_empirical_uniformity_small(rng):
     d = DegreeSequence([2] * 6)
     states = enum_states(d)
-    run = ChainRun(start=realize(d), steps=500, seed=2024, thinning=5)
-    samples = sample(run, 7000)
+    samples = sample(realize(d), 7000, steps=500, seed=2024, thinning=5)
     counts = {}
     for s in samples:
         counts[s] = counts.get(s, 0) + 1

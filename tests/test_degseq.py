@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from switchmix import DegreeSequence, DirectedDegreeSequence, classify, classify_directed, stats
+from switchmix import DegreeSequence, DirectedDegreeSequence, stats
 from switchmix.degseq import load_degrees, parse_degrees, read_degree_file
 
 from conftest import (
@@ -36,18 +36,18 @@ def test_degree_sequence_validation():
 
 
 def test_classify_examples():
-    assert not classify(DegreeSequence([3, 3, 1, 1]))["graphical"]
-    assert classify(DegreeSequence([2, 2, 1, 1]))["graphical"]
+    assert not DegreeSequence([3, 3, 1, 1]).classify()["graphical"]
+    assert DegreeSequence([2, 2, 1, 1]).classify()["graphical"]
     # 9 * 3^2 = 81 > 12
-    assert not classify(DegreeSequence([3, 3, 3, 3]))["theorem1_applicable"]
-    assert classify(DegreeSequence([3] * 28))["theorem1_applicable"]
+    assert not DegreeSequence([3, 3, 3, 3]).classify()["theorem1_applicable"]
+    assert DegreeSequence([3] * 28).classify()["theorem1_applicable"]
 
 
 def test_stable_flag():
     d = DegreeSequence([3, 3, 3, 3])
     # (3-3+1)^2 = 1 <= 4*3*(4-3+1) = 24
-    assert classify(d)["stable"]
-    assert not classify(DegreeSequence([5, 1, 1, 1, 1, 1]))["stable"]
+    assert d.classify()["stable"]
+    assert not DegreeSequence([5, 1, 1, 1, 1, 1]).classify()["stable"]
 
 
 def test_graphical_matches_search_up_to_n7():
@@ -66,15 +66,15 @@ def test_graphical_matches_search_n8_sample(rng):
 
 def test_classify_directed_examples():
     dd = DirectedDegreeSequence([(1, 1), (1, 1), (1, 1)])
-    flags = classify_directed(dd)
+    flags = dd.classify()
     assert flags["digraphical"] and not flags["theorem2_degree_ok"]
 
     dd2 = DirectedDegreeSequence([(2, 0), (0, 2), (1, 1)])
     assert dd2.sum_in == dd2.sum_out == 3
-    assert classify_directed(dd2)["digraphical"]
+    assert dd2.classify()["digraphical"]
 
     with pytest.raises(ValueError):
-        classify_directed(DirectedDegreeSequence([(1, 0), (0, 0)]))
+        DirectedDegreeSequence([(1, 0), (0, 0)]).classify()
 
 
 def test_digraphical_matches_search_n4():

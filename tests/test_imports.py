@@ -14,12 +14,12 @@ import switchmix
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 PUBLIC = [
-    "BoundReport", "CapExceededError", "ChainRun", "DEFAULT_CAP", "DefectProfile",
+    "BoundReport", "CapExceededError", "DEFAULT_CAP", "DefectProfile",
     "DegreeSequence", "Digraph", "DirectedDegreeSequence", "Encoding", "FlowComponents",
     "FrozenChainError", "Graph", "LamarPartition", "NoMixingError", "NotRealizableError",
     "RepairResult", "RepairStuckError", "StateSpaceAnalysis", "UsefulWitness",
     "VARIANT_ALL_PAIRS", "VARIANT_EXACT", "advance", "analyze", "apply_3switch",
-    "choice_count_and_bound", "classify", "classify_directed", "derive_seed", "encode",
+    "choice_count_and_bound", "derive_seed", "encode",
     "enum_good_encodings", "enum_states", "find_phase_switch",
     "find_useful", "flow_components", "induced_triangles", "lamar_classes", "load_degrees",
     "load_encoding", "make_test_encoding", "mixing_bound", "parse_degrees",

@@ -20,7 +20,6 @@ from conftest import (
 from switchmix import (
     VARIANT_ALL_PAIRS,
     VARIANT_EXACT,
-    ChainRun,
     DegreeSequence,
     Digraph,
     FrozenChainError,
@@ -140,13 +139,14 @@ def test_sample_matches_reference_sample():
     g = random_graph(rng, 40, 0.15)
     dg = realize_directed(random_digraph_sequence(rng, 30, 0.15))
     runs = [
-        ChainRun(start=g, steps=300, seed=4, variant=VARIANT_EXACT, thinning=7),
-        ChainRun(start=g, steps=0, seed=5, variant=VARIANT_ALL_PAIRS, thinning=1),
-        ChainRun(start=dg, steps=300, seed=6, thinning=3),
+        (g, {"steps": 300, "seed": 4, "variant": VARIANT_EXACT, "thinning": 7}),
+        (g, {"steps": 0, "seed": 5, "variant": VARIANT_ALL_PAIRS, "thinning": 1}),
+        (dg, {"steps": 300, "seed": 6, "thinning": 3}),
     ]
-    for run in runs:
+    for start, settings in runs:
         for stream in (0, 2):
-            assert sample(run, 25, stream) == reference_sample(run, 25, stream)
+            got = sample(start, 25, stream=stream, **settings)
+            assert got == reference_sample(start, 25, stream=stream, **settings)
 
 
 def test_frozen_chains_raise_the_reference_error():
@@ -168,5 +168,5 @@ def test_frozen_chains_raise_the_reference_error():
         assert advance(g, rng, 0, a) == 0 and rng.getstate() == before
         variant = VARIANT_EXACT if a == 0 else VARIANT_ALL_PAIRS
         with pytest.raises(FrozenChainError) as sampled:
-            sample(ChainRun(start=g, seed=1, variant=variant), 3)
+            sample(g, 3, seed=1, variant=variant)
         assert str(sampled.value) == str(slow.value)

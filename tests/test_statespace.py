@@ -4,7 +4,6 @@ import pathlib
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -22,6 +21,8 @@ from conftest import (
     two_colourable,
 )
 from switchmix import (
+    VARIANT_ALL_PAIRS,
+    VARIANT_EXACT,
     CapExceededError,
     DegreeSequence,
     Digraph,
@@ -33,6 +34,7 @@ from switchmix import (
     analyze,
     enum_good_encodings,
     enum_states,
+    transition_probability,
 )
 from switchmix.statespace import (
     components,
@@ -184,6 +186,22 @@ def test_analyze_rejects_bad_start():
         analyze(DegreeSequence([1, 2, 2, 1]), start=((0, 3), (1, 2), (1, 3)))
 
 
+def test_analyze_rejects_an_unknown_variant():
+    # the CLI's spellings ("exact", "all-pairs") are not variants: no chain
+    # is picked for them by default
+    seq = DegreeSequence([2] * 6)
+    assert analyze(seq, variant=VARIANT_EXACT)._denom == 27  # 3a
+    assert analyze(seq, variant=VARIANT_ALL_PAIRS)._denom == 45  # 3 binom(6, 2)
+    for variant in ("exact", "all-pairs", "bogus"):
+        with pytest.raises(ValueError, match="unknown variant"):
+            analyze(seq, variant=variant)
+    x = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    with pytest.raises(ValueError, match="unknown variant"):
+        transition_probability(x, x, "exact")
+    with pytest.raises(ValueError, match="unknown variant"):
+        analyze(DirectedDegreeSequence([(1, 1)] * 3), variant="exact")
+
+
 def test_analyze_rejects_a_sequence_without_realizations():
     for seq in (
         DegreeSequence([3, 1]),
@@ -292,7 +310,7 @@ def test_exact_outputs_match_golden(key):
     assert an.exact_mixing_time(Fraction(1, 4)) == case["exact_mixing_time_1_4"]
 
 
-def _random_spaces(rng, directed, wanted, max_states=40, variant="exact"):
+def _random_spaces(rng, directed, wanted, max_states=40, variant=VARIANT_EXACT):
     spaces = []
     while len(spaces) < wanted:
         n = rng.randint(4, 6)
@@ -374,24 +392,22 @@ def test_periodic_space_detected_up_front():
     assert min(np.linalg.eigvalsh(np.array(an.transition_matrix, dtype=float))) == pytest.approx(-1)
 
 
-def test_periodic_matches_two_colouring_oracle():
+def test_periodic_matches_two_colouring_oracle(balanced_directed_corpus):
     """On every digraphical sequence with at least 2 arcs on at most 5
     vertices (3084 spaces), an irreducible chain is periodic exactly when no
     state holds and its switch graph is two-colourable."""
     spaces = periodic = 0
-    for n in range(2, 6):
-        for pairs in combinations_with_replacement(product(range(n), repeat=2), n):
-            seq = DirectedDegreeSequence(pairs)
-            if seq.sum_in != seq.sum_out or seq.sum_in < 2 or not seq.is_digraphical():
-                continue
-            spaces += 1
-            an = analyze(seq)
-            if not an.irreducible:
-                continue
-            rows = switch_rows(an.states, directed=True)
-            holds = any(len(row) < an._denom for row in rows)
-            assert an._periodic() == (not holds and two_colourable(rows)), seq
-            periodic += an._periodic()
+    for seq, states in balanced_directed_corpus:
+        if seq.sum_in < 2 or not seq.is_digraphical():
+            continue
+        spaces += 1
+        an = StateSpaceAnalysis(seq, states, states[0])
+        if not an.irreducible:
+            continue
+        rows = switch_rows(an.states, directed=True)
+        holds = any(len(row) < an._denom for row in rows)
+        assert an._periodic() == (not holds and two_colourable(rows)), seq
+        periodic += an._periodic()
     assert spaces == 3084 and periodic == 2
 
 
@@ -416,7 +432,7 @@ def test_mixing_time_within_relaxation_sandwich(seq):
 
 @pytest.mark.parametrize(
     "directed, variant",
-    [(False, "exact"), (False, "all-pairs"), (True, "exact")],
+    [(False, VARIANT_EXACT), (False, VARIANT_ALL_PAIRS), (True, VARIANT_EXACT)],
     ids=["undirected", "all-pairs", "directed"],
 )
 def test_lanczos_gap_matches_dense_oracle_on_random_spaces(rng, directed, variant):

@@ -16,7 +16,6 @@ import random
 from switchmix import (
     VARIANT_ALL_PAIRS,
     VARIANT_EXACT,
-    ChainRun,
     DegreeSequence,
     DirectedDegreeSequence,
     advance,
@@ -65,14 +64,15 @@ def _raw_run(degrees, variant, steps, seed):
 
 
 def _sampled(degrees, variant, plan, seed):
-    run = ChainRun(
-        start=_start(degrees, variant),
+    states = sample(
+        _start(degrees, variant),
+        plan["count"],
         steps=plan["steps"],
         seed=seed,
         variant=variant or VARIANT_EXACT,
         thinning=plan["thinning"],
+        stream=plan["stream"],
     )
-    states = sample(run, plan["count"], stream=plan["stream"])
     return [[list(e) for e in state] for state in states]
 
 
