@@ -109,12 +109,21 @@ def _cap(args) -> int:
         raise ValueError(f"SWITCHMIX_CAP: {exc}") from None
 
 
+def _document_path(args):
+    """Where --out puts a run's JSON document, result or error: --out itself, or
+    for ``sample`` the manifest.json in that directory, made when missing."""
+    if args.subcommand != "sample" or not args.out:
+        return args.out
+    Path(args.out).mkdir(parents=True, exist_ok=True)
+    return Path(args.out, "manifest.json")
+
+
 # -- subcommand bodies -------------------------------------------------------
 #
 # Each returns (result block, path the JSON document is also written to).
-# That path is --out, except where the command writes --out itself: then it
-# is None, or the manifest.json in sample's output directory.  Each body
-# imports what it runs, so a process loads only its subcommand's modules.
+# That path is ``_document_path``, or None where the command writes --out
+# itself (an edge list).  Each body imports what it runs, so a process loads
+# only its subcommand's modules.
 
 
 def _cmd_validate(args):
@@ -180,15 +189,12 @@ def _cmd_sample(args):
         "sub_seeds": [derive_seed(args.seed, r) for r in range(args.replicas)],
         "files": [],
     }
-    manifest = None
+    manifest = _document_path(args)
     if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        manifest = outdir / "manifest.json"
         for r, states in enumerate(replica_states):
             for i, state in enumerate(states):
                 name = f"sample_r{r:02d}_{i:05d}.txt"
-                (outdir / name).write_text(edge_list_text(start.n, state), encoding="utf-8")
+                (manifest.parent / name).write_text(edge_list_text(start.n, state), encoding="utf-8")
                 result["files"].append(name)
     else:
         result["states"] = [
@@ -235,15 +241,14 @@ def _cmd_analyze(args):
 
 def _cmd_irreducible(args):
     from .graph import Digraph
-    from .irreducibility import connectivity_report, find_useful, induced_triangles
-    from .statespace import enum_states
+    from .irreducibility import find_useful, induced_triangles
+    from .statespace import analyze
 
     seq = _load_seq(args)
-    states = enum_states(seq, cap=_cap(args))
-    report = connectivity_report(states, args.directed)
+    an = analyze(seq, cap=_cap(args))
     witnesses = []
     if args.directed:
-        for state in states[: args.witness_states]:
+        for state in an.states[: args.witness_states]:
             dg = Digraph(seq.n, state)
             for tri in induced_triangles(dg):
                 w = find_useful(dg, tri)
@@ -256,7 +261,7 @@ def _cmd_irreducible(args):
                         else {"kind": w.kind, "value": w.value, "condition": w.condition},
                     }
                 )
-    return {**report, "witness_samples": witnesses}, args.out
+    return {**an.connectivity, "witness_samples": witnesses}, args.out
 
 
 def _cmd_bound(args):
@@ -424,20 +429,22 @@ def main(argv=None) -> int:
 
         args.variant = VARIANT_EXACT if args.variant == "exact" else VARIANT_ALL_PAIRS
     try:
-        result, path = args.func(args)
-        _emit({"manifest": _manifest(args), "result": result}, path)
-        return EXIT_OK
-    except ValidationFailure as exc:
-        error, code = {"reason": exc.reason, **exc.payload}, EXIT_VALIDATION
-    except NotRealizableError as exc:
-        error, code = {"reason": str(exc)}, EXIT_VALIDATION
-    except CapExceededError as exc:
-        error, code = {"reason": str(exc)}, EXIT_CAP
+        try:
+            result, path = args.func(args)
+            block, code = "result", EXIT_OK
+        except ValidationFailure as exc:
+            result, code = {"reason": exc.reason, **exc.payload}, EXIT_VALIDATION
+        except NotRealizableError as exc:
+            result, code = {"reason": str(exc)}, EXIT_VALIDATION
+        except CapExceededError as exc:
+            result, code = {"reason": str(exc)}, EXIT_CAP
+        if code != EXIT_OK:
+            block, path = "error", _document_path(args)
+        _emit({"manifest": _manifest(args), block: result}, path)
+        return code
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    _emit({"manifest": _manifest(args), "error": error}, args.out)
-    return code
 
 
 if __name__ == "__main__":

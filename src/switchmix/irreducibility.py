@@ -1,21 +1,19 @@
 """Switch-irreducibility diagnostics.
 
 Undirected switch chains connect the whole state space for every graphical
-sequence; directed chains need not.  This module decides connectivity by
-exhaustive enumeration at desk scale, and implements the vertex-class
-partition around an induced directed 3-cycle together with the
-useful-neighbour / useful-arc witness search that certifies a 3-cycle is not
-a connectivity obstruction.
+sequence; directed chains need not, and at desk scale the enumerated space's
+``StateSpaceAnalysis.connectivity`` decides it.  This module lists a digraph's
+induced directed 3-cycles (``_induces_cycle`` decides one), partitions the
+outside vertices around one, and finds the useful neighbour or arc showing
+that it is no connectivity obstruction.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
-from .degseq import DirectedDegreeSequence, NotRealizableError
 from .graph import Digraph
-from .statespace import DEFAULT_CAP, components, enum_states, switch_rows
+from .statespace import DEFAULT_CAP, analyze
 
 
 @dataclass
@@ -42,15 +40,17 @@ class UsefulWitness:
     condition: str | None = None  # "i" | "ii" for arcs
 
 
+def _induces_cycle(dg: Digraph, a, b, c) -> bool:
+    """Whether the arcs among a, b, c are exactly one orientation of a 3-cycle."""
+    has = dg.has_edge
+    return {has(a, b) + has(b, c) + has(c, a), has(b, a) + has(c, b) + has(a, c)} == {0, 3}
+
+
 def _check_triangle(dg: Digraph, U):
     U = tuple(U)
-    if len(set(U)) != 3:
+    if len(U) != 3 or len(set(U)) != 3:
         raise ValueError("U must contain three distinct vertices")
-    inside = [(u, v) for u in U for v in U if u != v and dg.has_edge(u, v)]
-    if len(inside) != 3:
-        raise ValueError("U does not induce a directed 3-cycle")
-    outs = {u: v for u, v in inside}
-    if len(outs) != 3 or any(outs[outs[outs[u]]] != u for u in U):
+    if not _induces_cycle(dg, *U):
         raise ValueError("U does not induce a directed 3-cycle")
     return U
 
@@ -112,45 +112,24 @@ def find_useful(dg: Digraph, U) -> UsefulWitness | None:
 
 
 def induced_triangles(dg: Digraph):
-    """All vertex triples whose induced subdigraph is a directed 3-cycle."""
-    n = dg.n
-    out = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                fwd = dg.has_edge(a, b) and dg.has_edge(b, c) and dg.has_edge(c, a)
-                bwd = dg.has_edge(b, a) and dg.has_edge(c, b) and dg.has_edge(a, c)
-                if fwd == bwd:  # either no cycle, or extra arcs spoil inducedness
-                    continue
-                arcs = sum(
-                    1
-                    for u in (a, b, c)
-                    for v in (a, b, c)
-                    if u != v and dg.has_edge(u, v)
-                )
-                if arcs == 3:
-                    out.append((a, b, c))
-    return out
+    """All vertex triples inducing a directed 3-cycle, in lexicographic order.
 
-
-def connectivity_report(states, directed: bool) -> dict:
-    """Component structure of the switch graph over the given realizations.
-
-    ``states`` are all the realizations of one sequence, as ``enum_states``
-    lists them; none raises NotRealizableError.
+    In such a triple the least vertex a has one out-arc (a, b) and b one (b, c),
+    so each cycle is found once from those two arcs: O(m r_max) lookups.
     """
-    if not states:
-        raise NotRealizableError("degree sequence has no realizations")
-    roots = components(switch_rows(states, directed))
-    component_sizes = sorted(Counter(roots).values(), reverse=True)
-    return {
-        "component_count": len(component_sizes),
-        "component_sizes": component_sizes,
-        "irreducible": len(component_sizes) == 1,
-        "state_count": len(states),
-    }
+    outs = [[] for _ in range(dg.n)]
+    for u, v in dg.edges:
+        outs[u].append(v)
+    found = []
+    for a, succ in enumerate(outs):
+        for b in succ:
+            if b > a:
+                for c in outs[b]:
+                    if c > a and _induces_cycle(dg, a, b, c):
+                        found.append((a, min(b, c), max(b, c)))
+    return sorted(found)
 
 
 def switch_connectivity(seq, cap: int = DEFAULT_CAP) -> dict:
     """Component structure of the switch graph over all realizations."""
-    return connectivity_report(enum_states(seq, cap), isinstance(seq, DirectedDegreeSequence))
+    return analyze(seq, cap=cap).connectivity

@@ -15,10 +15,13 @@ pseudo-random vector, so it is deterministic and never forms a dense matrix.
 It stops once both extreme Ritz values have residual at most 1e-14 (which a
 breakdown also gives) or at dimension N - 1.  numpy is imported only inside
 the gap computation, so commands that never analyse a space do not load it.
+One ``StateSpaceAnalysis`` per space answers its questions, connectivity too;
+it takes no start: TV curves begin at the greedy state or a given index.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, islice
@@ -276,7 +279,8 @@ class NoMixingError(RuntimeError):
 
 
 class StateSpaceAnalysis:
-    """Exact chain diagnostics over a fully enumerated state space.
+    """Exact chain diagnostics over all the realizations ``states`` of ``seq``
+    (as ``enum_states`` lists them); none raises NotRealizableError.
 
     The transition matrix is held as ``switch_rows`` neighbour lists (numerator
     1 each) and the holding mass ``denom - len(row)`` of each state, over
@@ -284,15 +288,13 @@ class StateSpaceAnalysis:
     propagation is pure integer arithmetic and every TV value is an exact Fraction.
     """
 
-    def __init__(self, seq, states, start_state, variant=VARIANT_EXACT):
+    def __init__(self, seq, states, variant=VARIANT_EXACT):
+        if not states:
+            raise NotRealizableError("degree sequence has no realizations")
         self.seq = seq
         self.directed = isinstance(seq, DirectedDegreeSequence)
         self.variant = variant
         self.states = states
-        try:
-            self.start_index = states.index(start_state)
-        except ValueError:
-            raise ValueError("start state does not realize the degree sequence") from None
         self._gap = None
         self._fraction_matrix = None
         self._denom = step_denominator(seq, variant)
@@ -301,6 +303,12 @@ class StateSpaceAnalysis:
         self._holds = [self._denom - len(row) for row in self._rows]
         if min(self._holds) < 0:
             raise AssertionError("negative holding mass; denominator too small")
+
+    @cached_property
+    def start_index(self) -> int:
+        """Index of the deterministic greedy realization, the default start of ``tv_curve``."""
+        start = realize_directed(self.seq) if self.directed else realize(self.seq)
+        return self.states.index(start.canonical())
 
     @property
     def transition_matrix(self):
@@ -319,9 +327,20 @@ class StateSpaceAnalysis:
         return sum(map(len, self._rows)) + sum(map(bool, self._holds))
 
     @cached_property
+    def connectivity(self) -> dict:
+        """Component structure of the switch graph, from one ``components`` pass."""
+        sizes = sorted(Counter(components(self._rows)).values(), reverse=True)
+        return {
+            "component_count": len(sizes),
+            "component_sizes": sizes,
+            "irreducible": len(sizes) == 1,
+            "state_count": len(self.states),
+        }
+
+    @property
     def irreducible(self) -> bool:
         """Whether the switch graph over the states is connected."""
-        return len(set(components(self._rows))) == 1
+        return self.connectivity["irreducible"]
 
     @cached_property
     def start_orbits(self) -> list:
@@ -390,7 +409,7 @@ class StateSpaceAnalysis:
             vec, den = nxt, den * self._denom
 
     def tv_curve(self, horizon: int, start_index: int | None = None) -> list:
-        """TV(0..horizon) to uniform from the designated start, exact."""
+        """Exact TV(0..horizon) to uniform from ``start_index`` (default: the greedy state)."""
         start = self.start_index if start_index is None else start_index
         return list(islice(self._tvs(start), horizon + 1))
 
@@ -506,25 +525,6 @@ def _deflated_extremes(rows, denom) -> tuple:
         basis[k] = w / beta
 
 
-def analyze(
-    seq,
-    start=None,
-    variant: str = VARIANT_EXACT,
-    cap: int = DEFAULT_CAP,
-) -> StateSpaceAnalysis:
-    """Enumerate the state space and wrap it in a StateSpaceAnalysis.
-
-    ``start`` may be a Graph/Digraph, an iterable of vertex pairs (in any
-    order, each undirected pair either way round), or None for the
-    deterministic greedy realization.  Pairs are read into a store, so a
-    loop, a repeated pair or a vertex out of range raises ValueError.
-    """
-    states = enum_states(seq, cap)
-    if not states:
-        raise NotRealizableError("degree sequence has no realizations")
-    directed = isinstance(seq, DirectedDegreeSequence)
-    if start is None:
-        start = realize_directed(seq) if directed else realize(seq)
-    elif not isinstance(start, (Graph, Digraph)):
-        start = (Digraph if directed else Graph)(seq.n, start)
-    return StateSpaceAnalysis(seq, states, start.canonical(), variant)
+def analyze(seq, variant: str = VARIANT_EXACT, cap: int = DEFAULT_CAP) -> StateSpaceAnalysis:
+    """Enumerate the state space and wrap it in a StateSpaceAnalysis."""
+    return StateSpaceAnalysis(seq, enum_states(seq, cap), variant)

@@ -232,6 +232,24 @@ def least_roots(count: int, links) -> list:
     return [find(i) for i in range(count)]
 
 
+def induced_triangles_by_scan(dg: Digraph) -> list:
+    """Every triple a < b < c, in order, whose six possible arcs include
+    exactly one of the two 3-cycles through a, b, c and no other arc."""
+    n = dg.n
+    out = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(b + 1, n):
+                fwd = dg.has_edge(a, b) and dg.has_edge(b, c) and dg.has_edge(c, a)
+                bwd = dg.has_edge(b, a) and dg.has_edge(c, b) and dg.has_edge(a, c)
+                if fwd == bwd:  # either no cycle, or extra arcs spoil inducedness
+                    continue
+                arcs = sum(1 for u in (a, b, c) for v in (a, b, c) if u != v and dg.has_edge(u, v))
+                if arcs == 3:
+                    out.append((a, b, c))
+    return out
+
+
 def two_colourable(rows) -> bool:
     """Whether the graph given by symmetric ``rows`` is bipartite: a
     breadth-first two-colouring from every uncoloured vertex meets no edge

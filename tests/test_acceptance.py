@@ -18,6 +18,7 @@ from switchmix import (
     Digraph,
     DirectedDegreeSequence,
     Graph,
+    StateSpaceAnalysis,
     analyze,
     choice_count_and_bound,
     encode,
@@ -36,7 +37,6 @@ from switchmix import (
     verify_counting_identities,
 )
 from switchmix.encoding import DIRECTED_PROFILES, UNDIRECTED_PROFILES, apply_3switch
-from switchmix.irreducibility import connectivity_report
 
 from conftest import (
     count_nonadjacent_edge_pairs,
@@ -149,7 +149,7 @@ def test_criterion_7_triangle_witness_lemma(balanced_directed_corpus):
             assert bool(states) == dd.is_digraphical()
             if not states:
                 continue
-            if not connectivity_report(states, directed=True)["irreducible"]:
+            if not StateSpaceAnalysis(dd, states).irreducible:
                 continue
             for st in states:
                 dg = Digraph(dd.n, st)

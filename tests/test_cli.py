@@ -259,13 +259,42 @@ def test_out_holds_the_printed_document(tmp_path, capsys):
     cases = (
         (["validate", "--degrees", "2,2,1,1"], 0, "v.json", "v.json"),
         (["realize", "--degrees", "3,3,1,1"], 2, "bad.txt", "bad.txt"),
-        (["sample", "--degrees", "2,2,2", "--count", "1"], 2, "frozen", "frozen"),
+        (["sample", "--degrees", "2,2,2", "--count", "1"], 2, "frozen", "frozen/manifest.json"),
         (["sample", "--degrees", "2,2,2,2,2,2", "--count", "2"], 0, "s", "s/manifest.json"),
     )
     for argv, expected, out, document in cases:
         code = main([*argv, "--out", str(tmp_path / out)])
         assert code == expected, argv
         assert (tmp_path / document).read_text() == capsys.readouterr().out, argv
+
+
+def test_unwritable_out_is_an_error_line(tmp_path, capsys):
+    # an error document that cannot be written ends like a result document
+    # that cannot: one error line and exit 1, no traceback
+    code = main(["analyze", "--degrees", "3,1", "--out", str(tmp_path / "missing" / "x.json")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and "No such file" in captured.err
+    occupied = tmp_path / "occupied"
+    occupied.write_text("")
+    code = main(["sample", "--degrees", "2,2,2", "--count", "1", "--out", str(occupied)])
+    assert code == 1 and capsys.readouterr().err.startswith("error: ")
+
+
+def test_sample_keeps_every_document_in_its_directory(tmp_path, capsys):
+    frozen = ["sample", "--degrees", "2,2,2", "--count", "1", "--out"]
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    assert main([*frozen, str(runs)]) == 2
+    doc = json.loads((runs / "manifest.json").read_text())
+    assert doc["error"]["reason"] == json.loads(capsys.readouterr().out)["error"]["reason"]
+    fresh = tmp_path / "fresh"
+    assert main([*frozen, str(fresh)]) == 2
+    assert (fresh / "manifest.json").read_text() == capsys.readouterr().out
+    # the directory a failed run made takes the next successful run
+    assert main(["sample", "--degrees", "2,2,2,2,2,2", "--count", "1", "--out", str(fresh)]) == 0
+    assert (fresh / "manifest.json").read_text() == capsys.readouterr().out
+    assert sorted(p.name for p in fresh.iterdir()) == ["manifest.json", "sample_r00_00000.txt"]
 
 
 def test_repair_encoding_cli(tmp_path, capsys):

@@ -1,16 +1,20 @@
+from collections import Counter
+
 import pytest
 
+from conftest import induced_triangles_by_scan, least_roots, switch_rows_by_tuples
 from switchmix import (
     DegreeSequence,
     Digraph,
     DirectedDegreeSequence,
     NotRealizableError,
+    StateSpaceAnalysis,
     find_useful,
     induced_triangles,
     lamar_classes,
+    realize_directed,
     switch_connectivity,
 )
-from switchmix.irreducibility import connectivity_report
 
 
 def three_cycle(n, extra=()):
@@ -37,12 +41,17 @@ def test_classes_full_sender_is_uminus():
 
 def test_classes_require_induced_cycle():
     dg = Digraph(3, [(0, 1), (1, 2)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not induce a directed 3-cycle"):
         lamar_classes(dg, (0, 1, 2))
     # antiparallel extra arc inside U spoils inducedness
     dg2 = three_cycle(3, [(1, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not induce a directed 3-cycle"):
         lamar_classes(dg2, (0, 1, 2))
+    with pytest.raises(ValueError, match="three distinct vertices"):
+        lamar_classes(three_cycle(3), (0, 1, 1))
+    # either orientation, in any vertex order, is a 3-cycle
+    assert lamar_classes(three_cycle(3), (2, 0, 1)).U == (2, 0, 1)
+    assert lamar_classes(Digraph(3, [(1, 0), (2, 1), (0, 2)]), (0, 1, 2)).U == (0, 1, 2)
 
 
 def test_classes_partition_random(rng):
@@ -104,9 +113,41 @@ def test_no_realization_has_no_connectivity_report():
     for seq in (DegreeSequence([3, 1]), DirectedDegreeSequence([(1, 0), (1, 1)])):
         with pytest.raises(NotRealizableError):
             switch_connectivity(seq)
-    for directed in (False, True):
-        with pytest.raises(NotRealizableError):
-            connectivity_report([], directed)
+
+
+def test_component_sizes_match_union_find_oracle(balanced_directed_corpus):
+    """Every space of at most 200 states on at most 5 vertices (3092 spaces,
+    26 of them reducible): the component sizes are those of a union-find over
+    the switch rows rebuilt from sorted edge tuples."""
+    spaces = reducible = 0
+    for seq, states in balanced_directed_corpus:
+        if not states or len(states) > 200:
+            continue
+        report = StateSpaceAnalysis(seq, states).connectivity
+        links = [(i, j) for i, row in enumerate(switch_rows_by_tuples(states, True)) for j in row]
+        sizes = sorted(Counter(least_roots(len(states), links)).values(), reverse=True)
+        assert report == {
+            "component_count": len(sizes),
+            "component_sizes": sizes,
+            "irreducible": len(sizes) == 1,
+            "state_count": len(states),
+        }, seq
+        spaces += 1
+        reducible += not report["irreducible"]
+    assert (spaces, reducible) == (3092, 26)
+
+
+def test_induced_triangles_match_the_triple_scan(rng):
+    found = 0
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        p = rng.uniform(0.1, 0.9)
+        dg = Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p])
+        assert induced_triangles(dg) == induced_triangles_by_scan(dg), dg
+        found += len(induced_triangles_by_scan(dg))
+    dg = realize_directed(DirectedDegreeSequence([(4, 4)] * 64))
+    assert induced_triangles(dg) == induced_triangles_by_scan(dg)
+    assert (found, len(induced_triangles(dg))) == (108, 17)
 
 
 def test_find_useful_none_for_both_cycle_states():

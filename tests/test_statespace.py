@@ -34,6 +34,8 @@ from switchmix import (
     analyze,
     enum_good_encodings,
     enum_states,
+    realize,
+    realize_directed,
     transition_probability,
 )
 from switchmix.statespace import (
@@ -181,11 +183,6 @@ def test_analyze_directed_space():
     assert an2.tv_curve(3)[-1] == Fraction(1, 2)
 
 
-def test_analyze_rejects_bad_start():
-    with pytest.raises(ValueError):
-        analyze(DegreeSequence([1, 2, 2, 1]), start=((0, 3), (1, 2), (1, 3)))
-
-
 def test_analyze_rejects_an_unknown_variant():
     # the CLI's spellings ("exact", "all-pairs") are not variants: no chain
     # is picked for them by default
@@ -212,16 +209,21 @@ def test_analyze_rejects_a_sequence_without_realizations():
             analyze(seq)
 
 
-def test_analyze_reads_start_pairs_either_way_round():
-    seq = DegreeSequence([1, 1, 1, 1])
-    an = analyze(seq, start=[(1, 0), (3, 2)])
-    assert an.states[an.start_index] == ((0, 1), (2, 3))
-    directed = DirectedDegreeSequence([(1, 1)] * 4)
-    an = analyze(directed, start=[(3, 0), (1, 2), (0, 1), (2, 3)])
-    assert an.states[an.start_index] == ((0, 1), (1, 2), (2, 3), (3, 0))
-    for bad in ([(0, 1), (1, 0)], [(0, 0), (2, 3)], [(0, 1), (2, 4)]):
-        with pytest.raises(ValueError):
-            analyze(seq, start=bad)
+def test_an_empty_space_has_no_analysis():
+    for seq in (DegreeSequence([3, 1]), DirectedDegreeSequence([(1, 0), (1, 1)])):
+        with pytest.raises(NotRealizableError, match="no realizations"):
+            StateSpaceAnalysis(seq, [])
+
+
+def test_default_start_is_the_greedy_realization():
+    for seq, greedy in (
+        (DegreeSequence([1, 1, 2, 2, 3, 3]), realize),
+        (DirectedDegreeSequence([(1, 1)] * 5), realize_directed),
+    ):
+        an = analyze(seq)
+        start = an.states.index(greedy(seq).canonical())
+        assert an.start_index == start
+        assert an.tv_curve(12) == an.tv_curve(12, start)
 
 
 def test_random_small_spaces_are_well_formed(rng):
@@ -401,7 +403,7 @@ def test_periodic_matches_two_colouring_oracle(balanced_directed_corpus):
         if seq.sum_in < 2 or not seq.is_digraphical():
             continue
         spaces += 1
-        an = StateSpaceAnalysis(seq, states, states[0])
+        an = StateSpaceAnalysis(seq, states)
         if not an.irreducible:
             continue
         rows = switch_rows(an.states, directed=True)
@@ -491,7 +493,7 @@ def test_analysis_keeps_under_16_bytes_per_nonzero():
     states = enum_states(seq)
     tracemalloc.start()
     try:
-        an = StateSpaceAnalysis(seq, states, states[0])
+        an = StateSpaceAnalysis(seq, states)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
