@@ -111,11 +111,15 @@ def _cap(args) -> int:
 
 def _document_path(args):
     """Where --out puts a run's JSON document, result or error: --out itself, or
-    for ``sample`` the manifest.json in that directory, made when missing."""
+    for ``sample`` the manifest.json in that directory, made when missing and
+    cleared of the ``sample_r*_*.txt`` files an earlier run left there."""
     if args.subcommand != "sample" or not args.out:
         return args.out
-    Path(args.out).mkdir(parents=True, exist_ok=True)
-    return Path(args.out, "manifest.json")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for stale in out.glob("sample_r*_*.txt"):
+        stale.unlink()
+    return out / "manifest.json"
 
 
 # -- subcommand bodies -------------------------------------------------------

@@ -8,13 +8,14 @@ arithmetic (integer numerators over a power of the one-step denominator);
 the matrix is held as a list of neighbour indices per state and each
 state's holding mass, so propagation touches only the non-zeros.  States are
 keyed by bitmasks over vertex pairs while the rows are built.  Floating point
-appears only in the spectral gap: a Lanczos iteration with full
-reorthogonalisation on the same rows, deflated by the uniform vector (the
-known eigenvalue-1 eigenvector of the symmetric P) and started from a fixed
-pseudo-random vector, so it is deterministic and never forms a dense matrix.
-It stops once both extreme Ritz values have residual at most 1e-14 (which a
-breakdown also gives) or at dimension N - 1.  numpy is imported only inside
-the gap computation, so commands that never analyse a space do not load it.
+appears only in the spectral gap: a Lanczos iteration on the same rows,
+deflated by the uniform vector (the known eigenvalue-1 eigenvector of the
+symmetric P) and started from a fixed pseudo-random vector, so it is
+deterministic and never forms a dense matrix.  It stops once both extreme
+Ritz values have residual at most 1e-14 (which a breakdown also gives) or at
+dimension N - 1.  Rows of at most ``_LIST_KERNEL_NNZ`` non-zeros run it on
+Python lists with ``math.fsum`` sums, bitwise alike on every supported
+Python; larger ones run it in numpy, which is imported only there.
 One ``StateSpaceAnalysis`` per space answers its questions, connectivity too;
 it takes no start: TV curves begin at the greedy state or a given index.
 """
@@ -25,6 +26,9 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, islice
+from math import fsum, sqrt
+from operator import itemgetter, mul
+from random import Random
 
 from .chain import VARIANT_EXACT, VARIANTS
 from .construct import realize, realize_directed
@@ -301,7 +305,8 @@ class StateSpaceAnalysis:
         self._rows = switch_rows(states, self.directed)
         # diagonal numerator of each state: the proposals that reach no neighbour
         self._holds = [self._denom - len(row) for row in self._rows]
-        if min(self._holds) < 0:
+        self._min_hold = min(self._holds)
+        if self._min_hold < 0:
             raise AssertionError("negative holding mass; denominator too small")
 
     @cached_property
@@ -347,20 +352,30 @@ class StateSpaceAnalysis:
         """The least state index of each relabelling orbit, ascending."""
         return sorted(set(relabelling_orbits(self.seq, self.states)))
 
-    def is_symmetric(self) -> bool:
-        """Each sorted row equals its column, built here in index order and not kept."""
+    @cached_property
+    def _column_flags(self) -> tuple:
+        """(symmetric, uniform stationary) from one transposition of the rows,
+        built in index order and not kept: each sorted row equals its column,
+        and each column sums to the denominator, so it is as long as its row."""
         rows = self._rows
         cols = [[] for _ in rows]
         for i, row in enumerate(rows):
             for j in row:
                 cols[j].append(i)
-        return all(col == sorted(row) for col, row in zip(cols, rows))
+        return (
+            all(col == sorted(row) for col, row in zip(cols, rows)),
+            all(len(col) == len(row) for col, row in zip(cols, rows)),
+        )
+
+    def is_symmetric(self) -> bool:
+        return self._column_flags[0]
 
     def rows_sum_to_one(self) -> bool:
-        return min(self._holds) >= 0
+        """The check ``__init__`` asserts: no holding mass is negative."""
+        return self._min_hold >= 0
 
     def min_diagonal(self) -> Fraction:
-        return Fraction(min(self._holds), self._denom)
+        return Fraction(self._min_hold, self._denom)
 
     def laziness_floor(self) -> Fraction:
         """Guaranteed lower bound on every diagonal entry.
@@ -383,12 +398,7 @@ class StateSpaceAnalysis:
         return Fraction(1, 3)
 
     def uniform_is_stationary(self) -> bool:
-        """Column sums equal the denominator: each state is in as many rows as its row lists."""
-        col = [0] * len(self._rows)
-        for row in self._rows:
-            for j in row:
-                col[j] += 1
-        return all(c == len(row) for c, row in zip(col, self._rows))
+        return self._column_flags[1]
 
     def _tvs(self, start: int):
         """Exact TV to uniform after t = 0, 1, 2, ... steps from state ``start``.
@@ -460,7 +470,8 @@ class StateSpaceAnalysis:
         it comes from the extreme eigenvalues of P on the complement of the
         uniform vector (see ``_deflated_extremes``).  The float is bitwise
         reproducible and lies within about 5e-15 of dense
-        ``numpy.linalg.eigvalsh`` on every space the tests check.
+        ``numpy.linalg.eigvalsh`` on every space the tests check, from
+        either kernel.
         """
         if self._gap is None:
             self._gap = float(self.irreducible)
@@ -473,24 +484,125 @@ class StateSpaceAnalysis:
 MAX_MIXING_STEPS = 100000  # exact_mixing_time gives up past this many steps
 _LANCZOS_SEED = 20170125
 _LANCZOS_TOL = 1e-14
+# rows with at most this many non-zeros get the spectral gap from the list kernel
+_LIST_KERNEL_NNZ = 17000
 
 
 def _deflated_extremes(rows, denom) -> tuple:
     """Least and greatest eigenvalue of the symmetric P = rows/denom on u-perp.
 
     u is the uniform unit vector, the known eigenvector of eigenvalue 1, so
-    the greatest eigenvalue there is lambda_2.  Lanczos starts from a fixed
-    pseudo-random vector projected off u and reorthogonalises each new vector
-    twice against u and every earlier vector (against the earlier vectors
-    alone, u creeps back in as roundoff once the Krylov space is nearly
-    exhausted, and a spurious Ritz value near 1 appears).  It stops when both
-    extreme Ritz residuals beta_k |s_k| fall to ``_LANCZOS_TOL`` or at
-    dimension N - 1; the extremes are then those of the small tridiagonal
-    matrix.  The residuals never exceed beta_k, so a breakdown (beta_k near
-    0: every distinct eigenvalue the start vector meets is already in the
-    Krylov space) stops it too.  Each product with P is one ``bincount`` of
-    x[j] * (1/denom) over the listed neighbours j plus the holding mass times
-    x, so memory is two index arrays plus the basis.
+    the greatest eigenvalue there is lambda_2.  Both kernels run Lanczos from
+    a fixed pseudo-random vector projected off u and stop when both extreme
+    Ritz residuals beta_k |s_k| fall to ``_LANCZOS_TOL`` or at dimension
+    N - 1; the extremes are then those of the small tridiagonal matrix.  The
+    residuals never exceed beta_k, so a breakdown (beta_k near 0: every
+    distinct eigenvalue the start vector meets is already in the Krylov
+    space) stops them too.  Rows holding at most ``_LIST_KERNEL_NNZ``
+    non-zeros go to ``_extremes_lists``, on the standard library, where
+    numpy's import would cost more than the whole iteration; larger ones go
+    to ``_extremes_numpy``, and only they import numpy.
+    """
+    small = sum(map(len, rows)) <= _LIST_KERNEL_NNZ
+    return (_extremes_lists if small else _extremes_numpy)(rows, denom)
+
+
+def _extremes_lists(rows, denom) -> tuple:
+    """``_deflated_extremes`` on Python lists, bitwise alike on every Python.
+
+    Each new vector comes from the three-term recurrence, projected off u,
+    and one more Gram-Schmidt pass against u and the last two Lanczos
+    vectors; local orthogonality still gives the extreme Ritz values to
+    working accuracy (Paige 1980).  Every float sum is a ``math.fsum``,
+    which is correctly rounded: ``sum`` of floats is compensated from
+    Python 3.12 on, so the gap's last bits would depend on the interpreter.
+    The product with P is the holding mass times x[i] plus the sum of x over
+    row i, over the denominator.  The tridiagonal's extremes come from
+    ``_least_ritz``.
+    """
+    count = len(rows)
+    # a one-element row gets a slice, so that every getter returns a sequence
+    getters = [itemgetter(*row) if len(row) > 1 else itemgetter(slice(row[0], row[0] + 1)) for row in rows]
+    hold = [(denom - len(row)) / denom for row in rows]
+
+    def dot(a, b):
+        return fsum(map(mul, a, b))
+
+    rng = Random(_LANCZOS_SEED)
+    x, prev = [rng.random() - 0.5 for _ in range(count)], [0.0] * count
+    for _ in range(2):
+        mean = fsum(x) / count
+        x = [xi - mean for xi in x]
+    norm = sqrt(dot(x, x))
+    x = [xi / norm for xi in x]
+    alphas, betas, beta = [], [], 0.0
+    while True:
+        w = [h * xi + fsum(get(x)) / denom for h, xi, get in zip(hold, x, getters)]
+        alpha, mean = dot(x, w), fsum(w) / count
+        alphas.append(alpha)
+        w = [wi - mean - alpha * xi - beta * pi for wi, xi, pi in zip(w, x, prev)]
+        mean, cx, cp = fsum(w) / count, dot(x, w), dot(prev, w)
+        w = [wi - mean - cx * xi - cp * pi for wi, xi, pi in zip(w, x, prev)]
+        beta = sqrt(dot(w, w))
+        low, s_low = _least_ritz(alphas, betas)
+        high, s_high = _least_ritz([-a for a in alphas], betas)
+        if len(alphas) == count - 1 or beta * max(s_low, s_high) <= _LANCZOS_TOL:
+            return low, -high
+        betas.append(beta)
+        prev, x = x, [wi / beta for wi in w]
+
+
+def _least_ritz(alphas, betas) -> tuple:
+    """The least eigenvalue theta of the symmetric tridiagonal matrix T with
+    diagonal ``alphas`` and off-diagonal ``betas``, and |s_k|, the last entry
+    of its unit eigenvector.  (-T gives the greatest.)
+
+    theta comes from Sturm bisection on [-1, 1], which holds every Ritz
+    value of P: T - x I has a pivot at most 0 exactly when some eigenvalue
+    is at most x.  s comes from three solves of inverse iteration at
+    sigma = theta - 1e-10, just below the spectrum, where T - sigma I is
+    positive definite and needs no pivoting.  At theta itself both the
+    eigenvector recurrence and the unpivoted solve report |s_k| near 1 for a
+    converged Ritz value, and the iteration would run on to dimension N - 1.
+    """
+    squares = [0.0, *(b * b for b in betas)]
+    lo, hi = -1.0, 1.0
+    for _ in range(64):  # leaves theta in [lo, hi], less than 1e-18 wide
+        mid, d = 0.5 * (lo + hi), 1.0
+        for a, b2 in zip(alphas, squares):
+            d = a - mid - b2 / d
+            if d <= 0.0:
+                hi = mid
+                break
+        else:
+            lo = mid
+    sigma = lo - 1e-10
+    pivots, ratios = [alphas[0] - sigma], []
+    for a, b in zip(alphas[1:], betas):
+        ratios.append(b / pivots[-1])
+        pivots.append(a - sigma - ratios[-1] * b)
+    k = len(alphas)
+    y = [1.0] * k
+    for _ in range(3):
+        for i, r in enumerate(ratios):
+            y[i + 1] -= r * y[i]
+        y[-1] /= pivots[-1]
+        for i in range(k - 2, -1, -1):
+            y[i] = y[i] / pivots[i] - ratios[i] * y[i + 1]
+        top = max(map(abs, y))
+        y = [v / top for v in y]
+    return lo, abs(y[-1]) / sqrt(fsum(v * v for v in y))
+
+
+def _extremes_numpy(rows, denom) -> tuple:
+    """``_deflated_extremes`` in numpy, for rows past ``_LIST_KERNEL_NNZ``.
+
+    Each new vector is reorthogonalised twice against u and every earlier
+    vector (against the earlier vectors alone, u creeps back in as roundoff
+    once the Krylov space is nearly exhausted, and a spurious Ritz value
+    near 1 appears).  Each product with P is one ``bincount`` of
+    x[j] * (1/denom) over the listed neighbours j plus the holding mass
+    times x, so memory is two index arrays plus the basis.
     """
     import numpy as np
 

@@ -297,6 +297,29 @@ def test_sample_keeps_every_document_in_its_directory(tmp_path, capsys):
     assert sorted(p.name for p in fresh.iterdir()) == ["manifest.json", "sample_r00_00000.txt"]
 
 
+SAMPLE_SIX = ["sample", "--degrees", "2,2,2,2,2,2", "--steps", "10", "--out"]
+
+
+def test_a_smaller_count_leaves_no_stale_samples(tmp_path, capsys):
+    out = tmp_path / "samples"
+    assert main([*SAMPLE_SIX, str(out), "--count", "3"]) == 0
+    (out / "notes.txt").write_text("kept\n")  # only sample_r*_*.txt names are deleted
+    assert main([*SAMPLE_SIX, str(out), "--count", "1"]) == 0
+    doc = json.loads((out / "manifest.json").read_text())
+    assert doc["result"]["files"] == ["sample_r00_00000.txt"]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "notes.txt", "sample_r00_00000.txt"]
+    capsys.readouterr()
+
+
+def test_an_error_document_leaves_no_stale_samples(tmp_path, capsys):
+    out = tmp_path / "samples"
+    assert main([*SAMPLE_SIX, str(out), "--count", "3"]) == 0
+    assert main(["sample", "--degrees", "2,2,2", "--count", "3", "--out", str(out)]) == 2
+    assert "error" in json.loads((out / "manifest.json").read_text())
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    capsys.readouterr()
+
+
 def test_repair_encoding_cli(tmp_path, capsys):
     rng = random.Random(5)
     Z = realize(DegreeSequence([3] * 12))

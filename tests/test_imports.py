@@ -46,8 +46,9 @@ CASES = {
     "realize": (["--degrees", "2,2,1,1"], set(), HEAVY | {"dataclasses", "inspect"}),
     "sample": (["--degrees", "2,2,2,2,2,2", "--count", "2", "--steps", "5"], set(),
                HEAVY | {"dataclasses", "inspect"}),
+    # a space this small takes the spectral gap's list kernel, which needs no numpy
     "analyze": (["--degrees", "2,2,2,2,2", "--horizon", "3"], set(),
-                {"mpmath", "switchmix.encoding", "switchmix.bounds"}),
+                {"numpy", "mpmath", "switchmix.encoding", "switchmix.bounds"}),
     "irreducible": (["--directed", "--degrees", "1:1,1:1,1:1"], set(),
                     {"numpy", "mpmath", "switchmix.encoding", "switchmix.bounds"}),
     "bound": (["--degrees", "3,3,3,3"], {"switchmix.bounds"},

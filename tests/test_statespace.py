@@ -38,6 +38,7 @@ from switchmix import (
     realize_directed,
     transition_probability,
 )
+from switchmix import statespace
 from switchmix.statespace import (
     components,
     relabelling_orbits,
@@ -484,6 +485,40 @@ def test_spectral_gap_allocates_no_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+KERNELS = [statespace._extremes_lists, statespace._extremes_numpy]
+
+
+def kernel_gap(kernel, an) -> float:
+    lowest, highest = kernel(an._rows, an._denom)
+    return float(1.0 - max(abs(lowest), highest))
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.__name__)
+def test_each_kernel_matches_dense_oracle(kernel, rng):
+    """Both kernels, called directly at every size: the gap spaces, the three
+    random families, the symmetric early-breakdown spaces, the periodic space
+    (lambda_min = -1) and a 2-state space."""
+    spaces = [analyze(seq) for seq in GAP_SPACES]
+    for directed, variant in [(False, VARIANT_EXACT), (False, VARIANT_ALL_PAIRS), (True, VARIANT_EXACT)]:
+        spaces += [an for an in _random_spaces(rng, directed, 12, max_states=400, variant=variant) if an.irreducible]
+    spaces += [analyze(DirectedDegreeSequence([(1, 1)] * 5))]
+    spaces += [analyze(DirectedDegreeSequence([(0, 1), (1, 0), (0, 1), (1, 0)]))]
+    spaces += [analyze(DegreeSequence([1, 2, 2, 1]))]
+    assert [len(an.states) for an in spaces[-2:]] == [2, 2]
+    for an in spaces:
+        assert abs(kernel_gap(kernel, an) - dense_gap(an)) <= 1e-12, an.seq
+
+
+def test_rows_up_to_the_crossover_take_the_list_kernel(monkeypatch):
+    taken = []
+    for kernel in ("_extremes_lists", "_extremes_numpy"):
+        monkeypatch.setattr(statespace, kernel, lambda rows, denom, kernel=kernel: taken.append(kernel) or (0.0, 0.0))
+    crossover = statespace._LIST_KERNEL_NNZ
+    statespace._deflated_extremes([[1] * (crossover - 1), [0]], 1)
+    statespace._deflated_extremes([[1] * crossover, [0]], 1)
+    assert taken == ["_extremes_lists", "_extremes_numpy"]
 
 
 def test_analysis_keeps_under_16_bytes_per_nonzero():
