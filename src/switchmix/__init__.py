@@ -68,8 +68,6 @@ _EXPORTS = {
         "StateSpaceAnalysis",
         "analyze",
         "enum_states",
-        "switch_neighbours",
-        "transition_probability",
     ),
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}

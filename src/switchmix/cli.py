@@ -97,18 +97,6 @@ def _load_seq(args):
     return load_degrees(args.degrees, directed=args.directed)
 
 
-def _cap(args) -> int:
-    if args.cap is not None:
-        return args.cap
-    env = os.environ.get("SWITCHMIX_CAP")
-    if not env:
-        return DEFAULT_CAP
-    try:
-        return _at_least(1)(env)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise ValueError(f"SWITCHMIX_CAP: {exc}") from None
-
-
 def _document_path(args):
     """Where --out puts a run's JSON document, result or error: --out itself, or
     for ``sample`` the manifest.json in that directory, made when missing and
@@ -214,7 +202,7 @@ def _cmd_analyze(args):
     from .statespace import NoMixingError, analyze
 
     seq = _load_seq(args)
-    an = analyze(seq, variant=args.variant, cap=_cap(args))
+    an = analyze(seq, variant=args.variant, cap=args.cap or DEFAULT_CAP)
     horizon = args.horizon
     curve = an.tv_curve(horizon)
     eps = Fraction(str(args.eps))
@@ -249,7 +237,7 @@ def _cmd_irreducible(args):
     from .statespace import analyze
 
     seq = _load_seq(args)
-    an = analyze(seq, cap=_cap(args))
+    an = analyze(seq, cap=args.cap or DEFAULT_CAP)
     witnesses = []
     if args.directed:
         for state in an.states[: args.witness_states]:

@@ -133,24 +133,6 @@ def _switches(p, q, directed: bool) -> tuple:
     return ((key(x, z), key(y, w)), (key(x, w), key(z, y)))
 
 
-def switch_neighbour_states(state: tuple, directed: bool = False) -> list:
-    """All states one switch away from a canonical state, with repetition-free
-    proposals: each neighbour appears exactly once."""
-    present = set(state)
-    out = []
-    for i, j in combinations(range(len(state)), 2):
-        for e1, e2 in _switches(state[i], state[j], directed):
-            if e1 not in present and e2 not in present:
-                rest = [e for k, e in enumerate(state) if k != i and k != j]
-                out.append(tuple(sorted(rest + [e1, e2])))
-    return out
-
-
-def switch_neighbours(g):
-    """Neighbour states of a Graph or Digraph, as canonical tuples."""
-    return switch_neighbour_states(g.canonical(), directed=g.directed)
-
-
 def step_denominator(seq, variant: str = VARIANT_EXACT) -> int:
     """Common denominator of the one-step law of the chain on ``seq``.
 
@@ -172,24 +154,6 @@ def step_denominator(seq, variant: str = VARIANT_EXACT) -> int:
     return proposals or 1
 
 
-def transition_probability(x, y, variant: str = VARIANT_EXACT) -> Fraction:
-    """Exact one-step probability between two states of the same chain:
-    1/``step_denominator`` when they differ by one switch, 0 when they differ
-    by more, and on the diagonal 1 minus the off-diagonal row sum (so 1 for
-    a chain with no proposals)."""
-    if x.directed != y.directed:
-        raise TypeError("cannot mix graphs and digraphs")
-    seq = x.degree_sequence()
-    if seq != y.degree_sequence():
-        raise ValueError("states have different degree sequences")
-    denom = step_denominator(seq, variant)
-    cx, cy = x.canonical(), y.canonical()
-    neighbours = switch_neighbour_states(cx, x.directed)
-    if cx == cy:
-        return 1 - Fraction(len(neighbours), denom)
-    return Fraction(int(cy in neighbours), denom)
-
-
 def pair_masks(states) -> tuple:
     """``(bit, masks)``: a bit for each vertex pair that occurs in ``states``,
     in sorted pair order, and each state's mask, the sum of its pairs' bits."""
@@ -208,8 +172,9 @@ def switch_rows(states, directed: bool = False) -> list:
     the states, and each pair of disjoint pairs carries its ``_switches`` as
     (removed, added) masks, so a neighbour is one dictionary lookup of
     ``mask ^ removed | added``.  A switch whose new pairs never occur in a
-    state can never apply and is left out.  Neighbours come in the order of
-    ``switch_neighbour_states``.
+    state can never apply and is left out.  Neighbours come in proposal
+    order: the state's pairs (i, j) with i < j, then each one's ``_switches``
+    matchings in turn.
     """
     bit, masks = pair_masks(states)
     moves = {}
@@ -419,8 +384,11 @@ class StateSpaceAnalysis:
             vec, den = nxt, den * self._denom
 
     def tv_curve(self, horizon: int, start_index: int | None = None) -> list:
-        """Exact TV(0..horizon) to uniform from ``start_index`` (default: the greedy state)."""
+        """Exact TV(0..horizon) to uniform from ``start_index`` (default: the greedy
+        state); ValueError unless horizon >= 0 and the start indexes ``states``."""
         start = self.start_index if start_index is None else start_index
+        if horizon < 0 or not 0 <= start < len(self.states):
+            raise ValueError(f"need horizon >= 0 and 0 <= start < {len(self.states)}")
         return list(islice(self._tvs(start), horizon + 1))
 
     def exact_mixing_time(self, eps) -> int:

@@ -158,32 +158,21 @@ def test_analyze_periodic_space_has_null_mixing_time(capsys):
     assert abs(res["spectral_gap"]) < 1e-12  # eigenvalue -1
 
 
-def test_analyze_cap_exit(capsys, monkeypatch):
-    monkeypatch.setenv("SWITCHMIX_CAP", "5")
-    code, doc = run_cli(capsys, "analyze", "--degrees", "2,2,2,2,2,2")
-    assert code == 3
-    monkeypatch.delenv("SWITCHMIX_CAP")
+def test_analyze_cap_exit(capsys):
+    code, doc = run_cli(capsys, "analyze", "--degrees", "2,2,2,2,2,2", "--cap", "5")
+    assert code == 3 and doc["manifest"]["flags"]["cap"] == 5
     code, _ = run_cli(capsys, "analyze", "--degrees", "2,2,2,2,2,2", "--cap", "100")
     assert code == 0
 
 
-def test_cap_below_one_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.delenv("SWITCHMIX_CAP", raising=False)
+def test_cap_below_one_is_a_usage_error(capsys):
     for command in ("analyze", "irreducible"):
         for cap in ("0", "-5"):
             assert main([command, "--degrees", "2,2,2,2", "--cap", cap]) == 1
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("usage error: argument --cap"), (command, err)
-        for env in ("-1", "0", "many", "1.5"):
-            monkeypatch.setenv("SWITCHMIX_CAP", env)
-            assert main([command, "--degrees", "2,2,2,2"]) == 1
-            out, err = capsys.readouterr()
-            assert out == "" and err.startswith("error: SWITCHMIX_CAP"), (command, env, err)
-        # the flag wins over the variable; a cap of 3 holds the 3 states
+        # a cap of 3 holds the 3 states
         assert run_cli(capsys, command, "--degrees", "2,2,2,2", "--cap", "3")[0] == 0
-        monkeypatch.setenv("SWITCHMIX_CAP", "3")
-        assert run_cli(capsys, command, "--degrees", "2,2,2,2")[0] == 0
-        monkeypatch.delenv("SWITCHMIX_CAP")
 
 
 def test_irreducible_report(capsys):
