@@ -61,7 +61,6 @@ _EXPORTS = {
         "find_useful",
         "induced_triangles",
         "lamar_classes",
-        "switch_connectivity",
     ),
     "statespace": (
         "NoMixingError",

@@ -23,12 +23,11 @@ load bound.  ``flow_components`` is the one place those factors are written;
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal, localcontext
 from fractions import Fraction
 
-from .degseq import DegreeSequence, DirectedDegreeSequence
+from .degseq import DirectedDegreeSequence
 
 _WORKING = Context(prec=40)
 _REPORTED = Context(prec=25, rounding=ROUND_HALF_UP)
@@ -46,7 +45,6 @@ def _decimal(x) -> Decimal:
 @dataclass
 class FlowComponents:
     directed: bool
-    size_bound: Fraction  # upper bound on |Omega|
     log_pi_star_bound_weight: Fraction  # ln(1/pi*) <= weight * ln(count)
     log_pi_star_count: int
     ell_bound: Fraction  # longest flow path
@@ -99,24 +97,12 @@ def nstr(x: Decimal) -> str:
     return "-" * sign + digits[:point] + "." + tail + ("" if fixed else f"e{e:+d}")
 
 
-def _size_bound_undirected(d: DegreeSequence) -> Fraction:
-    # pairing-model count: M! / (2^(M/2) (M/2)! prod d_j!)
-    if d.M % 2:
-        return Fraction(0)
-    num = math.factorial(d.M)
-    den = 2 ** (d.M // 2) * math.factorial(d.M // 2)
-    for dj in d.degrees:
-        den *= math.factorial(dj)
-    return Fraction(num, den)
-
-
 def flow_components(seq) -> FlowComponents:
     if isinstance(seq, DirectedDegreeSequence):
         m = seq.m
         r = seq.r_max
         return FlowComponents(
             directed=True,
-            size_bound=Fraction(math.factorial(m)),
             log_pi_star_bound_weight=Fraction(m),
             log_pi_star_count=m,
             ell_bound=Fraction(m),
@@ -127,7 +113,6 @@ def flow_components(seq) -> FlowComponents:
     d = seq
     return FlowComponents(
         directed=False,
-        size_bound=_size_bound_undirected(d),
         log_pi_star_bound_weight=Fraction(d.M, 2),
         log_pi_star_count=d.M,
         ell_bound=Fraction(d.M, 2),
@@ -154,7 +139,7 @@ def mixing_bound(seq, eps) -> BoundReport:
             "r_min_ok": seq.r_min >= 1,
             "r_max_ok": seq.r_max >= 2,
             "density_ok": 16 * seq.r_max**2 <= seq.m,
-            "note": "switch-irreducibility is reported by switch_connectivity",
+            "note": "switch-irreducibility is reported by the irreducible command",
             "applicable": flags["digraphical"] and flags["theorem2_degree_ok"],
         }
         formula = "theorem-directed"

@@ -269,12 +269,10 @@ def _cmd_bound(args):
         "log_part": nstr(rep.log_part),
         "value": nstr(rep.value),
         "components": {
-            "size_bound": _exact(comps.size_bound),
             "ell_bound": _exact(comps.ell_bound),
             "one_over_Q": comps.one_over_Q,
             "encoding_ratio_bound": _exact(comps.encoding_ratio_bound),
             "load_bound": _exact(comps.load_bound),
-            "product_equals_bound": nstr(comps.product_bound(args.eps)) == nstr(rep.value),
         },
     }, args.out
 

@@ -186,17 +186,15 @@ def stats(d: DegreeSequence) -> dict:
 
 def parse_degrees(text: str, directed: bool = False):
     """Parse an inline degree spec: "1,2,2,1" or "1:1,1:1,1:1" (in:out)."""
-    items = [tok for tok in text.replace(";", ",").split(",") if tok.strip()]
+    items = [tok.strip() for tok in text.split(",") if tok.strip()]
     if not items:
         raise ValueError("empty degree specification")
     if directed:
         pairs = []
         for tok in items:
-            tok = tok.strip()
-            sep = ":" if ":" in tok else "/"
-            if sep not in tok:
+            if tok.count(":") != 1:
                 raise ValueError(f"directed degrees need in:out pairs, got {tok!r}")
-            a, b = tok.split(sep)
+            a, b = tok.split(":")
             pairs.append((int(a), int(b)))
         return DirectedDegreeSequence(pairs)
     return DegreeSequence(int(tok) for tok in items)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Digraph
-from .statespace import DEFAULT_CAP, analyze
 
 
 @dataclass
@@ -128,8 +127,3 @@ def induced_triangles(dg: Digraph):
                     if c > a and _induces_cycle(dg, a, b, c):
                         found.append((a, min(b, c), max(b, c)))
     return sorted(found)
-
-
-def switch_connectivity(seq, cap: int = DEFAULT_CAP) -> dict:
-    """Component structure of the switch graph over all realizations."""
-    return analyze(seq, cap=cap).connectivity

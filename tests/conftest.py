@@ -117,6 +117,13 @@ def states_by_brute_force(seq) -> list:
     return states
 
 
+def log_pi_star_term_bounds(size: int, fc) -> bool:
+    """ln(size) <= weight * ln(count), the bound's ln(1/pi*) term, checked
+    in exact integers as size^den <= count^num for weight = num/den."""
+    w = fc.log_pi_star_bound_weight
+    return size**w.denominator <= fc.log_pi_star_count**w.numerator
+
+
 def random_graphical_sequence(rng: random.Random, n: int, p: float = 0.5) -> DegreeSequence:
     """Degree sequence of a random graph: graphical by construction."""
     degrees = [0] * n

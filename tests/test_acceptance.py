@@ -33,13 +33,13 @@ from switchmix import (
     realize_directed,
     repair,
     sample,
-    switch_connectivity,
     verify_counting_identities,
 )
 from switchmix.encoding import DIRECTED_PROFILES, UNDIRECTED_PROFILES, apply_3switch
 
 from conftest import (
     count_nonadjacent_edge_pairs,
+    log_pi_star_term_bounds,
     oracle_neighbour_states,
     random_graphical_sequence,
 )
@@ -123,7 +123,7 @@ def test_criterion_5_undirected_irreducibility():
                 d = DegreeSequence(sorted(combo, reverse=True))
                 if not d.is_graphical():
                     continue
-                rep = switch_connectivity(d)
+                rep = analyze(d).connectivity
                 assert rep["irreducible"], (d.degrees, rep)
 
 
@@ -132,7 +132,7 @@ def test_criterion_6_directed_reducibility_witness():
         dd = DirectedDegreeSequence([(1, 1)] * 3)
         states = enum_states(dd)
         assert len(states) == 2
-        rep = switch_connectivity(dd)
+        rep = analyze(dd).connectivity
         assert rep["component_count"] == 2 and not rep["irreducible"]
         for st in states:
             assert oracle_neighbour_states(st, directed=True) == []
@@ -272,7 +272,7 @@ def test_criterion_10_bound_calculators():
             states = enum_states(d)
             if not states:
                 continue
-            assert len(states) <= flow_components(d).size_bound
+            assert log_pi_star_term_bounds(len(states), flow_components(d))
             checked += 1
         rep = mixing_bound(DegreeSequence([3] * 28), 0.01)
         assert rep.applicability["applicable"]

@@ -15,7 +15,7 @@ from switchmix import (
 )
 from switchmix.bounds import nstr
 
-from conftest import random_graphical_sequence
+from conftest import log_pi_star_term_bounds, random_graphical_sequence
 
 
 def test_theorem_undirected_value():
@@ -81,10 +81,7 @@ def test_product_identity_exact():
 def test_flow_component_fields():
     d = DegreeSequence([3, 3, 3, 3])
     fc = flow_components(d)
-    assert fc.size_bound == Fraction(
-        math.factorial(12), 2**6 * math.factorial(6) * math.factorial(3) ** 4
-    )
-    assert fc.size_bound == Fraction(10395, 1296)
+    assert (fc.log_pi_star_bound_weight, fc.log_pi_star_count) == (6, 12)
     assert fc.ell_bound == Fraction(6)
     assert fc.one_over_Q == 6 * d.a
     assert fc.encoding_ratio_bound == 2 * 12**6
@@ -92,7 +89,7 @@ def test_flow_component_fields():
 
     dd = DirectedDegreeSequence([(1, 1), (1, 1)])
     fcd = flow_components(dd)
-    assert fcd.size_bound == Fraction(2)
+    assert (fcd.log_pi_star_bound_weight, fcd.log_pi_star_count) == (2, 2)
     assert fcd.one_over_Q == 1  # binom(m,2) with m = 2
     assert fcd.encoding_ratio_bound == Fraction(2**8, 8)
     assert fcd.load_bound == Fraction(1 * 2**10, 4)
@@ -107,12 +104,12 @@ def test_size_bound_dominates_enumeration(rng):
         states = enum_states(d)
         if not states:
             continue
-        assert len(states) <= flow_components(d).size_bound
+        assert log_pi_star_term_bounds(len(states), flow_components(d))
         checked += 1
-    # directed: |Omega| <= m!
+    # directed: |Omega| <= m^m
     for pairs in ([(1, 1)] * 4, [(2, 2)] * 4, [(1, 1)] * 3):
         dd = DirectedDegreeSequence(pairs)
-        assert len(enum_states(dd)) <= math.factorial(dd.m)
+        assert log_pi_star_term_bounds(len(enum_states(dd)), flow_components(dd))
 
 
 def test_nstr_matches_mpmath():

@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import pathlib
 import random
@@ -7,7 +6,16 @@ import subprocess
 import sys
 from decimal import Decimal
 
-from switchmix import DegreeSequence, Graph, make_test_encoding, realize, save_encoding, write_edge_list
+from switchmix import (
+    DegreeSequence,
+    Graph,
+    make_test_encoding,
+    mixing_bound,
+    realize,
+    save_encoding,
+    write_edge_list,
+)
+from switchmix.bounds import nstr
 from switchmix.cli import main
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
@@ -213,26 +221,28 @@ def test_bound_directed_unbalanced_is_a_validation_failure(capsys):
 def test_bound_report(capsys):
     code, doc = run_cli(capsys, "bound", "--degrees", "3,3,3,3", "--eps", "0.01")
     assert code == 0
-    res = doc["result"]
-    assert res["components"]["product_equals_bound"]
-    assert not res["applicability"]["applicable"]
+    assert not doc["result"]["applicability"]["applicable"]
 
 
-def test_exact_values_past_the_int_str_limit(tmp_path, capsys):
-    # CPython refuses int-to-str conversions past 4300 digits; these exact
-    # values are longer and are still written out in full
+def test_bound_at_theorem_scale(tmp_path, capsys):
+    # the theorems need many edges; the document carries only the factors
+    # the bound multiplies, so it stays small and fast at n = 20000
+    degrees = tmp_path / "tens.txt"
+    degrees.write_text("10\n" * 20000)
+    code = main(["bound", "--degrees", str(degrees)])
+    text = capsys.readouterr().out
+    assert code == 0
+    assert len(text.encode()) < 4096
+    doc = json.loads(text)
+    assert doc["result"]["value"] == nstr(mixing_bound(DegreeSequence([10] * 20000), 0.01).value)
+
+
+def test_exact_values_past_the_int_str_limit(capsys):
+    # CPython refuses int-to-str conversions past 4300 digits; this exact
+    # value is longer and is still written out in full
     code, doc = run_cli(capsys, "analyze", "--degrees", "1,2,2,1", "--horizon", "10000")
     assert code == 0
     assert doc["result"]["tv_final_exact"] == f"1/{Decimal(2 * 3**10000)}"
-    degrees = tmp_path / "ones.txt"
-    degrees.write_text("1 1\n" * 1800)
-    code, doc = run_cli(capsys, "bound", "--directed", "--degrees", str(degrees))
-    assert code == 0
-    assert doc["result"]["components"]["size_bound"] == str(Decimal(math.factorial(1800)))
-    code, doc = run_cli(capsys, "bound", "--degrees", ",".join(["3"] * 1200))
-    assert code == 0
-    num, den = doc["result"]["components"]["size_bound"].split("/")
-    assert len(num) > 4300 and doc["result"]["components"]["product_equals_bound"]
 
 
 def test_realize_writes_edge_list(tmp_path, capsys):
@@ -255,6 +265,18 @@ def test_out_holds_the_printed_document(tmp_path, capsys):
         code = main([*argv, "--out", str(tmp_path / out)])
         assert code == expected, argv
         assert (tmp_path / document).read_text() == capsys.readouterr().out, argv
+
+
+def test_inline_specs_take_only_commas_and_colons(capsys):
+    # ';' between entries and '/' inside pairs are not degree syntax, and a
+    # pair with two colons is an error line, not an unpacking failure
+    for argv, err in (
+        (["--degrees", "1;1"], "error: invalid literal for int() with base 10: '1;1'\n"),
+        (["--directed", "--degrees", "1/1,1/1"], "error: directed degrees need in:out pairs, got '1/1'\n"),
+        (["--directed", "--degrees", "1:1:1"], "error: directed degrees need in:out pairs, got '1:1:1'\n"),
+    ):
+        code = main(["validate", *argv])
+        assert (code, capsys.readouterr()) == (1, ("", err)), argv
 
 
 def test_unwritable_out_is_an_error_line(tmp_path, capsys):

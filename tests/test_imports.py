@@ -24,7 +24,7 @@ PUBLIC = [
     "find_useful", "flow_components", "induced_triangles", "lamar_classes", "load_degrees",
     "load_encoding", "make_test_encoding", "mixing_bound", "parse_degrees",
     "read_degree_file", "read_digraph", "read_graph", "realize", "realize_directed",
-    "repair", "sample", "save_encoding", "stats", "switch_connectivity", "validate",
+    "repair", "sample", "save_encoding", "stats", "validate",
     "verify_counting_identities", "write_edge_list",
 ]
 

@@ -9,11 +9,11 @@ from switchmix import (
     DirectedDegreeSequence,
     NotRealizableError,
     StateSpaceAnalysis,
+    analyze,
     find_useful,
     induced_triangles,
     lamar_classes,
     realize_directed,
-    switch_connectivity,
 )
 
 
@@ -96,23 +96,23 @@ def test_find_useful_arc_condition_ii():
 
 
 def test_switch_connectivity_examples():
-    rep = switch_connectivity(DirectedDegreeSequence([(1, 1)] * 3))
+    rep = analyze(DirectedDegreeSequence([(1, 1)] * 3)).connectivity
     assert rep == {
         "component_count": 2,
         "component_sizes": [1, 1],
         "irreducible": False,
         "state_count": 2,
     }
-    rep = switch_connectivity(DegreeSequence([2] * 6))
+    rep = analyze(DegreeSequence([2] * 6)).connectivity
     assert rep["state_count"] == 70 and rep["irreducible"]
-    rep = switch_connectivity(DirectedDegreeSequence([(1, 1)] * 4))
+    rep = analyze(DirectedDegreeSequence([(1, 1)] * 4)).connectivity
     assert rep["state_count"] == 9 and rep["irreducible"]
 
 
 def test_no_realization_has_no_connectivity_report():
     for seq in (DegreeSequence([3, 1]), DirectedDegreeSequence([(1, 0), (1, 1)])):
         with pytest.raises(NotRealizableError):
-            switch_connectivity(seq)
+            analyze(seq).connectivity
 
 
 def test_component_sizes_match_union_find_oracle(balanced_directed_corpus):
