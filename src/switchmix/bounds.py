@@ -132,26 +132,10 @@ def mixing_bound(seq, eps) -> BoundReport:
     if not 0.0 < eps_f < 1.0:
         raise ValueError("eps must lie in (0,1)")
     comps = flow_components(seq)
-    flags = seq.classify()
+    applicability = seq.hypotheses()
     if comps.directed:
-        applicability = {
-            "digraphical": flags["digraphical"],
-            "r_min_ok": seq.r_min >= 1,
-            "r_max_ok": seq.r_max >= 2,
-            "density_ok": 16 * seq.r_max**2 <= seq.m,
-            "note": "switch-irreducibility is reported by the irreducible command",
-            "applicable": flags["digraphical"] and flags["theorem2_degree_ok"],
-        }
-        formula = "theorem-directed"
-    else:
-        applicability = {
-            "graphical": flags["graphical"],
-            "d_min_ok": seq.d_min >= 1,
-            "d_max_ok": seq.d_max >= 3,
-            "density_ok": 9 * seq.d_max**2 <= seq.M,
-            "applicable": flags["theorem1_applicable"],
-        }
-        formula = "theorem-undirected"
+        applicability["note"] = "switch-irreducibility is reported by the irreducible command"
+    formula = "theorem-directed" if comps.directed else "theorem-undirected"
     return BoundReport(
         components=comps,
         eps=eps_f,

@@ -85,16 +85,20 @@ class DegreeSequence:
         """Erdos-Gallai test (with the even-sum requirement) in O(n log n)."""
         return _erdos_gallai(self.degrees)
 
+    def hypotheses(self) -> dict:
+        """Theorem 1's hypotheses one flag each, and ``applicable``, all of them."""
+        flags = {
+            "graphical": self.is_graphical(),
+            "d_min_ok": self.d_min >= 1,
+            "d_max_ok": self.d_max >= 3,
+            "density_ok": 9 * self.d_max**2 <= self.M,
+        }
+        return {**flags, "applicable": all(flags.values())}
+
     def classify(self) -> dict:
-        graphical = self.is_graphical()
+        flags = self.hypotheses()
         stable = (self.d_max - self.d_min + 1) ** 2 <= 4 * self.d_min * (self.n - self.d_max + 1)
-        theorem1 = (
-            graphical
-            and self.d_min >= 1
-            and self.d_max >= 3
-            and 9 * self.d_max**2 <= self.M
-        )
-        return {"graphical": graphical, "stable": stable, "theorem1_applicable": theorem1}
+        return {"graphical": flags["graphical"], "stable": stable, "theorem1_applicable": flags["applicable"]}
 
 
 class DirectedDegreeSequence:
@@ -171,12 +175,22 @@ class DirectedDegreeSequence:
                 return False
         return True
 
-    def classify(self) -> dict:
-        m = self.m  # raises on unbalanced sums
-        return {
+    def hypotheses(self) -> dict:
+        """Theorem 2's hypotheses one flag each, and ``applicable``, all of them;
+        NotRealizableError on unbalanced sums.  Switch-irreducibility is not
+        among them: the irreducible command reports it."""
+        flags = {
             "digraphical": self.is_digraphical(),
-            "theorem2_degree_ok": self.r_min >= 1 and self.r_max >= 2 and 16 * self.r_max**2 <= m,
+            "r_min_ok": self.r_min >= 1,
+            "r_max_ok": self.r_max >= 2,
+            "density_ok": 16 * self.r_max**2 <= self.m,
         }
+        return {**flags, "applicable": all(flags.values())}
+
+    def classify(self) -> dict:
+        flags = self.hypotheses()
+        degree_ok = flags["r_min_ok"] and flags["r_max_ok"] and flags["density_ok"]
+        return {"digraphical": flags["digraphical"], "theorem2_degree_ok": degree_ok}
 
 
 def stats(d: DegreeSequence) -> dict:
@@ -201,22 +215,21 @@ def parse_degrees(text: str, directed: bool = False):
 
 
 def read_degree_file(path, directed: bool = False):
-    """One integer per line (undirected) or "in out" per line (directed)."""
+    """One integer per line (undirected) or "in out" per line (directed);
+    each line is checked and converted as it is read."""
+    arity, shape = (2, "'in out'") if directed else (1, "one integer")
+    values = []
     with open(path, "r", encoding="utf-8") as fh:
-        rows = [line.split() for line in fh if line.strip()]
-    if not rows:
+        for line in fh:
+            row = line.split()
+            if not row:
+                continue
+            if len(row) != arity:
+                raise ValueError(f"expected {shape} per line, got {' '.join(row)!r}")
+            values.append((int(row[0]), int(row[1])) if directed else int(row[0]))
+    if not values:
         raise ValueError(f"no degrees in {path}")
-    if directed:
-        pairs = []
-        for row in rows:
-            if len(row) != 2:
-                raise ValueError(f"expected 'in out' per line, got {' '.join(row)!r}")
-            pairs.append((int(row[0]), int(row[1])))
-        return DirectedDegreeSequence(pairs)
-    for row in rows:
-        if len(row) != 1:
-            raise ValueError(f"expected one integer per line, got {' '.join(row)!r}")
-    return DegreeSequence(int(row[0]) for row in rows)
+    return DirectedDegreeSequence(values) if directed else DegreeSequence(values)
 
 
 def load_degrees(spec: str, directed: bool = False):

@@ -109,7 +109,10 @@ _TEMPLATE_ARCS = {
     for directed, catalog in _CATALOGS.items()
 }
 # per mode: (most 2-defects, most (-1)-defects, most defects) in one template
-_DEFECT_CAPS = {False: (2, 3, 4), True: (3, 3, 5)}
+_DEFECT_CAPS = {
+    directed: tuple(map(max, zip(*((len(t[2]), len(t[-1]), len(t[2]) + len(t[-1])) for t in arcs))))
+    for directed, arcs in _TEMPLATE_ARCS.items()
+}
 # enum_good_encodings searches no instance with more vertices or edges (arcs)
 _ENUM_MAX_N, _ENUM_MAX_EDGES = 6, 7
 
@@ -457,12 +460,9 @@ class Encoding:
             return True
         return all(d >= _good_floor(z, e) for d, z, e in zip(self.target_out, self.zeta_out, self.eta_out))
 
-    def is_defect_free(self) -> bool:
-        return not self.two and not self.minus
-
     def as_graph(self):
         """The defect-free encoding as a Graph, or as a Digraph when directed."""
-        if not self.is_defect_free():
+        if self.two or self.minus:
             raise ValueError("encoding still has defects")
         key = self._key
         store = Digraph if self.directed else Graph
@@ -628,19 +628,15 @@ _PHASES = {
 }
 
 
-def _phase(name) -> _Phase:
-    if name not in _PHASES:
-        raise ValueError(f"unknown phase {name!r}")
-    return _PHASES[name]
-
-
 def _admits(spec: _Phase, p, q) -> bool:
     dp, dq = spec.removes
     return p >= dp and q >= dq and (dp > 0 or p == 0) and spec.total in (None, p + q)
 
 
 def _phase_admits(L: Encoding, phase: str) -> bool:
-    spec = _phase(phase)
+    if phase not in _PHASES:
+        raise ValueError(f"unknown phase {phase!r}")
+    spec = _PHASES[phase]
     return spec.directed == L.directed and _admits(spec, *L.defect_counts())
 
 
@@ -902,13 +898,14 @@ def _subsets_with_counts(template, p, q):
     return out
 
 
-def _inject_at(L: Encoding, Z, kind: str, pos, rng, protected) -> bool:
-    """One reverse phase switch creating a defect exactly at ``pos``.
+def _inject_at(L: Encoding, Z, creates, pos, rng, protected) -> bool:
+    """One reverse phase switch creating ``creates`` = (2-defects, (-1)-defects):
+    (1, 0) or (0, 1) at ``pos``, or (1, 1) at ``pos`` = (two_pos, minus_pos).
 
-    ``protected`` holds the canonical keys of all planned defect positions;
-    the five non-anchor entries a candidate tuple touches must stay off it,
-    so positions planned for later injections keep their labels.  Undirected
-    positions try both orientations of the anchor.
+    ``protected`` holds the canonical keys of the other planned defect
+    positions; the five non-anchor entries a candidate tuple touches must stay
+    off it, so positions planned for later injections keep their labels.
+    Undirected positions try both orientations of the anchor.
     """
     # L changes only when a completion is applied, and then the search ends
     nonzero = L._masks((1, 2, -1))
@@ -919,23 +916,17 @@ def _inject_at(L: Encoding, Z, kind: str, pos, rng, protected) -> bool:
     def free(u, v):
         return key(u, v) not in protected
 
-    def ones_of(u):
-        return _bits(L.ones_out[u])
-
-    def ones_into(v):
-        return _bits(L.ones_in[v])
-
     budget = _INJECT_TRIES
 
     def complete(a1, b1, a2, fixed_a2=False):
         # free slots: a2 (unless fixed), b3 from a1's ones, b2 with
         # L(a2,b2)=0, a3 into b2 with L(a3,b3)=0
         nonlocal budget
-        a2_pool = [a2] if fixed_a2 else ones_into(b1)
+        a2_pool = [a2] if fixed_a2 else _bits(L.ones_in[b1])
         for a2_ in _shuffled(a2_pool, rng):
             if a2_ in (a1, b1) or not free(a2_, b1):
                 continue
-            for b3 in _shuffled(ones_of(a1), rng):
+            for b3 in _shuffled(_bits(L.ones_out[a1]), rng):
                 if b3 in (a1, b1, a2_) or not free(a1, b3):
                     continue
                 for b2 in _shuffled(range(n), rng):
@@ -945,7 +936,7 @@ def _inject_at(L: Encoding, Z, kind: str, pos, rng, protected) -> bool:
                         or not free(a2_, b2)
                     ):
                         continue
-                    for a3 in _shuffled(ones_into(b2), rng):
+                    for a3 in _shuffled(_bits(L.ones_in[b2]), rng):
                         if a3 in (a1, b1, a2_, b2, b3) or nonzero[a3] >> b3 & 1:
                             continue
                         if not free(a3, b2) or not free(a3, b3):
@@ -957,8 +948,7 @@ def _inject_at(L: Encoding, Z, kind: str, pos, rng, protected) -> bool:
                         return False
         return False
 
-    removes = _phase(kind).removes
-    if removes == (1, 0):
+    if creates == (1, 0):
         # new 2 at pos=(a1,b1): needs L=1 and Z-absent there (planned)
         for a1, b1 in _shuffled(_orientations(pos, L.directed), rng):
             if not L.ones_out[a1] >> b1 & 1 or has_z(a1, b1):
@@ -969,7 +959,7 @@ def _inject_at(L: Encoding, Z, kind: str, pos, rng, protected) -> bool:
                 return False
         return False
 
-    if removes == (0, 1):
+    if creates == (0, 1):
         # new -1 at pos=(a2,b1): needs L=0 and Z-present there (planned)
         for a2, b1 in _shuffled(_orientations(pos, L.directed), rng):
             if nonzero[a2] >> b1 & 1 or not has_z(a2, b1):
@@ -1028,14 +1018,7 @@ def make_test_encoding(
             raise ValueError(f"profile {profile} not achievable by a valid layout")
     edge_count = len(Z.edges)
     steps = max(_MIN_SCRAMBLE_STEPS, 2 * edge_count)
-    check = {
-        None: lambda enc: True,
-        "valid": lambda enc: enc.is_valid(),
-        "good": lambda enc: enc.is_good(),
-    }[level]
-    # this mode's reverse switches, by the defects each one creates
-    kinds = {spec.removes: name for name, spec in _PHASES.items() if spec.directed == directed}
-    combined = kinds.get((1, 1))
+    check = {None: lambda enc: True, "valid": Encoding.is_valid, "good": Encoding.is_good}[level]
     for _ in range(_RESTARTS):
         if free_choice:
             # some profiles are infeasible for tight degree sequences
@@ -1052,7 +1035,7 @@ def make_test_encoding(
         minus_jobs = [pos for lab, pos in layout if lab == -1]
         two_jobs = [pos for lab, pos in layout if lab == 2]
         pair = None
-        if level is not None and combined and _admits(_PHASES[combined], p, q):
+        if level is not None and not directed and _admits(_PHASES["P1"], p, q):
             pair = next(
                 ((tp, mp) for tp in two_jobs for mp in minus_jobs if len(set(tp) & set(mp)) == 1),
                 None,
@@ -1061,20 +1044,12 @@ def make_test_encoding(
                 continue
             two_jobs.remove(pair[0])
             minus_jobs.remove(pair[1])
-        jobs = [(kinds[(0, 1)], pos) for pos in minus_jobs]
-        jobs += [(kinds[(1, 0)], pos) for pos in two_jobs]
+        # (defects created, positions, their own keys), in reverse repair order
+        jobs = [((0, 1), pos, {L._key(*pos)}) for pos in minus_jobs]
+        jobs += [((1, 0), pos, {L._key(*pos)}) for pos in two_jobs]
         if pair:
-            jobs.append((combined, pair))
-
-        def own_keys(kind, pos):
-            if kind == combined:
-                return {L._key(*pos[0]), L._key(*pos[1])}
-            return {L._key(*pos)}
-
-        if all(
-            _inject_at(L, Z, kind, pos, rng, protected - own_keys(kind, pos))
-            for kind, pos in jobs
-        ):
+            jobs.append(((1, 1), pair, {L._key(*pair[0]), L._key(*pair[1])}))
+        if all(_inject_at(L, Z, made, pos, rng, protected - own) for made, pos, own in jobs):
             if L.defect_counts() == (p, q) and check(L):
                 return L
     raise RuntimeError(
@@ -1118,26 +1093,23 @@ def enum_good_encodings(Z, require_good: bool | None = None) -> list:
     p_cap, q_cap, total_cap = _DEFECT_CAPS[directed]
     allowed = [(-1, 0, 1) if Z.has_edge(i, j) else (0, 1, 2) for (i, j) in positions]
 
-    # suffix bounds on how much each row and column can still gain/lose
-    row_lo = [[0] * (m + 1) for _ in range(n)]
-    row_hi = [[0] * (m + 1) for _ in range(n)]
-    rowsum = [0] * n
+    # how much each row and column can still gain/lose after the current
+    # position: rec(k) takes position k's range out on entry, back on exit
+    row_lo, row_hi, rowsum = [0] * n, [0] * n, [0] * n
     if directed:
-        col_lo = [[0] * (m + 1) for _ in range(n)]
-        col_hi = [[0] * (m + 1) for _ in range(n)]
-        colsum = [0] * n
+        col_lo, col_hi, colsum = [0] * n, [0] * n, [0] * n
     else:
         col_lo, col_hi, colsum = row_lo, row_hi, rowsum
-    for k in range(m - 1, -1, -1):
-        i, j = positions[k]
-        for bound in (row_lo, row_hi, col_lo, col_hi):
-            for v in range(n):
-                bound[v][k] = bound[v][k + 1]
-        row_lo[i][k] += allowed[k][0]
-        row_hi[i][k] += allowed[k][-1]
-        col_lo[j][k] += allowed[k][0]
-        col_hi[j][k] += allowed[k][-1]
 
+    def spread(k, sign):
+        (i, j), lo, hi = positions[k], allowed[k][0], allowed[k][-1]
+        row_lo[i] += sign * lo
+        row_hi[i] += sign * hi
+        col_lo[j] += sign * lo
+        col_hi[j] += sign * hi
+
+    for k in range(m):
+        spread(k, 1)
     values = [0] * m
     results = []
 
@@ -1154,6 +1126,7 @@ def enum_good_encodings(Z, require_good: bool | None = None) -> list:
                         raise CapExceededError(f"more than {DEFAULT_CAP} encodings")
             return
         i, j = positions[k]
+        spread(k, -1)
         for val in allowed[k]:
             dp = 1 if val == 2 else 0
             dq = 1 if val == -1 else 0
@@ -1163,13 +1136,14 @@ def enum_good_encodings(Z, require_good: bool | None = None) -> list:
             colsum[j] += val
             values[k] = val
             if (
-                rowsum[i] + row_lo[i][k + 1] <= out_target[i] <= rowsum[i] + row_hi[i][k + 1]
-                and colsum[j] + col_lo[j][k + 1] <= in_target[j] <= colsum[j] + col_hi[j][k + 1]
+                rowsum[i] + row_lo[i] <= out_target[i] <= rowsum[i] + row_hi[i]
+                and colsum[j] + col_lo[j] <= in_target[j] <= colsum[j] + col_hi[j]
             ):
                 rec(k + 1, p + dp, q + dq)
             rowsum[i] -= val
             colsum[j] -= val
             values[k] = 0
+        spread(k, 1)
 
     rec(0, 0, 0)
     return results

@@ -123,6 +123,62 @@ def test_parsing(tmp_path):
     assert load_degrees("2,2,2").degrees == (2, 2, 2)
 
 
+def test_a_degree_file_is_read_line_by_line(tmp_path):
+    import tracemalloc
+
+    f = tmp_path / "big.txt"
+    f.write_text("10\n" * 100_000)
+    tracemalloc.start()
+    try:
+        degrees = read_degree_file(f).degrees
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert degrees == (10,) * 100_000
+    # one int per line, not every line's split() list held until the end (22 MB)
+    assert peak < 5_000_000
+    # each line is checked as it is read, so the first bad line decides the message
+    f.write_text("3\nx\n3 3\n")
+    with pytest.raises(ValueError, match="invalid literal"):
+        read_degree_file(f)
+    f.write_text("3\n3 3\nx\n")
+    with pytest.raises(ValueError, match="expected one integer per line, got '3 3'"):
+        read_degree_file(f)
+
+
+def test_hypotheses_are_the_flags_classify_and_bound_read():
+    from switchmix.bounds import mixing_bound
+
+    cases = [
+        DegreeSequence([3] * 28),  # applicable
+        DegreeSequence([3, 3, 3, 3]),  # 9 * 3^2 = 81 > 12
+        DegreeSequence([3, 3, 1, 1]),  # not graphical
+        DegreeSequence([2] * 40),  # d_max < 3
+        DirectedDegreeSequence([(2, 2)] * 64),  # 16 * 2^2 = 64 <= m = 128
+        DirectedDegreeSequence([(1, 1)] * 3),  # r_max < 2
+        DirectedDegreeSequence([(3, 0), (0, 3)]),  # r_min = 0 and not digraphical
+    ]
+    for seq in cases:
+        flags = seq.hypotheses()
+        assert flags["applicable"] == all(v for k, v in flags.items() if k != "applicable")
+        classified = seq.classify()
+        applicability = mixing_bound(seq, 0.01).applicability
+        if isinstance(seq, DirectedDegreeSequence):
+            assert set(flags) == {"digraphical", "r_min_ok", "r_max_ok", "density_ok", "applicable"}
+            assert classified["digraphical"] == flags["digraphical"]
+            assert (classified["digraphical"] and classified["theorem2_degree_ok"]) == flags["applicable"]
+            assert applicability.pop("note").startswith("switch-irreducibility")
+        else:
+            assert set(flags) == {"graphical", "d_min_ok", "d_max_ok", "density_ok", "applicable"}
+            assert classified["graphical"] == flags["graphical"]
+            assert classified["theorem1_applicable"] == flags["applicable"]
+        assert applicability == flags
+    assert DegreeSequence([3] * 28).hypotheses()["applicable"]
+    assert DirectedDegreeSequence([(2, 2)] * 64).hypotheses()["applicable"]
+    with pytest.raises(ValueError):
+        DirectedDegreeSequence([(1, 0), (0, 0)]).hypotheses()
+
+
 def _eg_violations(degrees):
     """The k at which the quadratic Erdos-Gallai inequality fails."""
     d = sorted(degrees, reverse=True)

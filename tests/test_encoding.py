@@ -74,6 +74,26 @@ def test_catalog_structure():
         assert 3 in (*out_deg.values(), *in_deg.values())
 
 
+def test_profile_tables_and_caps_agree_with_the_catalog():
+    # the profile tuples are written out for their draw order, so only this
+    # test ties them to the catalog: every (p, q) some template subset has
+    from switchmix.encoding import _CATALOG_DIRECTED, _CATALOG_UNDIRECTED, _DEFECT_CAPS
+
+    for catalog, profiles in (
+        (_CATALOG_UNDIRECTED, UNDIRECTED_PROFILES),
+        (_CATALOG_DIRECTED, DIRECTED_PROFILES),
+    ):
+        counts = set()
+        for tpl in catalog:
+            labels = [lab for *_, lab in tpl]
+            for mask in range(1 << len(labels)):
+                sub = [lab for k, lab in enumerate(labels) if mask >> k & 1]
+                counts.add((sub.count(2), sub.count(-1)))
+        assert set(profiles) == counts
+        assert len(profiles) == len(counts)
+    assert _DEFECT_CAPS == {False: (2, 3, 4), True: (3, 3, 5)}
+
+
 def test_encode_identity():
     L = encode(ALT, ALT, ALT)
     assert L.defect_counts() == (0, 0)
@@ -283,6 +303,15 @@ def test_find_phase_switch_directed(rng):
     assert tup is not None
     apply_3switch(L, tup)
     assert L.defect_counts() == (0, 0)
+
+
+def test_an_unknown_phase_is_a_value_error():
+    directed = Encoding.from_graph(Digraph(3, [(0, 1), (1, 2), (2, 0)]))
+    for L in (Encoding.from_graph(ALT), directed):
+        with pytest.raises(ValueError, match="unknown phase 'P9'"):
+            find_phase_switch(L, "P9")
+    # a known phase of the other mode is no error, just no switch
+    assert find_phase_switch(directed, "P1") is None
 
 
 def test_find_phase_switch_deterministic(rng):
