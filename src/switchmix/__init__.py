@@ -35,10 +35,8 @@ _EXPORTS = {
         "load_degrees",
         "parse_degrees",
         "read_degree_file",
-        "stats",
     ),
     "encoding": (
-        "DefectProfile",
         "Encoding",
         "RepairResult",
         "RepairStuckError",
@@ -51,7 +49,6 @@ _EXPORTS = {
         "make_test_encoding",
         "repair",
         "save_encoding",
-        "validate",
         "verify_counting_identities",
     ),
     "graph": ("Digraph", "Graph", "read_digraph", "read_graph", "write_edge_list"),

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal, localcontext
 from fractions import Fraction
 
-from .degseq import DirectedDegreeSequence
 
 _WORKING = Context(prec=40)
 _REPORTED = Context(prec=25, rounding=ROUND_HALF_UP)
@@ -98,7 +97,7 @@ def nstr(x: Decimal) -> str:
 
 
 def flow_components(seq) -> FlowComponents:
-    if isinstance(seq, DirectedDegreeSequence):
+    if seq.directed:
         m = seq.m
         r = seq.r_max
         return FlowComponents(

@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .degseq import DEFAULT_CAP, CapExceededError, NotRealizableError, load_degrees, stats
+from .degseq import DEFAULT_CAP, CapExceededError, NotRealizableError, load_degrees
 
 SCHEMA_VERSION = 1
 
@@ -136,7 +136,8 @@ def _cmd_validate(args):
             raise ValidationFailure("not digraphical", result)
     else:
         flags = seq.classify()
-        result = {"directed": False, **flags, **stats(seq)}
+        result = {"directed": False, **flags, "M": seq.M, "M2": seq.M2, "a": seq.a,
+                  "d_min": seq.d_min, "d_max": seq.d_max}
         if not flags["graphical"]:
             raise ValidationFailure("not graphical", result)
     return result, args.out
@@ -279,15 +280,13 @@ def _cmd_bound(args):
 
 def _cmd_repair_encoding(args):
     from .encoding import RepairStuckError, load_encoding, repair
-    from .encoding import validate as validate_encoding
     from .graph import read_digraph, read_graph, write_edge_list
 
     L = load_encoding(args.encoding, args.sidecar)
+    flags = {"valid": L.is_valid(), "good": L.is_good()}
     if args.z is not None:
         Z = read_digraph(args.z) if L.directed else read_graph(args.z)
-        flags = validate_encoding(L, Z)
-    else:
-        flags = {"valid": L.is_valid(), "good": L.is_good()}
+        flags["consistent"] = L.is_consistent_with(Z)
     p, q = L.defect_counts()
     try:
         res = repair(L)

@@ -54,6 +54,8 @@ class DegreeSequence:
 
     __slots__ = ("degrees", "n", "M", "M2", "d_min", "d_max", "a")
 
+    directed = False
+
     def __init__(self, degrees):
         degrees = tuple(int(d) for d in degrees)
         if not degrees:
@@ -109,6 +111,8 @@ class DirectedDegreeSequence:
     """
 
     __slots__ = ("pairs", "n", "sum_in", "sum_out", "r_min", "r_max")
+
+    directed = True
 
     def __init__(self, pairs):
         pairs = tuple((int(a), int(b)) for a, b in pairs)
@@ -191,11 +195,6 @@ class DirectedDegreeSequence:
         flags = self.hypotheses()
         degree_ok = flags["r_min_ok"] and flags["r_max_ok"] and flags["density_ok"]
         return {"digraphical": flags["digraphical"], "theorem2_degree_ok": degree_ok}
-
-
-def stats(d: DegreeSequence) -> dict:
-    """Cached sequence statistics; ``a`` is None when M is odd."""
-    return {"M": d.M, "M2": d.M2, "a": d.a, "d_min": d.d_min, "d_max": d.d_max}
 
 
 def parse_degrees(text: str, directed: bool = False):

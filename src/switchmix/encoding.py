@@ -185,20 +185,6 @@ def _embed(arcs, candidates_by_label, directed, accept=None):
     return layout if extend(0) else None
 
 
-@dataclass
-class DefectProfile:
-    p: int
-    q: int
-    two_defects: tuple
-    minus_defects: tuple
-    zeta: tuple | None = None
-    eta: tuple | None = None
-    zeta_in: tuple | None = None
-    zeta_out: tuple | None = None
-    eta_in: tuple | None = None
-    eta_out: tuple | None = None
-
-
 class Encoding:
     """Mutable defect encoding; it stores its entries and no per-vertex counter.
 
@@ -232,15 +218,14 @@ class Encoding:
     )
 
     def __init__(self, target, matrix=None):
-        if isinstance(target, DirectedDegreeSequence):
-            self.directed = True
+        if not isinstance(target, (DegreeSequence, DirectedDegreeSequence)):
+            raise TypeError("an encoding needs a DegreeSequence or DirectedDegreeSequence target")
+        self.directed = target.directed
+        if self.directed:
             self.target_in = tuple(a for a, _ in target.pairs)
             self.target_out = tuple(b for _, b in target.pairs)
-        elif isinstance(target, DegreeSequence):
-            self.directed = False
-            self.target_in = self.target_out = target.degrees
         else:
-            raise TypeError("an encoding needs a DegreeSequence or DirectedDegreeSequence target")
+            self.target_in = self.target_out = target.degrees
         self.target = target
         self.n = n = target.n
         self.two = set()
@@ -399,24 +384,6 @@ class Encoding:
     def defect_counts(self):
         return len(self.two), len(self.minus)
 
-    def profile(self) -> DefectProfile:
-        p, q = self.defect_counts()
-        common = dict(
-            p=p,
-            q=q,
-            two_defects=tuple(sorted(self.two)),
-            minus_defects=tuple(sorted(self.minus)),
-        )
-        if not self.directed:
-            return DefectProfile(zeta=tuple(self.zeta_out), eta=tuple(self.eta_out), **common)
-        return DefectProfile(
-            zeta_in=tuple(self.zeta_in),
-            zeta_out=tuple(self.zeta_out),
-            eta_in=tuple(self.eta_in),
-            eta_out=tuple(self.eta_out),
-            **common,
-        )
-
     def ones_pairs(self) -> list:
         """Ordered pairs with label 1, in lexicographic order."""
         return [(u, v) for u, mask in enumerate(self.ones_out) for v in _bits(mask)]
@@ -504,16 +471,6 @@ def encode(G, Gp, Z) -> Encoding:
         if val:
             L._set(*pos, val)
     return L
-
-
-def validate(L: Encoding, Z) -> dict:
-    """Flags only, no exceptions: catalog validity, goodness, Z-consistency."""
-    valid = L.is_valid()
-    return {
-        "valid": valid,
-        "good": L.is_good() if valid else False,
-        "consistent": L.is_consistent_with(Z),
-    }
 
 
 def _shift(L: Encoding, tup, sign):
@@ -874,7 +831,7 @@ def _placeable(target, p, q, level) -> bool:
     """Whether some (p, q)-subset of a catalog template can be laid out on
     the target's degrees, by the ``_degree_needs`` that ``_plan_layout``
     asks of every layout it accepts."""
-    directed = isinstance(target, DirectedDegreeSequence)
+    directed = target.directed
     good = level == "good" and not directed
     classes = Counter(target.pairs if directed else zip(target.degrees, target.degrees))
     for template in _CATALOGS[directed]:
@@ -1007,8 +964,6 @@ def make_test_encoding(
     draw, instead of failing every restart.
     """
     directed = Z.directed
-    if level == "good" and directed:
-        level = "valid"
     allowed = DIRECTED_PROFILES if directed else UNDIRECTED_PROFILES
     free_choice = profile is None
     target = Z.degree_sequence()
@@ -1061,7 +1016,7 @@ def make_test_encoding(
 # Exhaustive encoding enumeration (desk scale)
 
 
-def enum_good_encodings(Z, require_good: bool | None = None) -> list:
+def enum_good_encodings(Z, require_good: bool = True) -> list:
     """All encodings consistent with Z whose defect layout passes the catalog.
 
     Entries are searched position by position over {-1,0,1,2} (restricted by
@@ -1069,15 +1024,13 @@ def enum_good_encodings(Z, require_good: bool | None = None) -> list:
     pruning.  An undirected position is an unordered pair; its value lands
     in both its rows, which the column bookkeeping (aliased to the rows)
     expresses.  ``require_good`` additionally applies the degree conditions
-    on defect incidences; it defaults to True for graphs and False for
-    digraphs, matching the encoding families the repair analysis counts.
+    on defect incidences, which a digraph's encodings do not carry: there
+    ``is_good`` is ``is_valid``.
 
     Exponential in the instance size: guarded to ``_ENUM_MAX_N`` vertices,
     ``_ENUM_MAX_EDGES`` edges (arcs) and ``DEFAULT_CAP`` encodings.
     """
     directed = Z.directed
-    if require_good is None:
-        require_good = not directed
     n = Z.n
     edge_count = len(Z.edges)
     if n > _ENUM_MAX_N or edge_count > _ENUM_MAX_EDGES:
@@ -1120,7 +1073,7 @@ def enum_good_encodings(Z, require_good: bool | None = None) -> list:
                 for (i, j), val in zip(positions, values):
                     if val:
                         enc._set(i, j, val)
-                if enc.is_valid() and (not require_good or enc.is_good()):
+                if enc.is_good() if require_good else enc.is_valid():
                     results.append(enc)
                     if len(results) > DEFAULT_CAP:
                         raise CapExceededError(f"more than {DEFAULT_CAP} encodings")

@@ -32,13 +32,7 @@ from random import Random
 
 from .chain import VARIANT_EXACT, VARIANTS
 from .construct import realize, realize_directed
-from .degseq import (
-    DEFAULT_CAP,
-    CapExceededError,
-    DirectedDegreeSequence,
-    NotRealizableError,
-    _erdos_gallai,
-)
+from .degseq import DEFAULT_CAP, CapExceededError, NotRealizableError, _erdos_gallai
 from .graph import Digraph, Graph
 
 
@@ -61,7 +55,7 @@ def enum_states(seq, cap: int = DEFAULT_CAP) -> list:
     in-residual against the rows still able to send to it.  States share
     their pair tuples, from one n x n table.
     """
-    directed = isinstance(seq, DirectedDegreeSequence)
+    directed = seq.directed
     if directed:
         in_res = [a for a, _ in seq.pairs]
         out_res = [b for _, b in seq.pairs]
@@ -144,7 +138,7 @@ def step_denominator(seq, variant: str = VARIANT_EXACT) -> int:
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if isinstance(seq, DirectedDegreeSequence):
+    if seq.directed:
         proposals = seq.m * (seq.m - 1) // 2
     elif variant == VARIANT_EXACT:
         proposals = 3 * seq.a
@@ -228,7 +222,7 @@ def relabelling_orbits(seq, states) -> list:
     no isomorphism test.  A transposition acts on the ``pair_masks`` keys as
     a map from each pair to the bit of its image, a pair of some state.
     """
-    directed = isinstance(seq, DirectedDegreeSequence)
+    directed = seq.directed
     key = (Digraph if directed else Graph)._key
     classes = {}
     for v, label in enumerate(seq.pairs if directed else seq.degrees):
@@ -261,7 +255,7 @@ class StateSpaceAnalysis:
         if not states:
             raise NotRealizableError("degree sequence has no realizations")
         self.seq = seq
-        self.directed = isinstance(seq, DirectedDegreeSequence)
+        self.directed = seq.directed
         self.variant = variant
         self.states = states
         self._gap = None

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from switchmix import DegreeSequence, DirectedDegreeSequence, stats
+from switchmix import DegreeSequence, DirectedDegreeSequence
 from switchmix.degseq import load_degrees, parse_degrees, read_degree_file
 
 from conftest import (
@@ -16,16 +16,18 @@ from conftest import (
 )
 
 
+def _stats(d):
+    return d.M, d.M2, d.a, d.d_min, d.d_max
+
+
 def test_stats_examples():
-    assert stats(DegreeSequence([3, 3, 3, 3])) == {
-        "M": 12, "M2": 24, "a": 3, "d_min": 3, "d_max": 3,
-    }
-    assert stats(DegreeSequence([2, 2, 2]))["a"] == 0
-    assert stats(DegreeSequence([0, 0])) == {"M": 0, "M2": 0, "a": 0, "d_min": 0, "d_max": 0}
+    assert _stats(DegreeSequence([3, 3, 3, 3])) == (12, 24, 3, 3, 3)
+    assert DegreeSequence([2, 2, 2]).a == 0
+    assert _stats(DegreeSequence([0, 0])) == (0, 0, 0, 0, 0)
 
 
 def test_stats_odd_sum_a_undefined():
-    assert stats(DegreeSequence([1, 1, 1]))["a"] is None
+    assert DegreeSequence([1, 1, 1]).a is None
 
 
 def test_degree_sequence_validation():
@@ -121,6 +123,28 @@ def test_parsing(tmp_path):
 
     assert load_degrees(str(f)).degrees == (3, 3, 3, 3)
     assert load_degrees("2,2,2").degrees == (2, 2, 2)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_sequences_carry_their_mode(directed, tmp_path):
+    from switchmix import Digraph, Encoding, Graph
+
+    spec, line = ("1:1,1:1", "1 1\n") if directed else ("1,1", "1\n")
+    f = tmp_path / "d.txt"
+    f.write_text(line * 2)
+    store = Digraph(2, [(0, 1), (1, 0)]) if directed else Graph(2, [(0, 1)])
+    seqs = [
+        parse_degrees(spec, directed=directed),
+        read_degree_file(f, directed=directed),
+        load_degrees(spec, directed=directed),
+        load_degrees(str(f), directed=directed),
+        store.degree_sequence(),
+    ]
+    assert len(set(seqs)) == 1
+    assert all(seq.directed is directed for seq in seqs)
+    assert Encoding(seqs[0]).directed is directed
+    with pytest.raises(AttributeError):
+        seqs[0].directed = not directed
 
 
 def test_a_degree_file_is_read_line_by_line(tmp_path):

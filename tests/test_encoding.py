@@ -22,7 +22,6 @@ from switchmix import (
     realize_directed,
     repair,
     save_encoding,
-    validate,
     verify_counting_identities,
 )
 from switchmix.encoding import (
@@ -97,7 +96,7 @@ def test_profile_tables_and_caps_agree_with_the_catalog():
 def test_encode_identity():
     L = encode(ALT, ALT, ALT)
     assert L.defect_counts() == (0, 0)
-    assert validate(L, ALT) == {"valid": True, "good": True, "consistent": True}
+    assert L.is_valid() and L.is_good() and L.is_consistent_with(ALT)
     assert L.as_graph() == ALT
 
 
@@ -112,16 +111,14 @@ def test_encode_full_defect_example():
     L = encode(PATH, PATH, ALT)
     assert L.entry(0, 1) == 2 and L.entry(2, 3) == 2
     assert L.entry(0, 2) == -1 and L.entry(1, 3) == -1
-    prof = L.profile()
-    assert (prof.p, prof.q) == (2, 2)
-    assert prof.zeta[0] == 1 and prof.eta[0] == 1
+    assert L.defect_counts() == (2, 2)
+    assert L.zeta_out[0] == 1 and L.eta_out[0] == 1
     # non-defect edge count: M/2 - 2p + q = 3 - 4 + 2 = 1
     ones = sum(1 for u in range(4) for v in range(u + 1, 4) if L.entry(u, v) == 1)
     assert ones == 1
     verify_counting_identities(L)
-    flags = validate(L, ALT)
     # a 4-cycle of defects matches no catalog configuration
-    assert flags == {"valid": False, "good": False, "consistent": True}
+    assert not L.is_valid() and not L.is_good() and L.is_consistent_with(ALT)
 
 
 def test_encode_rejects_mismatched_degrees():
@@ -362,6 +359,46 @@ def test_generator_respects_level_and_consistency(rng):
         assert L.is_valid() and L.is_good() and L.is_consistent_with(Z)
         assert L.defect_counts() in UNDIRECTED_PROFILES
         verify_counting_identities(L)
+
+
+def _generated(Z, seed, profile, level):
+    try:
+        return make_test_encoding(Z, random.Random(seed), profile=profile, level=level)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "pairs, profile",
+    [
+        ([(2, 2)] * 14, (1, 2)),
+        ([(2, 2)] * 14, (2, 2)),
+        ([(2, 2)] * 14, (3, 2)),  # no valid layout: both levels refuse it
+        ([(3, 3), (3, 2), (2, 3), (1, 2), (2, 1), (3, 3), (2, 2)] * 3, (2, 1)),
+        ([(3, 3), (3, 2), (2, 3), (1, 2), (2, 1), (3, 3), (2, 2)] * 3, None),
+    ],
+)
+def test_a_good_digraph_encoding_is_a_valid_one(pairs, profile):
+    # ``is_good`` adds no condition on a digraph, so the two levels draw alike
+    Z = realize_directed(DirectedDegreeSequence(pairs))
+    for seed in range(3):
+        good = _generated(Z, seed, profile, "good")
+        assert good == _generated(Z, seed, profile, "valid")
+        assert isinstance(good, str) == (profile == (3, 2))
+
+
+@pytest.mark.parametrize(
+    "Z",
+    [
+        Digraph(3, [(0, 1), (1, 2), (2, 0)]),
+        Digraph(3, [(0, 1), (1, 0), (1, 2)]),
+        Digraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (2, 4)]),
+    ],
+)
+def test_digraph_enumeration_needs_no_good_filter(Z):
+    # the digraphs tests/golden/encodings.json enumerates
+    default = [enc.matrix for enc in enum_good_encodings(Z)]
+    assert default and default == [enc.matrix for enc in enum_good_encodings(Z, require_good=False)]
 
 
 def test_serialization_round_trip(tmp_path, rng):
@@ -636,10 +673,11 @@ def test_copy_holds_no_dense_matrix():
     assert first == second and first is not second
     assert not any(a is b for a, b in zip(first, second))
     # the counters are fresh lists: writing into one changes nothing
-    profile = L.profile()
+    counters = L.zeta_in, L.zeta_out, L.eta_in, L.eta_out
     zeta_out = L.zeta_out
     zeta_out[0] += 7
-    assert L == copy and L.zeta_out != zeta_out and L.profile() == profile
+    assert L == copy and L.zeta_out != zeta_out
+    assert (L.zeta_in, L.zeta_out, L.eta_in, L.eta_out) == counters
     verify_counting_identities(L)
 
 

@@ -9,7 +9,6 @@ that is meant to alter encodings, and say so.
 """
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -107,6 +106,19 @@ def _repair_record(L):
     return {"log": [[ph, list(t)] for ph, t in res.switch_log], "result": [list(e) for e in res.result.edges]}
 
 
+def _profile_record(L):
+    """Defect counts, sorted defect keys and the per-vertex counters: ``zeta``
+    and ``eta`` on a graph, the four sided ones on a digraph, the other
+    mode's fields None."""
+    p, q = L.defect_counts()
+    sided = {"zeta_in": L.zeta_in, "zeta_out": L.zeta_out, "eta_in": L.eta_in, "eta_out": L.eta_out}
+    if L.directed:
+        counters = {"zeta": None, "eta": None, **sided}
+    else:
+        counters = {"zeta": L.zeta_out, "eta": L.eta_out, **dict.fromkeys(sided)}
+    return {"p": p, "q": q, "two_defects": sorted(L.two), "minus_defects": sorted(L.minus), **counters}
+
+
 def _generation_record(Z, profile, level, seed):
     try:
         L = make_test_encoding(Z, random.Random(seed), profile=profile, level=level)
@@ -114,10 +126,9 @@ def _generation_record(Z, profile, level, seed):
         return {"error": f"{type(exc).__name__}: {exc}"}
     verify_counting_identities(L)
     first, second = _anchors(L, random.Random(seed + 1000))
-    prof = dataclasses.asdict(L.profile())
     return {
         "matrix": _matrix_rows(L.matrix),
-        "profile": {k: list(v) if isinstance(v, tuple) else v for k, v in prof.items()},
+        "profile": _profile_record(L),
         "valid": L.is_valid(),
         "good": L.is_good(),
         "repair": _repair_record(L),
@@ -127,7 +138,8 @@ def _generation_record(Z, profile, level, seed):
 
 
 def _enumeration_record(Z, require_good):
-    encs = enum_good_encodings(Z, require_good=require_good)
+    """``require_good`` None takes the enumerator's default."""
+    encs = enum_good_encodings(Z) if require_good is None else enum_good_encodings(Z, require_good)
     digest = hashlib.sha256()
     classes = {}
     for enc in encs:

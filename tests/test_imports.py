@@ -14,7 +14,7 @@ import switchmix
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 PUBLIC = [
-    "BoundReport", "CapExceededError", "DEFAULT_CAP", "DefectProfile",
+    "BoundReport", "CapExceededError", "DEFAULT_CAP",
     "DegreeSequence", "Digraph", "DirectedDegreeSequence", "Encoding", "FlowComponents",
     "FrozenChainError", "Graph", "LamarPartition", "NoMixingError", "NotRealizableError",
     "RepairResult", "RepairStuckError", "StateSpaceAnalysis", "UsefulWitness",
@@ -24,7 +24,7 @@ PUBLIC = [
     "find_useful", "flow_components", "induced_triangles", "lamar_classes", "load_degrees",
     "load_encoding", "make_test_encoding", "mixing_bound", "parse_degrees",
     "read_degree_file", "read_digraph", "read_graph", "realize", "realize_directed",
-    "repair", "sample", "save_encoding", "stats", "validate",
+    "repair", "sample", "save_encoding",
     "verify_counting_identities", "write_edge_list",
 ]
 
