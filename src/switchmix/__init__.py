@@ -16,7 +16,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "bounds": ("BoundReport", "FlowComponents", "flow_components", "mixing_bound"),
+    "bounds": ("FlowComponents", "flow_components"),
     "chain": (
         "VARIANT_ALL_PAIRS",
         "VARIANT_EXACT",

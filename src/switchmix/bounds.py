@@ -18,14 +18,14 @@ Directed, for a switch-irreducible digraphical sequence with r_min >= 1 and
 
 Both arise as rho * ell * (ln(1/pi*) + ln(1/eps)) from a multicommodity-flow
 load bound.  ``flow_components`` is the one place those factors are written;
-``mixing_bound`` reports their product.
+``FlowComponents.product_bound`` is their product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal, localcontext
 from fractions import Fraction
+from typing import NamedTuple
 
 
 _WORKING = Context(prec=40)
@@ -41,8 +41,7 @@ def _decimal(x) -> Decimal:
     return Decimal(x)
 
 
-@dataclass
-class FlowComponents:
+class FlowComponents(NamedTuple):
     directed: bool
     log_pi_star_bound_weight: Fraction  # ln(1/pi*) <= weight * ln(count)
     log_pi_star_count: int
@@ -52,7 +51,10 @@ class FlowComponents:
     load_bound: Fraction  # rho(f)
 
     def log_part(self, eps) -> Decimal:
-        """weight * ln(count) + ln(1/eps), which bounds ln(1/pi*) + ln(1/eps)."""
+        """weight * ln(count) + ln(1/eps), which bounds ln(1/pi*) + ln(1/eps);
+        ValueError unless 0 < eps < 1."""
+        if not 0 < eps < 1:
+            raise ValueError("eps must lie in (0,1)")
         with localcontext(_WORKING):
             term = (1 / _decimal(eps)).ln()
             # degenerate counts only occur with weight 0, where the term vanishes
@@ -62,20 +64,10 @@ class FlowComponents:
             return term
 
     def product_bound(self, eps) -> Decimal:
-        """rho * ell * (ln(1/pi*) + ln(1/eps)): the mixing bound at eps."""
+        """rho * ell * (ln(1/pi*) + ln(1/eps)): the mixing bound at eps, which
+        ``seq.hypotheses()`` says whether the theorem guarantees."""
         with localcontext(_WORKING):
             return _decimal(self.load_bound * self.ell_bound) * self.log_part(eps)
-
-
-@dataclass
-class BoundReport:
-    components: FlowComponents  # the factors the bound multiplies
-    eps: float
-    applicability: dict
-    formula: str
-    poly_part: Fraction
-    log_part: Decimal
-    value: Decimal
 
 
 def nstr(x: Decimal) -> str:
@@ -120,27 +112,3 @@ def flow_components(seq) -> FlowComponents:
         load_bound=Fraction(2 * d.d_max**14 * d.M**8),
     )
 
-
-def mixing_bound(seq, eps) -> BoundReport:
-    """Worst-start mixing-time upper bound at total-variation tolerance eps.
-
-    The bound is reported even when the degree hypotheses fail; the
-    ``applicability`` flags say whether it is actually guaranteed.
-    """
-    eps_f = float(eps)
-    if not 0.0 < eps_f < 1.0:
-        raise ValueError("eps must lie in (0,1)")
-    comps = flow_components(seq)
-    applicability = seq.hypotheses()
-    if comps.directed:
-        applicability["note"] = "switch-irreducibility is reported by the irreducible command"
-    formula = "theorem-directed" if comps.directed else "theorem-undirected"
-    return BoundReport(
-        components=comps,
-        eps=eps_f,
-        applicability=applicability,
-        formula=formula,
-        poly_part=comps.load_bound * comps.ell_bound,
-        log_part=comps.log_part(eps),
-        value=comps.product_bound(eps),
-    )

@@ -13,7 +13,6 @@ non-digraphical, frozen chain); 3 enumeration cap exceeded.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -50,6 +49,8 @@ class ValidationFailure(Exception):
 
 
 def _digest(path) -> str:
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -120,26 +121,18 @@ def _document_path(args):
 
 def _cmd_validate(args):
     seq = _load_seq(args)
-    if args.directed:
-        if seq.sum_in != seq.sum_out:
-            raise ValidationFailure(
-                "not digraphical",
-                {
-                    "directed": True,
-                    "digraphical": False,
-                    "detail": f"in-degree sum {seq.sum_in} differs from out-degree sum {seq.sum_out}",
-                },
-            )
+    kind = "digraphical" if seq.directed else "graphical"
+    try:
         flags = seq.classify()
-        result = {"directed": True, **flags, "m": seq.m, "r_min": seq.r_min, "r_max": seq.r_max}
-        if not flags["digraphical"]:
-            raise ValidationFailure("not digraphical", result)
+    except NotRealizableError as exc:  # unbalanced in/out sums
+        raise ValidationFailure(f"not {kind}", {"directed": True, kind: False, "detail": str(exc)}) from None
+    if seq.directed:
+        stats = {"m": seq.m, "r_min": seq.r_min, "r_max": seq.r_max}
     else:
-        flags = seq.classify()
-        result = {"directed": False, **flags, "M": seq.M, "M2": seq.M2, "a": seq.a,
-                  "d_min": seq.d_min, "d_max": seq.d_max}
-        if not flags["graphical"]:
-            raise ValidationFailure("not graphical", result)
+        stats = {"M": seq.M, "M2": seq.M2, "a": seq.a, "d_min": seq.d_min, "d_max": seq.d_max}
+    result = {"directed": seq.directed, **flags, **stats}
+    if not flags[kind]:
+        raise ValidationFailure(f"not {kind}", result)
     return result, args.out
 
 
@@ -153,7 +146,7 @@ def _cmd_realize(args):
         write_edge_list(g, args.out)
     return {
         "n": g.n,
-        "edges" if not args.directed else "arcs": [list(e) for e in g.edges],
+        "edges" if not args.directed else "arcs": g.edges,
         "written_to": args.out,
     }, None
 
@@ -190,10 +183,7 @@ def _cmd_sample(args):
                 (manifest.parent / name).write_text(edge_list_text(start.n, state), encoding="utf-8")
                 result["files"].append(name)
     else:
-        result["states"] = [
-            [[list(e) for e in state] for state in states]
-            for states in replica_states
-        ]
+        result["states"] = replica_states
     return result, manifest
 
 
@@ -245,30 +235,25 @@ def _cmd_irreducible(args):
             dg = Digraph(seq.n, state)
             for tri in induced_triangles(dg):
                 w = find_useful(dg, tri)
-                witnesses.append(
-                    {
-                        "state": [list(a) for a in state],
-                        "triangle": list(tri),
-                        "witness": None
-                        if w is None
-                        else {"kind": w.kind, "value": w.value, "condition": w.condition},
-                    }
-                )
+                witnesses.append({"state": state, "triangle": tri, "witness": w and w._asdict()})
     return {**an.connectivity, "witness_samples": witnesses}, args.out
 
 
 def _cmd_bound(args):
-    from .bounds import mixing_bound, nstr
+    from .bounds import flow_components, nstr
 
-    rep = mixing_bound(_load_seq(args), args.eps)
-    comps = rep.components
+    seq = _load_seq(args)
+    comps = flow_components(seq)
+    applicability = seq.hypotheses()
+    if seq.directed:
+        applicability["note"] = "switch-irreducibility is reported by the irreducible command"
     return {
         "eps": args.eps,
-        "formula": rep.formula,
-        "applicability": rep.applicability,
-        "poly_part": _exact(rep.poly_part),
-        "log_part": nstr(rep.log_part),
-        "value": nstr(rep.value),
+        "formula": "theorem-directed" if seq.directed else "theorem-undirected",
+        "applicability": applicability,
+        "poly_part": _exact(comps.load_bound * comps.ell_bound),
+        "log_part": nstr(comps.log_part(args.eps)),
+        "value": nstr(comps.product_bound(args.eps)),
         "components": {
             "ell_bound": _exact(comps.ell_bound),
             "one_over_Q": comps.one_over_Q,
@@ -295,8 +280,8 @@ def _cmd_repair_encoding(args):
             "profile": [p, q],
             "flags": flags,
             "repaired": False,
-            "stuck_profile": list(exc.profile),
-            "switch_log": [[ph, list(t)] for ph, t in exc.log],
+            "stuck_profile": exc.profile,
+            "switch_log": exc.log,
         }, args.out
     if args.out:
         write_edge_list(res.result, args.out)
@@ -305,8 +290,8 @@ def _cmd_repair_encoding(args):
         "flags": flags,
         "repaired": True,
         "switches": len(res.switch_log),
-        "switch_log": [[ph, list(t)] for ph, t in res.switch_log],
-        "result_edges": [list(e) for e in res.result.edges],
+        "switch_log": res.switch_log,
+        "result_edges": res.result.edges,
     }, None
 
 

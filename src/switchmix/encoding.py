@@ -5,11 +5,12 @@ diagonal, row sums equal to the target out-degrees and column sums equal to
 the target in-degrees.  Entries equal to -1 or 2 are defects.  One store
 serves both modes: an undirected encoding is the symmetric directed one, in
 which each unordered pair is two mirrored entries and every degree is both an
-in- and an out-degree.  L is *consistent* with a reference state Z when
-L + Z stays inside {0, 1, 2}; it is *valid* when its defect edges form a
-labelled subgraph of a small fixed catalog of configurations, and
-(undirected mode) *good* when defect incidences also respect minimum-degree
-conditions.  A defect-free encoding is just a graph with the target degrees.
+in- and an out-degree.  L is *consistent* with a reference state Z of the
+target degrees when L + Z stays inside {0, 1, 2}; it is *valid* when its
+defect edges form a labelled subgraph of a small fixed catalog of
+configurations, and (undirected mode) *good* when defect incidences also
+respect minimum-degree conditions.  A defect-free encoding is just a graph
+with the target degrees.
 
 No encoding keeps a dense n x n matrix or any per-vertex counter: label-1
 entries are per-vertex bitmasks and defects are two position sets, from
@@ -29,7 +30,6 @@ import csv
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass
 from itertools import permutations, product
 from typing import NamedTuple
 
@@ -389,9 +389,10 @@ class Encoding:
         return [(u, v) for u, mask in enumerate(self.ones_out) for v in _bits(mask)]
 
     def is_consistent_with(self, Z) -> bool:
-        """L + Z stays inside {0, 1, 2}: no 2-entry on an edge of Z and no
-        (-1)-entry off Z, as no other entry can leave the range."""
-        if Z.n != self.n:
+        """Z realizes the target, and L + Z stays inside {0, 1, 2}: no 2-entry
+        on an edge of Z and no (-1)-entry off Z, as no other entry can leave
+        the range."""
+        if Z.n != self.n or Z.degree_sequence() != self.target:
             return False
         has_z = Z.has_edge
         return not any(
@@ -634,8 +635,7 @@ def find_phase_switch(L: Encoding, phase: str):
     return None
 
 
-@dataclass
-class RepairResult:
+class RepairResult(NamedTuple):
     result: object  # Graph or Digraph
     switch_log: list  # (phase, 6-tuple) in application order
 

@@ -10,13 +10,12 @@ that it is no connectivity obstruction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Digraph
 
 
-@dataclass
-class LamarPartition:
+class LamarPartition(NamedTuple):
     """Classes of outside vertices relative to a directed 3-cycle on U.
 
     For x outside U: U0 sees no arcs either way; Uminus sends all three arcs
@@ -32,8 +31,7 @@ class LamarPartition:
     leftover: tuple
 
 
-@dataclass
-class UsefulWitness:
+class UsefulWitness(NamedTuple):
     kind: str  # "neighbour" | "arc"
     value: object  # vertex, or ordered pair
     condition: str | None = None  # "i" | "ii" for arcs

@@ -9,6 +9,7 @@ import random
 import time
 from collections import Counter
 from contextlib import contextmanager
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import mpmath
@@ -28,7 +29,6 @@ from switchmix import (
     flow_components,
     induced_triangles,
     make_test_encoding,
-    mixing_bound,
     realize,
     realize_directed,
     repair,
@@ -263,8 +263,12 @@ def test_criterion_10_bound_calculators():
             DirectedDegreeSequence([(2, 2)] * 32),
             DirectedDegreeSequence([(1, 1)] * 4),
         ):
+            comps = flow_components(seq)
+            poly = comps.load_bound * comps.ell_bound
             for eps in (0.01, 0.001):
-                assert flow_components(seq).product_bound(eps) == mixing_bound(seq, eps).value
+                with localcontext(Context(prec=40)):
+                    product = Decimal(poly.numerator) / Decimal(poly.denominator) * comps.log_part(eps)
+                assert comps.product_bound(eps) == product
         checked = 0
         while checked < 50:
             n = rng.randint(2, 7)
@@ -274,13 +278,14 @@ def test_criterion_10_bound_calculators():
                 continue
             assert log_pi_star_term_bounds(len(states), flow_components(d))
             checked += 1
-        rep = mixing_bound(DegreeSequence([3] * 28), 0.01)
-        assert rep.applicability["applicable"]
+        d = DegreeSequence([3] * 28)
+        assert d.hypotheses()["applicable"]
+        value = flow_components(d).product_bound(0.01)
         with mpmath.workprec(200):
             ref = mpmath.mpf(3) ** 14 * mpmath.mpf(84) ** 9 * (
                 42 * mpmath.log(84) + mpmath.log(100)
             )
-            assert abs(mpmath.mpf(str(rep.value)) - ref) / ref < mpmath.mpf(10) ** -12
+            assert abs(mpmath.mpf(str(value)) - ref) / ref < mpmath.mpf(10) ** -12
 
 
 def test_criterion_11_counting_identities_everywhere():

@@ -11,7 +11,6 @@ from switchmix import (
     DirectedDegreeSequence,
     enum_states,
     flow_components,
-    mixing_bound,
 )
 from switchmix.bounds import nstr
 
@@ -20,19 +19,19 @@ from conftest import log_pi_star_term_bounds, random_graphical_sequence
 
 def test_theorem_undirected_value():
     d = DegreeSequence([3] * 28)
-    rep = mixing_bound(d, 0.01)
-    assert rep.applicability["applicable"]
+    assert d.hypotheses()["applicable"]
+    value = flow_components(d).product_bound(0.01)
     with mpmath.workprec(200):
         ref = mpmath.mpf(3) ** 14 * mpmath.mpf(84) ** 9 * (
             42 * mpmath.log(84) + mpmath.log(100)
         )
-        assert abs(mpmath.mpf(str(rep.value)) - ref) / ref < mpmath.mpf(10) ** -30
+        assert abs(mpmath.mpf(str(value)) - ref) / ref < mpmath.mpf(10) ** -30
 
 
 def test_theorem_directed_value():
     dd = DirectedDegreeSequence([(2, 2)] * 32)
-    rep = mixing_bound(dd, 0.01)
-    assert rep.applicability["applicable"]  # 16 * 4 = 64 <= m = 64
+    assert dd.hypotheses()["applicable"]  # 16 * 4 = 64 <= m = 64
+    value = flow_components(dd).product_bound(0.01)
     with mpmath.workprec(200):
         ref = (
             mpmath.mpf(1) / 4
@@ -40,27 +39,29 @@ def test_theorem_directed_value():
             * mpmath.mpf(64) ** 11
             * (64 * mpmath.log(64) + mpmath.log(100))
         )
-        assert abs(mpmath.mpf(str(rep.value)) - ref) / ref < mpmath.mpf(10) ** -30
+        assert abs(mpmath.mpf(str(value)) - ref) / ref < mpmath.mpf(10) ** -30
 
 
 def test_bound_monotone_in_eps():
-    d = DegreeSequence([3] * 28)
-    assert mixing_bound(d, 0.001).value > mixing_bound(d, 0.01).value
-    dd = DirectedDegreeSequence([(2, 2)] * 32)
-    assert mixing_bound(dd, 0.001).value > mixing_bound(dd, 0.01).value
+    for seq in (DegreeSequence([3] * 28), DirectedDegreeSequence([(2, 2)] * 32)):
+        comps = flow_components(seq)
+        assert comps.product_bound(0.001) > comps.product_bound(0.01)
 
 
 def test_bound_eps_validation():
-    d = DegreeSequence([3, 3, 3, 3])
-    for eps in (0.0, 1.0, -1, 2):
-        with pytest.raises(ValueError):
-            mixing_bound(d, eps)
+    for seq in (DegreeSequence([3, 3, 3, 3]), DirectedDegreeSequence([(1, 1)] * 3)):
+        comps = flow_components(seq)
+        for eps in (0, 1, 1.5, -0.1, -1, 2, Fraction(3, 2), float("nan")):
+            with pytest.raises(ValueError, match="eps must lie in"):
+                comps.log_part(eps)
+            with pytest.raises(ValueError, match="eps must lie in"):
+                comps.product_bound(eps)
 
 
 def test_bound_reported_even_when_inapplicable():
-    rep = mixing_bound(DegreeSequence([3, 3, 3, 3]), 0.01)
-    assert not rep.applicability["applicable"]  # 9*9 = 81 > 12
-    assert rep.value > 0
+    d = DegreeSequence([3, 3, 3, 3])
+    assert not d.hypotheses()["applicable"]  # 9*9 = 81 > 12
+    assert flow_components(d).product_bound(0.01) > 0
 
 
 def test_product_identity_exact():
@@ -71,11 +72,12 @@ def test_product_identity_exact():
         DirectedDegreeSequence([(2, 2)] * 32),
         DirectedDegreeSequence([(1, 1)] * 3),
     ):
-        rep = mixing_bound(seq, 0.01)
         comps = flow_components(seq)
-        assert rep.components == comps
-        assert comps.product_bound(0.01) == rep.value
-        assert comps.product_bound(0.001) == mixing_bound(seq, 0.001).value
+        poly = comps.load_bound * comps.ell_bound
+        with localcontext(Context(prec=40)):
+            for eps in (0.01, 0.001, Fraction(1, 3)):
+                product = Decimal(poly.numerator) / Decimal(poly.denominator) * comps.log_part(eps)
+                assert comps.product_bound(eps) == product
 
 
 def test_flow_component_fields():

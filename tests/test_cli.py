@@ -8,9 +8,10 @@ from decimal import Decimal
 
 from switchmix import (
     DegreeSequence,
+    DirectedDegreeSequence,
     Graph,
+    flow_components,
     make_test_encoding,
-    mixing_bound,
     realize,
     save_encoding,
     write_edge_list,
@@ -224,6 +225,39 @@ def test_bound_report(capsys):
     assert not doc["result"]["applicability"]["applicable"]
 
 
+def test_bound_document_is_built_from_its_sources(capsys):
+    from switchmix.cli import _exact
+
+    cases = [
+        (DegreeSequence([3] * 28), ["--degrees", ",".join(["3"] * 28)]),
+        (DegreeSequence([3, 3, 1, 1]), ["--degrees", "3,3,1,1"]),
+        (DirectedDegreeSequence([(2, 2)] * 32), ["--directed", "--degrees", ",".join(["2:2"] * 32)]),
+        (DirectedDegreeSequence([(1, 1)] * 3), ["--directed", "--degrees", "1:1,1:1,1:1"]),
+    ]
+    for seq, spec in cases:
+        comps = flow_components(seq)
+        applicability = seq.hypotheses()
+        if seq.directed:
+            applicability["note"] = "switch-irreducibility is reported by the irreducible command"
+        for eps in (0.01, 0.25):
+            code, doc = run_cli(capsys, "bound", *spec, "--eps", str(eps))
+            assert code == 0
+            assert doc["result"] == {
+                "eps": eps,
+                "formula": "theorem-directed" if seq.directed else "theorem-undirected",
+                "applicability": applicability,
+                "poly_part": _exact(comps.load_bound * comps.ell_bound),
+                "log_part": nstr(comps.log_part(eps)),
+                "value": nstr(comps.product_bound(eps)),
+                "components": {
+                    "ell_bound": _exact(comps.ell_bound),
+                    "one_over_Q": comps.one_over_Q,
+                    "encoding_ratio_bound": _exact(comps.encoding_ratio_bound),
+                    "load_bound": _exact(comps.load_bound),
+                },
+            }
+
+
 def test_bound_at_theorem_scale(tmp_path, capsys):
     # the theorems need many edges; the document carries only the factors
     # the bound multiplies, so it stays small and fast at n = 20000
@@ -234,7 +268,7 @@ def test_bound_at_theorem_scale(tmp_path, capsys):
     assert code == 0
     assert len(text.encode()) < 4096
     doc = json.loads(text)
-    assert doc["result"]["value"] == nstr(mixing_bound(DegreeSequence([10] * 20000), 0.01).value)
+    assert doc["result"]["value"] == nstr(flow_components(DegreeSequence([10] * 20000)).product_bound(0.01))
 
 
 def test_exact_values_past_the_int_str_limit(capsys):
@@ -346,6 +380,14 @@ def test_repair_encoding_cli(tmp_path, capsys):
     res = doc["result"]
     assert res["repaired"] and res["switches"] <= 3
     assert res["flags"]["valid"] and res["flags"]["consistent"]
+    # one edge fewer keeps L + Z in range but realizes other degrees
+    assert (0, 1) in Z.edges and (0, 1) not in L.minus
+    write_edge_list(Graph(Z.n, [e for e in Z.edges if e != (0, 1)]), zpath)
+    code, doc = run_cli(
+        capsys, "repair-encoding", "--encoding", str(csv_path), "--z", str(zpath)
+    )
+    assert code == 0
+    assert doc["result"]["repaired"] and not doc["result"]["flags"]["consistent"]
 
 
 def test_usage_error_exit_code(capsys):

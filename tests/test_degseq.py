@@ -170,8 +170,10 @@ def test_a_degree_file_is_read_line_by_line(tmp_path):
         read_degree_file(f)
 
 
-def test_hypotheses_are_the_flags_classify_and_bound_read():
-    from switchmix.bounds import mixing_bound
+def test_hypotheses_are_the_flags_classify_and_bound_read(capsys):
+    import json
+
+    from switchmix.cli import main
 
     cases = [
         DegreeSequence([3] * 28),  # applicable
@@ -186,7 +188,12 @@ def test_hypotheses_are_the_flags_classify_and_bound_read():
         flags = seq.hypotheses()
         assert flags["applicable"] == all(v for k, v in flags.items() if k != "applicable")
         classified = seq.classify()
-        applicability = mixing_bound(seq, 0.01).applicability
+        if seq.directed:
+            spec = ["--directed", "--degrees", ",".join(f"{a}:{b}" for a, b in seq.pairs)]
+        else:
+            spec = ["--degrees", ",".join(map(str, seq.degrees))]
+        assert main(["bound", *spec]) == 0
+        applicability = json.loads(capsys.readouterr().out)["result"]["applicability"]
         if isinstance(seq, DirectedDegreeSequence):
             assert set(flags) == {"digraphical", "r_min_ok", "r_max_ok", "density_ok", "applicable"}
             assert classified["digraphical"] == flags["digraphical"]

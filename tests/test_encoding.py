@@ -682,6 +682,21 @@ def test_copy_holds_no_dense_matrix():
 
 
 @pytest.mark.parametrize("directed", [False, True])
+def test_a_state_of_other_degrees_is_never_consistent(directed):
+    # dropping one edge that carries no (-1)-entry keeps L + Z inside
+    # {0, 1, 2}, but that Z realizes another degree sequence
+    if directed:
+        Z = realize_directed(DirectedDegreeSequence([(2, 2)] * 12))
+        L = make_test_encoding(Z, random.Random(5), profile=(2, 1))
+    else:
+        Z = realize(DegreeSequence([3] * 12))
+        L = make_test_encoding(Z, random.Random(5), profile=(1, 1))
+    assert (0, 1) in Z.edges and (0, 1) not in L.minus
+    assert L.is_consistent_with(Z)
+    assert not L.is_consistent_with(type(Z)(Z.n, [e for e in Z.edges if e != (0, 1)]))
+
+
+@pytest.mark.parametrize("directed", [False, True])
 def test_encode_and_consistency_agree_with_a_dense_model(directed, rng):
     from conftest import dense_of
 
