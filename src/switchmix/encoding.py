@@ -37,9 +37,6 @@ from . import chain
 from .degseq import DEFAULT_CAP, CapExceededError, DegreeSequence, DirectedDegreeSequence
 from .graph import Digraph, Graph
 
-MODE_UNDIRECTED = "undirected"
-MODE_DIRECTED = "directed"
-
 ENTRY_MIN = -1
 ENTRY_MAX = 2
 
@@ -235,10 +232,6 @@ class Encoding:
         if matrix is not None:
             self._load_matrix(matrix)
 
-    @property
-    def mode(self) -> str:
-        return MODE_DIRECTED if self.directed else MODE_UNDIRECTED
-
     def _tally(self, keys, side):
         """Per-vertex count of the defect ``keys`` at their tail (side 0,
         rows) or head (side 1, columns); an undirected key counts at both
@@ -326,14 +319,6 @@ class Encoding:
 
     # -- construction helpers ----------------------------------------------
 
-    @classmethod
-    def from_graph(cls, g) -> "Encoding":
-        """The defect-free encoding ``encode(g, g, g)`` of a Graph or Digraph."""
-        enc = cls(g.degree_sequence())
-        for u, v in g.edges:
-            enc._set(u, v, 1)
-        return enc
-
     def copy(self) -> "Encoding":
         enc = Encoding.__new__(Encoding)
         enc.directed = self.directed
@@ -357,11 +342,11 @@ class Encoding:
         )
 
     def __hash__(self):
-        return hash((self.mode, tuple(self.ones_out), frozenset(self.two), frozenset(self.minus)))
+        return hash((self.directed, tuple(self.ones_out), frozenset(self.two), frozenset(self.minus)))
 
     def __repr__(self):
         p, q = len(self.two), len(self.minus)
-        return f"Encoding(mode={self.mode!r}, n={self.n}, p={p}, q={q})"
+        return f"Encoding(directed={self.directed}, n={self.n}, p={p}, q={q})"
 
     # -- queries -------------------------------------------------------------
 
@@ -855,48 +840,42 @@ def _subsets_with_counts(template, p, q):
     return out
 
 
-def _inject_at(L: Encoding, Z, creates, pos, rng, protected) -> bool:
+def _inject_at(L: Encoding, creates, pos, rng, protected) -> bool:
     """One reverse phase switch creating ``creates`` = (2-defects, (-1)-defects):
-    (1, 0) or (0, 1) at ``pos``, or (1, 1) at ``pos`` = (two_pos, minus_pos).
+    (1, 0) or (0, 1) at the position ``pos``, or (1, 1) from the oriented
+    anchors ``pos`` = (a1, b1, a2): a 2 at (a1, b1) and a -1 at (a2, b1).
 
-    ``protected`` holds the canonical keys of the other planned defect
-    positions; the five non-anchor entries a candidate tuple touches must stay
-    off it, so positions planned for later injections keep their labels.
-    Undirected positions try both orientations of the anchor.
+    The planner has fixed every label and Z entry the anchors need: a planned
+    2 sits on a label-1 entry off Z and a planned -1 on a label-0 entry of Z,
+    so no Z is read here.  ``protected`` holds the keys of every planned
+    position; the entries a switch touches besides its anchors stay off
+    them, so the positions planned for later injections keep their labels.
+    Undirected positions try both orientations.
     """
     # L changes only when a completion is applied, and then the search ends
     nonzero = L._masks((1, 2, -1))
-    n = L.n
-    has_z = Z.has_edge
     key = L._key
-
-    def free(u, v):
-        return key(u, v) not in protected
-
     budget = _INJECT_TRIES
 
-    def complete(a1, b1, a2, fixed_a2=False):
-        # free slots: a2 (unless fixed), b3 from a1's ones, b2 with
+    def complete(a1, b1, a2=None):
+        # free slots: a2 (unless given), b3 from a1's ones, b2 with
         # L(a2,b2)=0, a3 into b2 with L(a3,b3)=0
         nonlocal budget
-        a2_pool = [a2] if fixed_a2 else _bits(L.ones_in[b1])
-        for a2_ in _shuffled(a2_pool, rng):
-            if a2_ in (a1, b1) or not free(a2_, b1):
+        for a2_ in _shuffled(_bits(L.ones_in[b1]) if a2 is None else [a2], rng):
+            if a2 is None and (a2_ == a1 or key(a2_, b1) in protected):
                 continue
             for b3 in _shuffled(_bits(L.ones_out[a1]), rng):
-                if b3 in (a1, b1, a2_) or not free(a1, b3):
+                if b3 in (a1, b1, a2_) or key(a1, b3) in protected:
                     continue
-                for b2 in _shuffled(range(n), rng):
-                    if (
-                        b2 in (a1, b1, a2_, b3)
-                        or nonzero[a2_] >> b2 & 1
-                        or not free(a2_, b2)
-                    ):
+                for b2 in _shuffled(range(L.n), rng):
+                    if b2 in (a1, b1, a2_, b3) or nonzero[a2_] >> b2 & 1:
+                        continue
+                    if key(a2_, b2) in protected:
                         continue
                     for a3 in _shuffled(_bits(L.ones_in[b2]), rng):
                         if a3 in (a1, b1, a2_, b2, b3) or nonzero[a3] >> b3 & 1:
                             continue
-                        if not free(a3, b2) or not free(a3, b3):
+                        if key(a3, b2) in protected or key(a3, b3) in protected:
                             continue
                         _shift(L, (a1, b1, a2_, b2, a3, b3), -1)
                         return True
@@ -905,44 +884,25 @@ def _inject_at(L: Encoding, Z, creates, pos, rng, protected) -> bool:
                         return False
         return False
 
-    if creates == (1, 0):
-        # new 2 at pos=(a1,b1): needs L=1 and Z-absent there (planned)
-        for a1, b1 in _shuffled(_orientations(pos, L.directed), rng):
-            if not L.ones_out[a1] >> b1 & 1 or has_z(a1, b1):
-                continue
-            if complete(a1, b1, None):
-                return True
-            if budget <= 0:
-                return False
-        return False
-
-    if creates == (0, 1):
-        # new -1 at pos=(a2,b1): needs L=0 and Z-present there (planned)
-        for a2, b1 in _shuffled(_orientations(pos, L.directed), rng):
-            if nonzero[a2] >> b1 & 1 or not has_z(a2, b1):
-                continue
-            for a1 in _shuffled(range(n), rng):
-                if a1 in (a2, b1) or nonzero[a1] >> b1 & 1 or not free(a1, b1):
-                    continue
-                if complete(a1, b1, a2, fixed_a2=True):
-                    return True
-                if budget <= 0:
-                    return False
-        return False
-
-    # simultaneous 2 at (a1,b1) and -1 at (a2,b1); pos = (two_pos, minus_pos)
-    two_pos, minus_pos = pos
-    shared = set(two_pos) & set(minus_pos)
-    if len(shared) != 1:
-        return False
-    b1 = shared.pop()
-    a1 = two_pos[0] if two_pos[1] == b1 else two_pos[1]
-    a2 = minus_pos[0] if minus_pos[1] == b1 else minus_pos[1]
-    if not L.ones_out[a1] >> b1 & 1 or has_z(a1, b1):
-        return False
-    if nonzero[a2] >> b1 & 1 or not has_z(a2, b1):
-        return False
-    return complete(a1, b1, a2, fixed_a2=True)
+    if creates == (1, 1):
+        starts = [pos]
+    elif creates == (1, 0):
+        # the new 2 at (a1, b1)
+        starts = _shuffled(_orientations(pos, L.directed), rng)
+    else:
+        # the new -1 at (a2, b1); L(a1, b1) goes from 0 to 1
+        starts = (
+            (a1, b1, a2)
+            for a2, b1 in _shuffled(_orientations(pos, L.directed), rng)
+            for a1 in _shuffled(range(L.n), rng)
+            if a1 not in (a2, b1) and not nonzero[a1] >> b1 & 1 and key(a1, b1) not in protected
+        )
+    for start in starts:
+        if complete(*start):
+            return True
+        if budget <= 0:
+            return False
+    return False
 
 
 def make_test_encoding(
@@ -957,11 +917,13 @@ def make_test_encoding(
     positions exist for defect injection), plans a catalog-shaped defect
     layout, and injects the defects at the planned positions in the reverse
     of repair order: (-1)s, then 2s, with the last 2/-1 pair of a 4-defect
-    undirected profile created by a single combined switch.  With level
-    "good" (undirected) or "valid" the result passes the catalog filter;
-    level None places defects freely.  With a level, a profile that no
-    catalog subset can lay out on Z's degrees raises ValueError before any
-    draw, instead of failing every restart.
+    undirected profile created by a single combined switch.  The planner
+    fixes every defect's position, its label in the scrambled copy and its
+    entry of Z; the injections read no Z.  With level "good" (undirected) or
+    "valid" the result passes the catalog filter; level None places defects
+    freely.  With a level, a profile that no catalog subset can lay out on
+    Z's degrees raises ValueError before any draw, instead of failing every
+    restart.
     """
     directed = Z.directed
     allowed = DIRECTED_PROFILES if directed else UNDIRECTED_PROFILES
@@ -982,29 +944,28 @@ def make_test_encoding(
             profile = allowed[rng.randrange(len(allowed))]
         p, q = profile
         base = _scrambled_copy(Z, rng, steps)
-        L = Encoding.from_graph(base)
+        L = Encoding(target)
+        for u, v in base.edges:
+            L._set(u, v, 1)
         layout = _plan_layout(L, Z, rng, profile, level)
         if layout is None:
             continue
         protected = {L._key(*pos) for _, pos in layout}
         minus_jobs = [pos for lab, pos in layout if lab == -1]
         two_jobs = [pos for lab, pos in layout if lab == 2]
-        pair = None
+        last = []
         if level is not None and not directed and _admits(_PHASES["P1"], p, q):
-            pair = next(
-                ((tp, mp) for tp in two_jobs for mp in minus_jobs if len(set(tp) & set(mp)) == 1),
-                None,
-            )
-            if pair is None:
-                continue
-            two_jobs.remove(pair[0])
-            minus_jobs.remove(pair[1])
-        # (defects created, positions, their own keys), in reverse repair order
-        jobs = [((0, 1), pos, {L._key(*pos)}) for pos in minus_jobs]
-        jobs += [((1, 0), pos, {L._key(*pos)}) for pos in two_jobs]
-        if pair:
-            jobs.append(((1, 1), pair, {L._key(*pair[0]), L._key(*pair[1])}))
-        if all(_inject_at(L, Z, made, pos, rng, protected - own) for made, pos, own in jobs):
+            # a full layout: each template's centre ends a 2 and a -1.  The
+            # first such pair is made last, by one P1 switch, from anchors
+            # (a1, b1, a2): the shared end b1 and the two far ends.
+            tp, mp = next((t, m) for t in two_jobs for m in minus_jobs if len(set(t) & set(m)) == 1)
+            two_jobs.remove(tp)
+            minus_jobs.remove(mp)
+            (b1,) = set(tp) & set(mp)
+            last = [((1, 1), (sum(tp) - b1, b1, sum(mp) - b1))]
+        # (defects created, position or anchors), in reverse repair order
+        jobs = [((0, 1), pos) for pos in minus_jobs] + [((1, 0), pos) for pos in two_jobs] + last
+        if all(_inject_at(L, made, pos, rng, protected) for made, pos in jobs):
             if L.defect_counts() == (p, q) and check(L):
                 return L
     raise RuntimeError(
@@ -1116,7 +1077,8 @@ def save_encoding(L: Encoding, csv_path, sidecar_path=None):
         degrees = {"in_degrees": list(L.target_in), "out_degrees": list(L.target_out)}
     else:
         degrees = {"degrees": list(L.target_out)}
-    sidecar = {"mode": L.mode, "n": L.n, "profile": {"p": p, "q": q}, **degrees}
+    mode = "directed" if L.directed else "undirected"
+    sidecar = {"mode": mode, "n": L.n, "profile": {"p": p, "q": q}, **degrees}
     with open(sidecar_path, "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -1151,13 +1113,13 @@ def load_encoding(csv_path, sidecar_path=None) -> Encoding:
     if n != len(matrix):
         raise ValueError(f"sidecar n = {n} does not match the {len(matrix)}-row matrix")
     mode = sidecar.get("mode")
-    if mode == MODE_UNDIRECTED:
+    if mode == "undirected":
         target = DegreeSequence(_sidecar_ints(sidecar, "degrees", n))
-    elif mode == MODE_DIRECTED:
+    elif mode == "directed":
         ins = _sidecar_ints(sidecar, "in_degrees", n)
         target = DirectedDegreeSequence(zip(ins, _sidecar_ints(sidecar, "out_degrees", n)))
     else:
-        raise ValueError(f"sidecar mode must be {MODE_UNDIRECTED!r} or {MODE_DIRECTED!r}, got {mode!r}")
+        raise ValueError(f"sidecar mode must be 'undirected' or 'directed', got {mode!r}")
     profile = sidecar.get("profile")
     if not isinstance(profile, dict):
         raise ValueError("sidecar field 'profile' must be an object with p and q")

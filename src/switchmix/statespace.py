@@ -105,7 +105,8 @@ def enum_states(seq, cap: int = DEFAULT_CAP) -> list:
             del chosen[-need:]
         out_res[u] = need
 
-    rec(0)
+    if feasible(0):
+        rec(0)
     return sorted(states)
 
 

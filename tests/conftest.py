@@ -556,7 +556,7 @@ def counting_identities_by_mode(L, mat=None):
     p, q = L.defect_counts()
     mat = L.matrix if mat is None else mat
     n = L.n
-    if L.mode == "undirected":
+    if not L.directed:
         ones_edges = sum(1 for u in range(n) for v in range(u + 1, n) if mat[u][v] == 1)
         expected = L.target.M // 2 - 2 * p + q
         if ones_edges != expected:

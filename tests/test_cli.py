@@ -195,19 +195,53 @@ def test_irreducible_report(capsys):
 def test_no_realization_is_a_validation_failure(capsys):
     # analyze on non-graphical, odd-sum and non-digraphical sequences, and
     # irreducible on a non-graphical and an unbalanced one: exit 2 with an
-    # error document, never a bare error line or a report on an empty space
+    # error document, never a bare error line or a report on an empty space;
+    # a degree past a machine word (2**63) is rejected before any search
+    # sized by it
+    huge = "99999999999999999999"
     cases = [
         ("analyze", "--degrees", "3,1"),
         ("analyze", "--degrees", "1,1,1"),
         ("analyze", "--directed", "--degrees", "2:0,0:2"),
         ("irreducible", "--degrees", "3,1"),
         ("irreducible", "--directed", "--degrees", "1:0,1:1"),
+        ("analyze", "--degrees", f"{huge},1"),
+        ("irreducible", "--degrees", f"{huge},1"),
+        ("analyze", "--directed", "--degrees", f"{huge}:0,0:{huge}"),
+        ("irreducible", "--directed", "--degrees", f"{huge}:0,0:{huge}"),
     ]
     for argv in cases:
         code, doc = run_cli(capsys, *argv)
         assert code == 2, argv
         assert doc["error"] == {"reason": "degree sequence has no realizations"}, argv
         assert "result" not in doc
+
+
+def test_seeded_degree_specs_exit_with_documented_codes(capsys):
+    # every subcommand that reads degrees, in both modes, on malformed,
+    # negative, fractional, empty and huge specs and on seeded mixes of them:
+    # each call returns exit 0, 1, 2 or 3 and raises nothing
+    huge = "99999999999999999999"
+    specs = [
+        "", ",", " ", "x", "1,,1", ":", "0", "0:0", "-1,1", "1.5,1", "1:1:1", "0:1,1:0",
+        "3,1", "2,2,2", "1:1,1:1,1:1", f"{huge},1", f"{huge}:0,0:{huge}",
+    ]
+    tokens = ["0", "1", "2", "3", "-1", "1.5", huge, "", "a", "1:1", "2:0", "0:2", f"{huge}:1", "1:1:1"]
+    rng = random.Random(0)
+    specs += [",".join(rng.choice(tokens) for _ in range(rng.randint(1, 4))) for _ in range(20)]
+    codes = set()
+    for spec in specs:
+        for sub in ("validate", "realize", "sample", "analyze", "irreducible", "bound"):
+            for mode in ((), ("--directed",)):
+                argv = [sub, *mode, "--degrees", spec]
+                try:
+                    code = main(argv)
+                except Exception as exc:
+                    raise AssertionError(f"{argv} raised {exc!r}") from exc
+                assert code in (0, 1, 2, 3), argv
+                assert "Traceback" not in capsys.readouterr().err, argv
+                codes.add(code)
+    assert codes == {0, 1, 2}
 
 
 def test_bound_directed_unbalanced_is_a_validation_failure(capsys):
@@ -451,13 +485,14 @@ def test_manifest_flags_hold_no_private_attributes(tmp_path, capsys):
 
 
 def test_malformed_sidecars_exit_1_without_traceback(tmp_path, capsys):
-    from switchmix import Digraph, Encoding
+    from switchmix import Digraph, encode
 
     enc = tmp_path / "enc.csv"
     save_encoding(make_test_encoding(realize(DegreeSequence([3] * 12)), random.Random(5), profile=(1, 1)), enc)
     good = json.loads((tmp_path / "enc.csv.json").read_text())
     denc = tmp_path / "d.csv"
-    save_encoding(Encoding.from_graph(Digraph(2, [(0, 1), (1, 0)])), denc)
+    two_cycle = Digraph(2, [(0, 1), (1, 0)])
+    save_encoding(encode(two_cycle, two_cycle, two_cycle), denc)
     dgood = json.loads((tmp_path / "d.csv.json").read_text())
 
     def without(doc, key):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from itertools import permutations, product
@@ -169,7 +170,7 @@ def test_goodness_degree_conditions():
 
 def test_apply_3switch_plain_graph():
     g = realize(DegreeSequence([2, 2, 2, 2, 1, 1]))
-    L = Encoding.from_graph(g)
+    L = encode(g, g, g)
     tup = find_phase_switch(L, "P3")
     assert tup is None  # no defects: nothing to repair
     # hand-build a legal 3-switch on label-1 edges
@@ -213,7 +214,7 @@ def test_apply_3switch_plain_graph():
 
 
 def test_apply_3switch_errors():
-    L = Encoding.from_graph(PATH)
+    L = encode(PATH, PATH, PATH)
     with pytest.raises(ValueError):
         apply_3switch(L, (0, 0, 1, 2, 3, 3))  # repeated vertices
     # decrementing a -1 entry leaves the label range; the call must not mutate
@@ -231,7 +232,7 @@ def test_apply_3switch_errors():
 
 
 def test_choice_count_and_bound_path_example():
-    L = Encoding.from_graph(PATH)
+    L = encode(PATH, PATH, PATH)
     res = choice_count_and_bound(L, (1, 2), "second_pair")
     assert res["exact"] == 0 and res["bound"] <= 0
     # defect-free simplification: bound = M - d_max (d_max + 2)
@@ -240,7 +241,7 @@ def test_choice_count_and_bound_path_example():
 
 
 def test_choice_count_anchor_validation():
-    L = Encoding.from_graph(PATH)
+    L = encode(PATH, PATH, PATH)
     with pytest.raises(ValueError):
         choice_count_and_bound(L, (0, 2), "second_pair")  # L(0,2)=0
     with pytest.raises(ValueError):
@@ -303,8 +304,9 @@ def test_find_phase_switch_directed(rng):
 
 
 def test_an_unknown_phase_is_a_value_error():
-    directed = Encoding.from_graph(Digraph(3, [(0, 1), (1, 2), (2, 0)]))
-    for L in (Encoding.from_graph(ALT), directed):
+    cycle = Digraph(3, [(0, 1), (1, 2), (2, 0)])
+    directed = encode(cycle, cycle, cycle)
+    for L in (encode(ALT, ALT, ALT), directed):
         with pytest.raises(ValueError, match="unknown phase 'P9'"):
             find_phase_switch(L, "P9")
     # a known phase of the other mode is no error, just no switch
@@ -318,7 +320,7 @@ def test_find_phase_switch_deterministic(rng):
 
 
 def test_repair_zero_defects_is_noop():
-    L = Encoding.from_graph(ALT)
+    L = encode(ALT, ALT, ALT)
     res = repair(L)
     assert res.switch_log == [] and res.result == ALT
 
@@ -414,7 +416,7 @@ def test_serialization_round_trip(tmp_path, rng):
     dcsv = tmp_path / "enc_d.csv"
     save_encoding(Ld, dcsv)
     Ld2 = load_encoding(dcsv)
-    assert Ld2 == Ld and Ld2.mode == "directed"
+    assert Ld2 == Ld and Ld2.directed
 
 
 def _random_encoding(rng, n, directed):
@@ -509,7 +511,7 @@ def test_one_store_for_both_modes(rng):
     Zd = realize_directed(DirectedDegreeSequence([(2, 2)] * 12))
     Lu = make_test_encoding(Zu, rng, profile=(1, 1))
     Ld = make_test_encoding(Zd, rng, profile=(1, 1))
-    assert (Lu.mode, Ld.mode) == ("undirected", "directed")
+    assert (Lu.directed, Ld.directed) == (False, True)
     # undirected: the in-side counters equal the out-side ones, also in a
     # copy, and a defect counts at both of its ends
     for L in (Lu, Lu.copy()):
@@ -526,9 +528,9 @@ def test_one_store_for_both_modes(rng):
     # the mode follows from the target; a mode string is no target
     with pytest.raises(TypeError):
         Encoding("undirected", Zu.degree_sequence())
-    assert isinstance(Encoding.from_graph(Zd).as_graph(), Digraph)
-    assert Encoding.from_graph(Zd).as_graph().edges == sorted(Zd.edges)
-    assert Encoding.from_graph(Zu).as_graph() == Zu
+    assert isinstance(encode(Zd, Zd, Zd).as_graph(), Digraph)
+    assert encode(Zd, Zd, Zd).as_graph().edges == sorted(Zd.edges)
+    assert encode(Zu, Zu, Zu).as_graph() == Zu
 
 
 def test_ones_index_follows_every_update(rng):
@@ -593,7 +595,7 @@ def test_store_moves_in_lockstep_with_a_dense_model(directed, rng, tmp_path):
         Z = realize_directed(DirectedDegreeSequence([(3, 3)] * 10))
     else:
         Z = realize(DegreeSequence([3] * 10))
-    L = Encoding.from_graph(Z)
+    L = encode(Z, Z, Z)
     model = dense_of(Z)
     csv_path = tmp_path / "enc.csv"
     refused = 0
@@ -826,3 +828,50 @@ def test_placement_matching_agrees_with_brute_force(rng):
             for pick in permutations(degrees, len(needs))
         )
         assert _fits(needs, Counter(degrees)) == want
+
+
+def _small_undirected_sequences(count):
+    """The first ``count`` graphical sequences of n = 8 or 9 degrees in 1..5."""
+    meta = random.Random(0)
+    out = []
+    while len(out) < count:
+        d = DegreeSequence([meta.randint(1, 5) for _ in range(meta.choice((8, 9)))])
+        if d.is_graphical():
+            out.append(d)
+    return out
+
+
+@pytest.mark.parametrize(
+    "tries, profiles, count, outcomes, digest",
+    [
+        # injections that run out of orientations, calls that run out of restarts
+        (None, (None, (0, 3), (1, 3)), 8, {"built": 15, "RuntimeError": 9},
+         "84b1dd16d3010a0857be6a0834ff4c6758b26469475f73f1f17a46026059b71f"),
+        # one dead-end completion ends an injection's search
+        (1, (None, (1, 0), (0, 1), (1, 1)), 2, {"built": 8},
+         "b360a72b3fab35acc223d953ca11bff764ee780e900b70a154f2493e60070c71"),
+    ],
+    ids=["dead-ends", "budget"],
+)
+def test_generator_paths_no_golden_reaches(monkeypatch, tries, profiles, count, outcomes, digest):
+    # small undirected sequences reach the generator's dead ends, which the
+    # goldens' corpora do not; the digest covers each call's matrix or
+    # exception text and the next draw of its rng
+    import switchmix.encoding as encoding
+
+    if tries is not None:
+        monkeypatch.setattr(encoding, "_INJECT_TRIES", tries)
+    h = hashlib.sha256()
+    seen = Counter()
+    for seed, d in enumerate(_small_undirected_sequences(count)):
+        Z = realize(d)
+        for profile in profiles:
+            rng = random.Random(seed)
+            try:
+                out = make_test_encoding(Z, rng, profile=profile).matrix
+                seen["built"] += 1
+            except RuntimeError as exc:
+                out = f"RuntimeError: {exc}"
+                seen["RuntimeError"] += 1
+            h.update(repr((out, rng.random())).encode())
+    assert (dict(seen), h.hexdigest()) == (outcomes, digest)
