@@ -7,7 +7,7 @@ result block; outputs are byte-identical across reruns except for the
 manifest timestamp.
 
 Exit codes: 0 success; 1 usage error; 2 validation failure (non-graphical,
-non-digraphical, frozen chain); 3 enumeration cap exceeded.
+non-digraphical, frozen chain); 3 enumeration cap (states or search depth) exceeded.
 """
 
 from __future__ import annotations
@@ -94,10 +94,6 @@ def _exact(q) -> str:
     return text if q.denominator == 1 else f"{text}/{Decimal(q.denominator)}"
 
 
-def _load_seq(args):
-    return load_degrees(args.degrees, directed=args.directed)
-
-
 def _document_path(args):
     """Where --out puts a run's JSON document, result or error: --out itself, or
     for ``sample`` the manifest.json in that directory, made when missing and
@@ -120,17 +116,19 @@ def _document_path(args):
 
 
 def _cmd_validate(args):
-    seq = _load_seq(args)
+    seq = load_degrees(args.degrees, directed=args.directed)
     kind = "digraphical" if seq.directed else "graphical"
     try:
-        flags = seq.classify()
+        flags = seq.hypotheses()
     except NotRealizableError as exc:  # unbalanced in/out sums
         raise ValidationFailure(f"not {kind}", {"directed": True, kind: False, "detail": str(exc)}) from None
     if seq.directed:
-        stats = {"m": seq.m, "r_min": seq.r_min, "r_max": seq.r_max}
+        degree_ok = flags["r_min_ok"] and flags["r_max_ok"] and flags["density_ok"]
+        stats = {"theorem2_degree_ok": degree_ok, "m": seq.m, "r_min": seq.r_min, "r_max": seq.r_max}
     else:
-        stats = {"M": seq.M, "M2": seq.M2, "a": seq.a, "d_min": seq.d_min, "d_max": seq.d_max}
-    result = {"directed": seq.directed, **flags, **stats}
+        stats = {"stable": seq.stable, "theorem1_applicable": flags["applicable"],
+                 "M": seq.M, "M2": seq.M2, "a": seq.a, "d_min": seq.d_min, "d_max": seq.d_max}
+    result = {"directed": seq.directed, kind: flags[kind], **stats}
     if not flags[kind]:
         raise ValidationFailure(f"not {kind}", result)
     return result, args.out
@@ -140,7 +138,7 @@ def _cmd_realize(args):
     from .construct import realize, realize_directed
     from .graph import write_edge_list
 
-    seq = _load_seq(args)
+    seq = load_degrees(args.degrees, directed=args.directed)
     g = realize_directed(seq) if args.directed else realize(seq)
     if args.out:
         write_edge_list(g, args.out)
@@ -156,7 +154,7 @@ def _cmd_sample(args):
     from .construct import realize, realize_directed
     from .graph import edge_list_text
 
-    seq = _load_seq(args)
+    seq = load_degrees(args.degrees, directed=args.directed)
     start = realize_directed(seq) if args.directed else realize(seq)
     try:
         replica_states = [
@@ -188,20 +186,16 @@ def _cmd_sample(args):
 
 
 def _cmd_analyze(args):
-    from fractions import Fraction
-
     from .statespace import NoMixingError, analyze
 
-    seq = _load_seq(args)
+    seq = load_degrees(args.degrees, directed=args.directed)
     an = analyze(seq, variant=args.variant, cap=args.cap or DEFAULT_CAP)
-    horizon = args.horizon
-    curve = an.tv_curve(horizon)
-    eps = Fraction(str(args.eps))
+    curve = an.tv_curve(args.horizon)
     mixing = None
-    if an.irreducible and len(an.states) <= args.mixing_cap:
+    if len(an.states) <= args.mixing_cap:
         try:
-            mixing = an.exact_mixing_time(eps)
-        except NoMixingError:  # a periodic chain never gets within eps
+            mixing = an.exact_mixing_time(args.eps)
+        except NoMixingError:  # a reducible or periodic chain never gets within eps
             pass
     return {
         "states": len(an.states),
@@ -218,7 +212,7 @@ def _cmd_analyze(args):
         "exact_mixing_time": mixing,
         "tv_curve": [float(x) for x in curve],
         "tv_final_exact": _exact(curve[-1]),
-        "horizon": horizon,
+        "horizon": args.horizon,
     }, args.out
 
 
@@ -227,7 +221,7 @@ def _cmd_irreducible(args):
     from .irreducibility import find_useful, induced_triangles
     from .statespace import analyze
 
-    seq = _load_seq(args)
+    seq = load_degrees(args.degrees, directed=args.directed)
     an = analyze(seq, cap=args.cap or DEFAULT_CAP)
     witnesses = []
     if args.directed:
@@ -242,7 +236,7 @@ def _cmd_irreducible(args):
 def _cmd_bound(args):
     from .bounds import flow_components, nstr
 
-    seq = _load_seq(args)
+    seq = load_degrees(args.degrees, directed=args.directed)
     comps = flow_components(seq)
     applicability = seq.hypotheses()
     if seq.directed:
@@ -272,22 +266,15 @@ def _cmd_repair_encoding(args):
     if args.z is not None:
         Z = read_digraph(args.z) if L.directed else read_graph(args.z)
         flags["consistent"] = L.is_consistent_with(Z)
-    p, q = L.defect_counts()
+    head = {"profile": L.defect_counts(), "flags": flags}
     try:
         res = repair(L)
     except RepairStuckError as exc:
-        return {
-            "profile": [p, q],
-            "flags": flags,
-            "repaired": False,
-            "stuck_profile": exc.profile,
-            "switch_log": exc.log,
-        }, args.out
+        return {**head, "repaired": False, "stuck_profile": exc.profile, "switch_log": exc.log}, args.out
     if args.out:
         write_edge_list(res.result, args.out)
     return {
-        "profile": [p, q],
-        "flags": flags,
+        **head,
         "repaired": True,
         "switches": len(res.switch_log),
         "switch_log": res.switch_log,
@@ -325,7 +312,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="switchmix", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, seed=False, chain=False, eps=False, cap=False):
+    def common(p, seed=False, chain=False, variant=False, eps=False, cap=False):
         p.add_argument("--degrees", required=True, help="degree file or inline spec")
         p.add_argument("--directed", action="store_true")
         p.add_argument("--out", default=None)
@@ -336,11 +323,8 @@ def _build_parser() -> _Parser:
             p.add_argument("--thin", type=int, default=1)
             p.add_argument("--count", type=int, default=1)
             p.add_argument("--replicas", type=_at_least(1), default=1)
-            p.add_argument(
-                "--variant",
-                choices=["exact", "all-pairs"],
-                default="exact",
-            )
+        if variant:
+            p.add_argument("--variant", choices=["exact", "all-pairs"], default="exact")
         if eps:
             p.add_argument("--eps", type=_open_unit, default=0.01)
         if cap:
@@ -355,20 +339,17 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_realize)
 
     p = sub.add_parser("sample", help="run switch chains and emit states")
-    common(p, seed=True, chain=True)
+    common(p, seed=True, chain=True, variant=True)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("analyze", help="exact transition-matrix diagnostics")
-    common(p, eps=True, cap=True)
+    common(p, variant=True, eps=True, cap=True)
     p.add_argument("--horizon", type=_at_least(0), default=200)
     p.add_argument(
         "--mixing-cap",
         type=_at_least(0),
         default=16,
         help="compute worst-start mixing time only up to this many states",
-    )
-    p.add_argument(
-        "--variant", choices=["exact", "all-pairs"], default="exact"
     )
     p.set_defaults(func=_cmd_analyze)
 

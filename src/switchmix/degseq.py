@@ -97,10 +97,10 @@ class DegreeSequence:
         }
         return {**flags, "applicable": all(flags.values())}
 
-    def classify(self) -> dict:
-        flags = self.hypotheses()
-        stable = (self.d_max - self.d_min + 1) ** 2 <= 4 * self.d_min * (self.n - self.d_max + 1)
-        return {"graphical": flags["graphical"], "stable": stable, "theorem1_applicable": flags["applicable"]}
+    @property
+    def stable(self) -> bool:
+        """The stability flag ``validate`` reports; not one of Theorem 1's hypotheses."""
+        return (self.d_max - self.d_min + 1) ** 2 <= 4 * self.d_min * (self.n - self.d_max + 1)
 
 
 class DirectedDegreeSequence:
@@ -190,11 +190,6 @@ class DirectedDegreeSequence:
             "density_ok": 16 * self.r_max**2 <= self.m,
         }
         return {**flags, "applicable": all(flags.values())}
-
-    def classify(self) -> dict:
-        flags = self.hypotheses()
-        degree_ok = flags["r_min_ok"] and flags["r_max_ok"] and flags["density_ok"]
-        return {"digraphical": flags["digraphical"], "theorem2_degree_ok": degree_ok}
 
 
 def parse_degrees(text: str, directed: bool = False):

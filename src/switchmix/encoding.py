@@ -341,9 +341,6 @@ class Encoding:
             and self.minus == other.minus
         )
 
-    def __hash__(self):
-        return hash((self.directed, tuple(self.ones_out), frozenset(self.two), frozenset(self.minus)))
-
     def __repr__(self):
         p, q = len(self.two), len(self.minus)
         return f"Encoding(directed={self.directed}, n={self.n}, p={p}, q={q})"

@@ -72,9 +72,6 @@ class _EdgeStore:
             and self._members == other._members
         )
 
-    def __hash__(self):
-        return hash((self.n, frozenset(self._members)))
-
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n}, edges={sorted(self.edges)!r})"
 

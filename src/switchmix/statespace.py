@@ -22,6 +22,7 @@ it takes no start: TV curves begin at the greedy state or a given index.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
@@ -44,7 +45,8 @@ def enum_states(seq, cap: int = DEFAULT_CAP) -> list:
     """Canonical list of all realizations of a degree sequence.
 
     States are tuples of sorted edge (or arc) pairs; the list itself is in
-    lexicographic order.  Raises CapExceededError past ``cap`` states.
+    lexicographic order.  Raises CapExceededError past ``cap`` states, or
+    past the recursion limit (the search nests once per sending vertex).
 
     Vertex u, in index order, takes its remaining out-residual as partners
     among the vertices that still have in-residual.  A digraph's partners
@@ -53,7 +55,9 @@ def enum_states(seq, cap: int = DEFAULT_CAP) -> list:
     so the vertices before u are spent and its partners are higher-indexed.
     Graphs prune on Erdos-Gallai over the later residuals, digraphs on each
     in-residual against the rows still able to send to it.  States share
-    their pair tuples, from one n x n table.
+    their pair tuples, from one n x n table.  Rows go in index order and a
+    row's partners are combinations of an ascending list, so each state is
+    emitted sorted and the states in lexicographic order, with no sort.
     """
     directed = seq.directed
     if directed:
@@ -87,7 +91,7 @@ def enum_states(seq, cap: int = DEFAULT_CAP) -> list:
             u += 1
         if u == n:
             if not any(in_res):
-                states.append(tuple(sorted(chosen)))
+                states.append(tuple(chosen))
                 if len(states) > cap:
                     raise CapExceededError(f"more than {cap} states")
             return
@@ -106,8 +110,11 @@ def enum_states(seq, cap: int = DEFAULT_CAP) -> list:
         out_res[u] = need
 
     if feasible(0):
-        rec(0)
-    return sorted(states)
+        try:
+            rec(0)
+        except RecursionError:
+            raise CapExceededError(f"search deeper than the {sys.getrecursionlimit()}-frame recursion limit") from None
+    return states
 
 
 # ---------------------------------------------------------------------------

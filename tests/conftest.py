@@ -1,5 +1,7 @@
-"""Shared brute-force oracles, independent of the library's own algorithms."""
+"""Shared brute-force oracles, independent of the library's own algorithms,
+and the one-case-per-line rendering of the golden files."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -10,6 +12,15 @@ import pytest
 
 from switchmix import DegreeSequence, DirectedDegreeSequence, Digraph, Graph, enum_states
 from switchmix.chain import VARIANT_EXACT, FrozenChainError, derive_seed
+
+
+def render_golden(doc) -> str:
+    """One case per line, so a changed output shows as a changed line."""
+    rows = [
+        f"{json.dumps(name)}:{json.dumps(case, sort_keys=True, separators=(',', ':'))}"
+        for name, case in sorted(doc.items())
+    ]
+    return "{\n" + ",\n".join(rows) + "\n}\n"
 
 
 def count_nonadjacent_edge_pairs(g: Graph) -> int:

@@ -168,7 +168,7 @@ def _random_theorem1_sequence(rng):
         if sum(degrees) % 2:
             degrees[1] = 2 if degrees[1] != 2 else 1
         d = DegreeSequence(degrees)
-        if d.classify()["theorem1_applicable"]:
+        if d.hypotheses()["applicable"]:
             return d
 
 

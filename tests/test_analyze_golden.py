@@ -16,6 +16,8 @@ from contextlib import redirect_stdout
 
 from switchmix.cli import main
 
+from conftest import render_golden
+
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "analyze_docs.json"
 
 COMMON = ["--horizon", "30", "--mixing-cap", "1000"]
@@ -49,21 +51,13 @@ def build(cases) -> dict:
     return {name: {"argv": argv, "result": result_block(argv)} for name, argv in cases.items()}
 
 
-def _render(doc) -> str:
-    """One case per line, so a changed document shows as a changed line."""
-    rows = [
-        f"{json.dumps(name)}:{json.dumps(case, sort_keys=True, separators=(',', ':'))}"
-        for name, case in sorted(doc.items())
-    ]
-    return "{\n" + ",\n".join(rows) + "\n}\n"
-
 
 def test_analyze_documents_match_golden_file():
     text = GOLDEN.read_text(encoding="utf-8")
     stored = json.loads(text)
     assert stored.keys() == CASES.keys()
-    assert _render(build({name: case["argv"] for name, case in stored.items()})) == text
+    assert render_golden(build({name: case["argv"] for name, case in stored.items()})) == text
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(_render(build(CASES)), encoding="utf-8")
+    GOLDEN.write_text(render_golden(build(CASES)), encoding="utf-8")

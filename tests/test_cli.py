@@ -470,6 +470,23 @@ def test_huge_degrees_exit_2_without_traceback():
         assert json.loads(proc.stdout)["error"]["reason"], argv
 
 
+def test_a_search_past_the_recursion_limit_exits_3(capsys):
+    # the state search recurses once per vertex that still sends: about n/2
+    # levels for a perfect matching, n for a directed 2-factor or K_n
+    for argv in (
+        ["analyze", "--degrees", ",".join(["1"] * 1990)],
+        ["irreducible", "--directed", "--degrees", ",".join(["1:1"] * 1000)],
+        ["analyze", "--degrees", ",".join(["999"] * 1000)],
+    ):
+        code, doc = run_cli(capsys, *argv)
+        assert code == 3, argv[:2]
+        reason = doc["error"]["reason"]
+        assert "recursion limit" in reason and "states" not in reason, reason
+    # a star is one level deep, however many leaves it has
+    code, doc = run_cli(capsys, "irreducible", "--degrees", ",".join(["600"] + ["1"] * 600))
+    assert code == 0 and doc["result"]["state_count"] == 1
+
+
 def test_manifest_flags_hold_no_private_attributes(tmp_path, capsys):
     enc = tmp_path / "enc.csv"
     save_encoding(make_test_encoding(realize(DegreeSequence([3] * 12)), random.Random(5), profile=(1, 1)), enc)

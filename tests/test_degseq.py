@@ -35,21 +35,25 @@ def test_degree_sequence_validation():
         DegreeSequence([])
     with pytest.raises(ValueError):
         DegreeSequence([1, -1])
+    with pytest.raises(ValueError, match="empty directed degree sequence"):
+        DirectedDegreeSequence([])
+    with pytest.raises(ValueError, match="non-negative"):
+        DirectedDegreeSequence([(1, 0), (-1, 0)])
 
 
-def test_classify_examples():
-    assert not DegreeSequence([3, 3, 1, 1]).classify()["graphical"]
-    assert DegreeSequence([2, 2, 1, 1]).classify()["graphical"]
+def test_hypotheses_examples():
+    assert not DegreeSequence([3, 3, 1, 1]).hypotheses()["graphical"]
+    assert DegreeSequence([2, 2, 1, 1]).hypotheses()["graphical"]
     # 9 * 3^2 = 81 > 12
-    assert not DegreeSequence([3, 3, 3, 3]).classify()["theorem1_applicable"]
-    assert DegreeSequence([3] * 28).classify()["theorem1_applicable"]
+    assert not DegreeSequence([3, 3, 3, 3]).hypotheses()["applicable"]
+    assert DegreeSequence([3] * 28).hypotheses()["applicable"]
 
 
 def test_stable_flag():
     d = DegreeSequence([3, 3, 3, 3])
     # (3-3+1)^2 = 1 <= 4*3*(4-3+1) = 24
-    assert d.classify()["stable"]
-    assert not DegreeSequence([5, 1, 1, 1, 1, 1]).classify()["stable"]
+    assert d.stable
+    assert not DegreeSequence([5, 1, 1, 1, 1, 1]).stable
 
 
 def test_graphical_matches_search_up_to_n7():
@@ -66,17 +70,17 @@ def test_graphical_matches_search_n8_sample(rng):
         assert DegreeSequence(combo).is_graphical() == graphical_by_search(combo), combo
 
 
-def test_classify_directed_examples():
+def test_directed_hypotheses_examples():
     dd = DirectedDegreeSequence([(1, 1), (1, 1), (1, 1)])
-    flags = dd.classify()
-    assert flags["digraphical"] and not flags["theorem2_degree_ok"]
+    flags = dd.hypotheses()
+    assert flags["digraphical"] and not flags["r_max_ok"] and not flags["applicable"]
 
     dd2 = DirectedDegreeSequence([(2, 0), (0, 2), (1, 1)])
     assert dd2.sum_in == dd2.sum_out == 3
-    assert dd2.classify()["digraphical"]
+    assert dd2.hypotheses()["digraphical"]
 
     with pytest.raises(ValueError):
-        DirectedDegreeSequence([(1, 0), (0, 0)]).classify()
+        DirectedDegreeSequence([(1, 0), (0, 0)]).hypotheses()
 
 
 def test_digraphical_matches_search_n4():
@@ -124,6 +128,13 @@ def test_parsing(tmp_path):
     assert load_degrees(str(f)).degrees == (3, 3, 3, 3)
     assert load_degrees("2,2,2").degrees == (2, 2, 2)
 
+    # blank lines are skipped; a file of nothing else holds no degrees
+    f.write_text("1\n\n  \n1\n")
+    assert read_degree_file(f).degrees == (1, 1)
+    f.write_text("\n\n")
+    with pytest.raises(ValueError, match="no degrees in"):
+        read_degree_file(f)
+
 
 @pytest.mark.parametrize("directed", [False, True])
 def test_sequences_carry_their_mode(directed, tmp_path):
@@ -170,7 +181,7 @@ def test_a_degree_file_is_read_line_by_line(tmp_path):
         read_degree_file(f)
 
 
-def test_hypotheses_are_the_flags_classify_and_bound_read(capsys):
+def test_hypotheses_are_the_flags_validate_and_bound_read(capsys):
     import json
 
     from switchmix.cli import main
@@ -187,22 +198,25 @@ def test_hypotheses_are_the_flags_classify_and_bound_read(capsys):
     for seq in cases:
         flags = seq.hypotheses()
         assert flags["applicable"] == all(v for k, v in flags.items() if k != "applicable")
-        classified = seq.classify()
         if seq.directed:
             spec = ["--directed", "--degrees", ",".join(f"{a}:{b}" for a, b in seq.pairs)]
         else:
             spec = ["--degrees", ",".join(map(str, seq.degrees))]
+        main(["validate", *spec])
+        doc = json.loads(capsys.readouterr().out)
+        validated = doc.get("result") or doc["error"]
         assert main(["bound", *spec]) == 0
         applicability = json.loads(capsys.readouterr().out)["result"]["applicability"]
-        if isinstance(seq, DirectedDegreeSequence):
+        if seq.directed:
             assert set(flags) == {"digraphical", "r_min_ok", "r_max_ok", "density_ok", "applicable"}
-            assert classified["digraphical"] == flags["digraphical"]
-            assert (classified["digraphical"] and classified["theorem2_degree_ok"]) == flags["applicable"]
+            assert validated["digraphical"] == flags["digraphical"]
+            assert (validated["digraphical"] and validated["theorem2_degree_ok"]) == flags["applicable"]
             assert applicability.pop("note").startswith("switch-irreducibility")
         else:
             assert set(flags) == {"graphical", "d_min_ok", "d_max_ok", "density_ok", "applicable"}
-            assert classified["graphical"] == flags["graphical"]
-            assert classified["theorem1_applicable"] == flags["applicable"]
+            assert validated["graphical"] == flags["graphical"]
+            assert validated["theorem1_applicable"] == flags["applicable"]
+            assert validated["stable"] == seq.stable
         assert applicability == flags
     assert DegreeSequence([3] * 28).hypotheses()["applicable"]
     assert DirectedDegreeSequence([(2, 2)] * 64).hypotheses()["applicable"]

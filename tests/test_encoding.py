@@ -122,6 +122,16 @@ def test_encode_full_defect_example():
     assert not L.is_valid() and not L.is_good() and L.is_consistent_with(ALT)
 
 
+def test_encode_rejects_mixed_modes_and_a_defective_store_is_no_graph():
+    with pytest.raises(TypeError, match="all three states must be graphs or all digraphs"):
+        encode(PATH, PATH, Digraph(4, [(0, 1), (1, 2), (2, 3)]))
+    L = encode(PATH, PATH, ALT)
+    assert repr(L) == "Encoding(directed=False, n=4, p=2, q=2)"
+    with pytest.raises(ValueError, match="encoding still has defects"):
+        L.as_graph()
+    assert encode(PATH, PATH, PATH).as_graph() == PATH
+
+
 def test_encode_rejects_mismatched_degrees():
     with pytest.raises(ValueError):
         encode(PATH, PATH, Graph(4, [(0, 1), (0, 2), (0, 3)]))
@@ -217,6 +227,13 @@ def test_apply_3switch_errors():
     L = encode(PATH, PATH, PATH)
     with pytest.raises(ValueError):
         apply_3switch(L, (0, 0, 1, 2, 3, 3))  # repeated vertices
+    with pytest.raises(ValueError, match="vertex 4 out of range"):
+        apply_3switch(L, (0, 1, 2, 3, 4, 5))
+    with pytest.raises(ValueError, match="diagonal entries are fixed at zero"):
+        L._set(2, 2, 1)
+    with pytest.raises(ValueError, match="entry 3 out of range"):
+        L._set(0, 2, 3)
+    assert L == encode(PATH, PATH, PATH)
     # decrementing a -1 entry leaves the label range; the call must not mutate
     mat = [[0] * 6 for _ in range(6)]
     mat[0][1] = mat[1][0] = -1
@@ -242,6 +259,10 @@ def test_choice_count_and_bound_path_example():
 
 def test_choice_count_anchor_validation():
     L = encode(PATH, PATH, PATH)
+    with pytest.raises(ValueError, match=r"second_pair anchors are \(a1, b1\)"):
+        choice_count_and_bound(L, (0, 1, 2), "second_pair")
+    with pytest.raises(ValueError, match=r"third_pair anchors are \(a1, b1, a2, b2\)"):
+        choice_count_and_bound(L, (0, 1), "third_pair")
     with pytest.raises(ValueError):
         choice_count_and_bound(L, (0, 2), "second_pair")  # L(0,2)=0
     with pytest.raises(ValueError):
@@ -417,6 +438,40 @@ def test_serialization_round_trip(tmp_path, rng):
     save_encoding(Ld, dcsv)
     Ld2 = load_encoding(dcsv)
     assert Ld2 == Ld and Ld2.directed
+
+
+def test_malformed_sidecar_values_are_value_errors(tmp_path):
+    import json
+
+    csv_path = tmp_path / "enc.csv"
+    save_encoding(encode(PATH, PATH, ALT), csv_path)
+    sidecar = tmp_path / "enc.csv.json"
+    good = json.loads(sidecar.read_text())
+    for doc, message in (
+        ({**good, "n": "4"}, "sidecar field 'n' must be an integer"),
+        ({**good, "profile": {"p": 2, "q": 2.0}}, "sidecar field 'q' must be an integer"),
+        ({**good, "profile": {"p": 1, "q": 2}}, r"sidecar profile \(1, 2\) does not match matrix \(2, 2\)"),
+    ):
+        sidecar.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            load_encoding(csv_path)
+
+
+def test_counting_identities_catch_a_corrupted_store():
+    # a target moved one unit between vertices keeps the entry count but
+    # breaks |N+(0)| = d - 2 zeta + eta at vertex 0
+    L = encode(PATH, PATH, PATH)
+    L.target_out = (2, 1, 2, 1)
+    with pytest.raises(ValueError, match=r"\|N\+\(0\)\| breaks the degree identity"):
+        verify_counting_identities(L)
+    # a 2-entry key laid over a label-1 bit, with the target raised to match
+    # the entry count: |N+(0)| holds but the merged mask misses one entry
+    cycle = Digraph(3, [(0, 1), (1, 2), (2, 0)])
+    L = encode(cycle, cycle, cycle)
+    L.two.add((0, 1))
+    L.target_out = (3, 1, 1)
+    with pytest.raises(ValueError, match=r"\|N\^\+\(0\)\| breaks the degree identity"):
+        verify_counting_identities(L)
 
 
 def _random_encoding(rng, n, directed):

@@ -36,6 +36,8 @@ from switchmix import (
 from switchmix.cli import main
 from switchmix.graph import write_edge_list
 
+from conftest import render_golden
+
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "encodings.json"
 
 SYMBOL = {-1: "-", 0: "0", 1: "1", 2: "2"}
@@ -193,18 +195,10 @@ def build():
     return out
 
 
-def _render(doc) -> str:
-    """One case per line, so a changed output shows as a changed line."""
-    rows = [
-        f"{json.dumps(name)}:{json.dumps(case, sort_keys=True, separators=(',', ':'))}"
-        for name, case in sorted(doc.items())
-    ]
-    return "{\n" + ",\n".join(rows) + "\n}\n"
-
 
 def test_encodings_match_golden_file():
-    assert _render(build()) == GOLDEN.read_text(encoding="utf-8")
+    assert render_golden(build()) == GOLDEN.read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(_render(build()), encoding="utf-8")
+    GOLDEN.write_text(render_golden(build()), encoding="utf-8")

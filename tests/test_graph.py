@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from switchmix import Digraph, Graph, advance, read_digraph, read_graph, write_edge_list
+from switchmix import Digraph, Graph, advance, encode, read_digraph, read_graph, write_edge_list
 
 from conftest import random_graph, reference_edge_index_pair
 
@@ -22,6 +22,25 @@ def test_no_loops_or_duplicates():
     g.add_edge(0, 1)
     with pytest.raises(ValueError):
         g.add_edge(1, 0)
+    with pytest.raises(ValueError, match=r"edge \(0,3\) out of range"):
+        g.add_edge(0, 3)
+    with pytest.raises(ValueError, match="negative vertex count"):
+        Graph(-1)
+
+
+def test_repr_lists_the_sorted_keys():
+    assert repr(Graph(3, [(2, 1), (1, 0)])) == "Graph(n=3, edges=[(0, 1), (1, 2)])"
+    assert repr(Digraph(3, [(2, 1), (1, 0)])) == "Digraph(n=3, edges=[(1, 0), (2, 1)])"
+
+
+def test_mutable_stores_are_not_hashable():
+    # equal stores may be moved apart in place, so a hash would go stale in a set
+    g = Graph(3, [(0, 1)])
+    dg = Digraph(3, [(0, 1)])
+    assert g == Graph(3, [(1, 0)]) and dg != Digraph(3, [(1, 0)])
+    for store in (g, dg, encode(g, g, g)):
+        with pytest.raises(TypeError):
+            hash(store)
 
 
 def test_switch_example():

@@ -14,7 +14,7 @@ import random
 
 from switchmix import DegreeSequence, DirectedDegreeSequence, realize, realize_directed
 
-from conftest import erdos_gallai_quadratic, fulkerson_quadratic
+from conftest import erdos_gallai_quadratic, fulkerson_quadratic, render_golden
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "realize.json"
 
@@ -105,22 +105,14 @@ def build(degree_lists):
     return out
 
 
-def _render(doc) -> str:
-    """One case per line, so a changed realization shows as a changed line."""
-    rows = [
-        f"{json.dumps(name)}:{json.dumps(case, sort_keys=True, separators=(',', ':'))}"
-        for name, case in sorted(doc.items())
-    ]
-    return "{\n" + ",\n".join(rows) + "\n}\n"
-
 
 def test_realizations_match_golden_file():
     text = GOLDEN.read_text(encoding="utf-8")
     stored = json.loads(text)
     assert len(stored) == 7
     degree_lists = {name: (case["directed"], case["degrees"]) for name, case in stored.items()}
-    assert _render(build(degree_lists)) == text
+    assert render_golden(build(degree_lists)) == text
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(_render(build(cases())), encoding="utf-8")
+    GOLDEN.write_text(render_golden(build(cases())), encoding="utf-8")

@@ -383,6 +383,17 @@ def test_reducible_space_has_no_mixing_time():
         an.exact_mixing_time(Fraction(3, 5))
 
 
+def test_mixing_time_checks_eps_and_gives_up_at_the_step_limit(monkeypatch):
+    an = analyze(DegreeSequence([2] * 6))
+    for eps in (0, 1, 1.5, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="eps must lie in"):
+            an.exact_mixing_time(eps)
+    assert an.exact_mixing_time(0.01) > 2
+    monkeypatch.setattr(statespace, "MAX_MIXING_STEPS", 2)
+    with pytest.raises(NoMixingError, match="no mixing within 2 steps"):
+        an.exact_mixing_time(0.01)
+
+
 def test_periodic_space_detected_up_front():
     # two sources and two sinks: no state holds and the switch graph is bipartite
     an = analyze(DirectedDegreeSequence([(0, 1), (1, 0), (0, 1), (1, 0)]))
