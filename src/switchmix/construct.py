@@ -18,6 +18,8 @@ def realize(d: DegreeSequence) -> Graph:
     orders by (-res, v): the first pop is the vertex to exhaust and the next
     res[u] pops are its partners, in order.
     """
+    if d.directed:
+        raise TypeError("realize takes a DegreeSequence; use realize_directed for a DirectedDegreeSequence")
     if not d.is_graphical():
         raise NotRealizableError(f"{list(d.degrees)} is not graphical")
     n = d.n
@@ -54,6 +56,8 @@ def realize_directed(dd: DirectedDegreeSequence) -> Digraph:
     leaves the old one in place; a popped key that no longer matches the
     vertex's residuals is stale and skipped.
     """
+    if not dd.directed:
+        raise TypeError("realize_directed takes a DirectedDegreeSequence; use realize for a DegreeSequence")
     if dd.sum_in != dd.sum_out:
         raise NotRealizableError(
             f"in-degree sum {dd.sum_in} differs from out-degree sum {dd.sum_out}"

@@ -11,11 +11,11 @@ keyed by bitmasks over vertex pairs while the rows are built.  Floating point
 appears only in the spectral gap: a Lanczos iteration on the same rows,
 deflated by the uniform vector (the known eigenvalue-1 eigenvector of the
 symmetric P) and started from a fixed pseudo-random vector, so it is
-deterministic and never forms a dense matrix.  It stops once both extreme
-Ritz values have residual at most 1e-14 (which a breakdown also gives) or at
-dimension N - 1.  Rows of at most ``_LIST_KERNEL_NNZ`` non-zeros run it on
-Python lists with ``math.fsum`` sums, bitwise alike on every supported
-Python; larger ones run it in numpy, which is imported only there.
+deterministic and never forms a dense matrix or keeps a basis.  It stops once
+both extreme Ritz values have residual at most 1e-14 (which a breakdown also
+gives) or at dimension N - 1.  Rows of at most ``_LIST_KERNEL_NNZ`` non-zeros
+run it on Python lists with ``math.fsum`` sums, bitwise alike on every
+supported Python; larger ones run it in numpy, which is imported only there.
 One ``StateSpaceAnalysis`` per space answers its questions, connectivity too;
 it takes no start: TV curves begin at the greedy state or a given index.
 """
@@ -462,33 +462,41 @@ def _deflated_extremes(rows, denom) -> tuple:
     """Least and greatest eigenvalue of the symmetric P = rows/denom on u-perp.
 
     u is the uniform unit vector, the known eigenvector of eigenvalue 1, so
-    the greatest eigenvalue there is lambda_2.  Both kernels run Lanczos from
-    a fixed pseudo-random vector projected off u and stop when both extreme
-    Ritz residuals beta_k |s_k| fall to ``_LANCZOS_TOL`` or at dimension
-    N - 1; the extremes are then those of the small tridiagonal matrix.  The
-    residuals never exceed beta_k, so a breakdown (beta_k near 0: every
-    distinct eigenvalue the start vector meets is already in the Krylov
-    space) stops them too.  Rows holding at most ``_LIST_KERNEL_NNZ``
-    non-zeros go to ``_extremes_lists``, on the standard library, where
-    numpy's import would cost more than the whole iteration; larger ones go
-    to ``_extremes_numpy``, and only they import numpy.
+    the greatest eigenvalue there is lambda_2.  Lanczos runs from
+    ``_lanczos_start``; each new vector is the three-term recurrence
+    projected off u, then one more Gram-Schmidt pass against u and the last
+    two vectors.  Local orthogonality gives the extreme Ritz values to
+    working accuracy (Paige 1980), so no basis is kept.  It stops when both
+    extreme Ritz residuals beta_k |s_k| (``_least_ritz``) fall to
+    ``_LANCZOS_TOL`` or at dimension N - 1; they never exceed beta_k, so a
+    breakdown stops them too.  Only the arithmetic forks: rows of at most
+    ``_LIST_KERNEL_NNZ`` non-zeros go to ``_extremes_lists``, where numpy's
+    import would cost more than the whole iteration, and larger ones to
+    ``_extremes_numpy``, the only importer of numpy.
     """
     small = sum(map(len, rows)) <= _LIST_KERNEL_NNZ
     return (_extremes_lists if small else _extremes_numpy)(rows, denom)
 
 
+def _lanczos_start(count) -> list:
+    """The unit start vector of both kernels: ``Random(_LANCZOS_SEED)`` draws
+    in [-0.5, 0.5), projected off u twice."""
+    rng = Random(_LANCZOS_SEED)
+    x = [rng.random() - 0.5 for _ in range(count)]
+    for _ in range(2):
+        mean = fsum(x) / count
+        x = [xi - mean for xi in x]
+    norm = sqrt(fsum(map(mul, x, x)))
+    return [xi / norm for xi in x]
+
+
 def _extremes_lists(rows, denom) -> tuple:
     """``_deflated_extremes`` on Python lists, bitwise alike on every Python.
 
-    Each new vector comes from the three-term recurrence, projected off u,
-    and one more Gram-Schmidt pass against u and the last two Lanczos
-    vectors; local orthogonality still gives the extreme Ritz values to
-    working accuracy (Paige 1980).  Every float sum is a ``math.fsum``,
-    which is correctly rounded: ``sum`` of floats is compensated from
-    Python 3.12 on, so the gap's last bits would depend on the interpreter.
-    The product with P is the holding mass times x[i] plus the sum of x over
-    row i, over the denominator.  The tridiagonal's extremes come from
-    ``_least_ritz``.
+    Every float sum is a ``math.fsum``, which is correctly rounded: ``sum``
+    of floats is compensated from Python 3.12 on, so the gap's last bits
+    would depend on the interpreter.  The product with P is the holding mass
+    times x[i] plus the sum of x over row i, over the denominator.
     """
     count = len(rows)
     # a one-element row gets a slice, so that every getter returns a sequence
@@ -498,13 +506,7 @@ def _extremes_lists(rows, denom) -> tuple:
     def dot(a, b):
         return fsum(map(mul, a, b))
 
-    rng = Random(_LANCZOS_SEED)
-    x, prev = [rng.random() - 0.5 for _ in range(count)], [0.0] * count
-    for _ in range(2):
-        mean = fsum(x) / count
-        x = [xi - mean for xi in x]
-    norm = sqrt(dot(x, x))
-    x = [xi / norm for xi in x]
+    x, prev = _lanczos_start(count), [0.0] * count
     alphas, betas, beta = [], [], 0.0
     while True:
         w = [h * xi + fsum(get(x)) / denom for h, xi, get in zip(hold, x, getters)]
@@ -522,6 +524,36 @@ def _extremes_lists(rows, denom) -> tuple:
         prev, x = x, [wi / beta for wi in w]
 
 
+def _extremes_numpy(rows, denom) -> tuple:
+    """``_deflated_extremes`` in numpy, for rows past ``_LIST_KERNEL_NNZ``.
+
+    Each product with P is one ``bincount`` of x[j] / denom over the listed
+    neighbours j plus the holding mass times x, so memory is two index
+    arrays, one gathered copy of x and a few vectors.
+    """
+    import numpy as np
+
+    count = len(rows)
+    row_idx = np.repeat(np.arange(count), [len(row) for row in rows])
+    col_idx = np.fromiter(chain.from_iterable(rows), np.intp, len(row_idx))
+    hold = (denom - np.bincount(row_idx, minlength=count)) / denom
+    x, prev = np.array(_lanczos_start(count)), np.zeros(count)
+    alphas, betas, beta = [], [], 0.0
+    while True:
+        w = np.bincount(row_idx, weights=(x * (1 / denom))[col_idx], minlength=count) + hold * x
+        alpha = x @ w
+        alphas.append(alpha)
+        w = w - w.mean() - alpha * x - beta * prev
+        w = w - w.mean() - (x @ w) * x - (prev @ w) * prev
+        beta = sqrt(w @ w)
+        low, s_low = _least_ritz(alphas, betas)
+        high, s_high = _least_ritz([-a for a in alphas], betas)
+        if len(alphas) == count - 1 or beta * max(s_low, s_high) <= _LANCZOS_TOL:
+            return low, -high
+        betas.append(beta)
+        prev, x = x, w / beta
+
+
 def _least_ritz(alphas, betas) -> tuple:
     """The least eigenvalue theta of the symmetric tridiagonal matrix T with
     diagonal ``alphas`` and off-diagonal ``betas``, and |s_k|, the last entry
@@ -530,10 +562,14 @@ def _least_ritz(alphas, betas) -> tuple:
     theta comes from Sturm bisection on [-1, 1], which holds every Ritz
     value of P: T - x I has a pivot at most 0 exactly when some eigenvalue
     is at most x.  s comes from three solves of inverse iteration at
-    sigma = theta - 1e-10, just below the spectrum, where T - sigma I is
+    sigma = theta - 1e-13, just below the spectrum, where T - sigma I is
     positive definite and needs no pivoting.  At theta itself both the
     eigenvector recurrence and the unpivoted solve report |s_k| near 1 for a
     converged Ritz value, and the iteration would run on to dimension N - 1.
+    At theta - 1e-10, three solves cannot separate theta from a near twin
+    (the copy of a converged Ritz value that local orthogonality lets back
+    in), so |s_k| mixes both vectors and the stop test waits for the twin
+    to converge: 350 steps on ``[1,1,2,2,2,2,3,3,3,3]`` against 115.
     """
     squares = [0.0, *(b * b for b in betas)]
     lo, hi = -1.0, 1.0
@@ -546,7 +582,7 @@ def _least_ritz(alphas, betas) -> tuple:
                 break
         else:
             lo = mid
-    sigma = lo - 1e-10
+    sigma = lo - 1e-13
     pivots, ratios = [alphas[0] - sigma], []
     for a, b in zip(alphas[1:], betas):
         ratios.append(b / pivots[-1])
@@ -562,49 +598,6 @@ def _least_ritz(alphas, betas) -> tuple:
         top = max(map(abs, y))
         y = [v / top for v in y]
     return lo, abs(y[-1]) / sqrt(fsum(v * v for v in y))
-
-
-def _extremes_numpy(rows, denom) -> tuple:
-    """``_deflated_extremes`` in numpy, for rows past ``_LIST_KERNEL_NNZ``.
-
-    Each new vector is reorthogonalised twice against u and every earlier
-    vector (against the earlier vectors alone, u creeps back in as roundoff
-    once the Krylov space is nearly exhausted, and a spurious Ritz value
-    near 1 appears).  Each product with P is one ``bincount`` of
-    x[j] * (1/denom) over the listed neighbours j plus the holding mass
-    times x, so memory is two index arrays plus the basis.
-    """
-    import numpy as np
-
-    count = len(rows)
-    row_idx = np.repeat(np.arange(count), [len(row) for row in rows])
-    col_idx = np.fromiter(chain.from_iterable(rows), np.intp, len(row_idx))
-    hold = (denom - np.bincount(row_idx, minlength=count)) / denom
-    basis = np.empty((min(count, 64), count))
-    basis[0] = 1.0 / np.sqrt(count)
-    q = np.random.default_rng(_LANCZOS_SEED).standard_normal(count)
-    for _ in range(2):
-        q -= basis[0] * (basis[0] @ q)
-    basis[1] = q / np.linalg.norm(q)
-    alphas, betas = [], []
-    k = 1
-    while True:
-        x = basis[k]
-        w = np.bincount(row_idx, weights=x[col_idx] * (1 / denom), minlength=count) + hold * x
-        alphas.append(x @ w)
-        known = basis[: k + 1]
-        for _ in range(2):
-            w -= (known @ w) @ known
-        beta = np.linalg.norm(w)
-        theta, s = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
-        residual = beta * max(abs(s[-1, 0]), abs(s[-1, -1]))
-        if k == count - 1 or residual <= _LANCZOS_TOL:
-            return theta[0], theta[-1]
-        betas.append(beta)
-        k += 1
-        if k == len(basis):
-            basis = np.concatenate([basis, np.empty((min(k, count - k), count))])
-        basis[k] = w / beta
 
 
 def analyze(seq, variant: str = VARIANT_EXACT, cap: int = DEFAULT_CAP) -> StateSpaceAnalysis:

@@ -61,6 +61,13 @@ def test_realize_directed_trivial_and_errors():
         realize_directed(DirectedDegreeSequence([(1, 0), (0, 0)]))
 
 
+def test_each_realizer_rejects_the_other_kind_of_sequence():
+    with pytest.raises(TypeError, match="use realize_directed"):
+        realize(DirectedDegreeSequence([(1, 1)] * 3))
+    with pytest.raises(TypeError, match="use realize for"):
+        realize_directed(DegreeSequence([2] * 3))
+
+
 def test_realize_directed_exhaustive_small():
     # greedy must succeed on every digraphical multiset with n <= 4
     for n in range(1, 5):

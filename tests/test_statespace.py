@@ -510,11 +510,10 @@ def kernel_gap(kernel, an) -> float:
     return float(1.0 - max(abs(lowest), highest))
 
 
-@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.__name__)
-def test_each_kernel_matches_dense_oracle(kernel, rng):
-    """Both kernels, called directly at every size: the gap spaces, the three
-    random families, the symmetric early-breakdown spaces, the periodic space
-    (lambda_min = -1) and a 2-state space."""
+def kernel_spaces(rng) -> list:
+    """The gap spaces, the three random families, the symmetric
+    early-breakdown spaces, the periodic space (lambda_min = -1) and a
+    2-state space."""
     spaces = [analyze(seq) for seq in GAP_SPACES]
     for directed, variant in [(False, VARIANT_EXACT), (False, VARIANT_ALL_PAIRS), (True, VARIANT_EXACT)]:
         spaces += [an for an in _random_spaces(rng, directed, 12, max_states=400, variant=variant) if an.irreducible]
@@ -522,8 +521,56 @@ def test_each_kernel_matches_dense_oracle(kernel, rng):
     spaces += [analyze(DirectedDegreeSequence([(0, 1), (1, 0), (0, 1), (1, 0)]))]
     spaces += [analyze(DegreeSequence([1, 2, 2, 1]))]
     assert [len(an.states) for an in spaces[-2:]] == [2, 2]
-    for an in spaces:
+    return spaces
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.__name__)
+def test_each_kernel_matches_dense_oracle(kernel, rng):
+    """Both kernels, called directly at every size."""
+    for an in kernel_spaces(rng):
         assert abs(kernel_gap(kernel, an) - dense_gap(an)) <= 1e-12, an.seq
+
+
+def test_the_two_kernels_agree_to_1e_15(rng):
+    """One recipe in two arithmetics: only the order of the float sums differs."""
+    for an in kernel_spaces(rng):
+        assert abs(kernel_gap(KERNELS[0], an) - kernel_gap(KERNELS[1], an)) <= 1e-15, an.seq
+
+
+def test_numpy_kernel_keeps_no_basis_and_calls_no_lapack(monkeypatch):
+    """The ``[2]*8`` gap keeps its bits with no ``eigh`` and no basis growth."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Lanczos kernels call neither eigh nor concatenate")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np, "concatenate", refuse)
+    assert analyze(DegreeSequence([2] * 8)).spectral_gap == 0.1898633521852514
+
+
+def test_numpy_kernel_peaks_under_28_bytes_per_nonzero():
+    """Two index arrays and one gathered copy of x, 8 bytes each per non-zero,
+    and a few vectors: no basis of k vectors."""
+    an = analyze(DegreeSequence([2] * 8))
+    tracemalloc.start()
+    try:
+        statespace._extremes_numpy(an._rows, an._denom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 28 * sum(map(len, an._rows))
+
+
+def test_list_kernel_stops_two7_within_34_steps(monkeypatch):
+    """Inverse iteration at theta - 1e-13 separates the top Ritz value from
+    its twin, so the stop test no longer waits for the twin (44 steps at
+    theta - 1e-10); each step asks ``_least_ritz`` for both extremes."""
+    calls = []
+    least_ritz = statespace._least_ritz
+    monkeypatch.setattr(statespace, "_least_ritz", lambda alphas, betas: calls.append(1) or least_ritz(alphas, betas))
+    an = analyze(DegreeSequence([2] * 7))
+    assert kernel_gap(statespace._extremes_lists, an) == 0.22372879366063259
+    assert len(calls) // 2 <= 34
 
 
 def test_rows_up_to_the_crossover_take_the_list_kernel(monkeypatch):
