@@ -95,11 +95,12 @@ def _exact(q) -> str:
 
 
 def _document_path(args):
-    """Where --out puts a run's JSON document, result or error: --out itself, or
-    for ``sample`` the manifest.json in that directory, made when missing and
-    cleared of the ``sample_r*_*.txt`` files an earlier run left there."""
+    """Where --out puts a run's JSON document, result or error: --out itself;
+    nowhere for ``realize`` and ``repair-encoding``, whose --out holds only an
+    edge list; for ``sample`` the manifest.json in that directory, made when
+    missing and cleared of the ``sample_r*_*.txt`` files an earlier run left there."""
     if args.subcommand != "sample" or not args.out:
-        return args.out
+        return None if args.subcommand in ("realize", "repair-encoding") else args.out
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for stale in out.glob("sample_r*_*.txt"):
@@ -270,7 +271,7 @@ def _cmd_repair_encoding(args):
     try:
         res = repair(L)
     except RepairStuckError as exc:
-        return {**head, "repaired": False, "stuck_profile": exc.profile, "switch_log": exc.log}, args.out
+        return {**head, "repaired": False, "stuck_profile": exc.profile, "switch_log": exc.log}, None
     if args.out:
         write_edge_list(res.result, args.out)
     return {

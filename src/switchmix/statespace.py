@@ -7,7 +7,7 @@ Transition matrices and total-variation curves are kept in exact rational
 arithmetic (integer numerators over a power of the one-step denominator);
 the matrix is held as a list of neighbour indices per state and each
 state's holding mass, so propagation touches only the non-zeros.  States are
-keyed by bitmasks over vertex pairs while the rows are built.  Floating point
+keyed once, by bitmasks over vertex pairs, for every lookup.  Floating point
 appears only in the spectral gap: a Lanczos iteration on the same rows,
 deflated by the uniform vector (the known eigenvalue-1 eigenvector of the
 symmetric P) and started from a fixed pseudo-random vector, so it is
@@ -156,37 +156,26 @@ def step_denominator(seq, variant: str = VARIANT_EXACT) -> int:
     return proposals or 1
 
 
-def pair_masks(states) -> tuple:
-    """``(bit, masks)``: a bit for each vertex pair that occurs in ``states``,
-    in sorted pair order, and each state's mask, the sum of its pairs' bits."""
-    bit = {e: 1 << k for k, e in enumerate(sorted({e for st in states for e in st}))}
-    return bit, [sum(bit[e] for e in st) for st in states]
-
-
-def switch_rows(states, directed: bool = False) -> list:
-    """Switch neighbours of every state, as lists of state indices.
+def _switch_rows(states, bit, index, directed: bool) -> list:
+    """Switch neighbours of every state, as lists of state indices, on an analysis's keys.
 
     Row i lists each switch neighbour of ``states[i]`` once: a switch's
     symmetric difference fixes the pairs it removes and the pairs it adds,
     so exactly one proposal reaches each neighbour.
 
-    Each state is keyed by a bitmask over the vertex pairs that occur in
-    the states, and each pair of disjoint pairs carries its ``_switches`` as
-    (removed, added) masks, so a neighbour is one dictionary lookup of
-    ``mask ^ removed | added``.  A switch whose new pairs never occur in a
-    state can never apply and is left out.  Neighbours come in proposal
-    order: the state's pairs (i, j) with i < j, then each one's ``_switches``
-    matchings in turn.
+    Each pair of disjoint pairs carries its ``_switches`` as (removed, added)
+    masks, so a neighbour is one ``index`` lookup of ``mask ^ removed | added``.
+    A switch whose new pairs never occur in a state can never apply and is
+    left out.  Neighbours come in proposal order: the state's pairs (i, j)
+    with i < j, then each one's ``_switches`` matchings in turn.
     """
-    bit, masks = pair_masks(states)
     moves = {}
     for p, q in combinations(bit, 2):
         added = [bit[a] | bit[b] for a, b in _switches(p, q, directed) if a in bit and b in bit]
         if added:
             moves[bit[p] | bit[q]] = added
-    index = {mask: i for i, mask in enumerate(masks)}
     rows = []
-    for st, mask in zip(states, masks):
+    for st, mask in zip(states, index, strict=True):  # one mask per distinct state, in order
         bits = [bit[e] for e in st]
         row = []
         for i, b in enumerate(bits):
@@ -203,8 +192,8 @@ def components(rows) -> list:
     """Least state index in each state's class of the graph given by ``rows``.
 
     The rows must be symmetric, as switch rows (each switch has a reverse)
-    and the orbit rows of ``relabelling_orbits`` are.  Then a breadth-first
-    pass from each unlabelled state, in index order, labels its whole class.
+    and relabelling-orbit rows are.  Then a breadth-first pass from each
+    unlabelled state, in index order, labels its whole class.
     """
     label = [None] * len(rows)
     for root in range(len(rows)):
@@ -219,32 +208,6 @@ def components(rows) -> list:
     return label
 
 
-def relabelling_orbits(seq, states) -> list:
-    """Least state index in each state's orbit under degree-preserving relabellings.
-
-    Such relabellings commute with the switch chain, so states of one orbit
-    have identical TV curves.  Adjacent transpositions inside each degree
-    class ((in, out) class when directed) generate the group, so the orbits
-    are the ``components`` of rows listing each state's image under each
-    transposition (symmetric, as a transposition is its own inverse), with
-    no isomorphism test.  A transposition acts on the ``pair_masks`` keys as
-    a map from each pair to the bit of its image, a pair of some state.
-    """
-    directed = seq.directed
-    key = (Digraph if directed else Graph)._key
-    classes = {}
-    for v, label in enumerate(seq.pairs if directed else seq.degrees):
-        classes.setdefault(label, []).append(v)
-    swaps = [(vs[k], vs[k + 1]) for vs in classes.values() for k in range(len(vs) - 1)]
-    bit, masks = pair_masks(states)
-    index = {mask: i for i, mask in enumerate(masks)}
-    images = []
-    for u, v in swaps:
-        perm = {u: v, v: u}
-        images.append({(x, y): bit[key(perm.get(x, x), perm.get(y, y))] for x, y in bit})
-    return components([[index[sum(image[e] for e in st)] for image in images] for st in states])
-
-
 class NoMixingError(RuntimeError):
     """The chain does not converge to uniform (reducible, or periodic)."""
 
@@ -253,9 +216,11 @@ class StateSpaceAnalysis:
     """Exact chain diagnostics over all the realizations ``states`` of ``seq``
     (as ``enum_states`` lists them); none raises NotRealizableError.
 
-    The transition matrix is held as ``switch_rows`` neighbour lists (numerator
-    1 each) and the holding mass ``denom - len(row)`` of each state, over
-    the common ``step_denominator`` (3a, 3*binom(E,2) or binom(m,2)), so
+    ``_bit`` gives each vertex pair that occurs in a state a bit, in sorted
+    pair order, and ``_index`` maps each state's mask, its pairs' bits summed,
+    to its index.  The transition matrix is held as switch-neighbour lists
+    (numerator 1 each) and the holding mass ``denom - len(row)`` of each state,
+    over the common ``step_denominator`` (3a, 3*binom(E,2) or binom(m,2)), so
     propagation is pure integer arithmetic and every TV value is an exact Fraction.
     """
 
@@ -269,18 +234,40 @@ class StateSpaceAnalysis:
         self._gap = None
         self._fraction_matrix = None
         self._denom = step_denominator(seq, variant)
-        self._rows = switch_rows(states, self.directed)
+        bit = self._bit = {e: 1 << k for k, e in enumerate(sorted({e for st in states for e in st}))}
+        self._index = {sum(bit[e] for e in st): i for i, st in enumerate(states)}
+        self._rows = _switch_rows(states, bit, self._index, self.directed)
         # diagonal numerator of each state: the proposals that reach no neighbour
         self._holds = [self._denom - len(row) for row in self._rows]
         self._min_hold = min(self._holds)
         if self._min_hold < 0:
             raise AssertionError("negative holding mass; denominator too small")
 
+    def relabelling_orbits(self) -> list:
+        """Least state index in each state's orbit under degree-preserving relabellings.
+
+        Such relabellings commute with the switch chain, so states of one orbit
+        have identical TV curves.  Adjacent transpositions inside each degree
+        class ((in, out) class when directed) generate the group, so the orbits
+        are the ``components`` of rows listing each state's image under each
+        transposition (symmetric, as a transposition is its own inverse), with
+        no isomorphism test.  A transposition acts on the ``_bit`` keys as a
+        map from each pair to the bit of its image, a pair of some state.
+        """
+        key = (Digraph if self.directed else Graph)._key
+        classes = {}
+        for v, label in enumerate(self.seq.pairs if self.directed else self.seq.degrees):
+            classes.setdefault(label, []).append(v)
+        bit, index = self._bit, self._index
+        perms = [{u: v, v: u} for vs in classes.values() for u, v in zip(vs, vs[1:])]
+        images = [{(x, y): bit[key(p.get(x, x), p.get(y, y))] for x, y in bit} for p in perms]
+        return components([[index[sum(image[e] for e in st)] for image in images] for st in self.states])
+
     @cached_property
     def start_index(self) -> int:
         """Index of the deterministic greedy realization, the default start of ``tv_curve``."""
         start = realize_directed(self.seq) if self.directed else realize(self.seq)
-        return self.states.index(start.canonical())
+        return self._index[sum(self._bit[e] for e in start.canonical())]
 
     @property
     def transition_matrix(self):
@@ -317,7 +304,7 @@ class StateSpaceAnalysis:
     @cached_property
     def start_orbits(self) -> list:
         """The least state index of each relabelling orbit, ascending."""
-        return sorted(set(relabelling_orbits(self.seq, self.states)))
+        return sorted(set(self.relabelling_orbits()))
 
     @cached_property
     def _column_flags(self) -> tuple:
@@ -446,7 +433,7 @@ class StateSpaceAnalysis:
         if self._gap is None:
             self._gap = float(self.irreducible)
             if self.irreducible and len(self._rows) > 1:
-                lowest, highest = _deflated_extremes(self._rows, self._denom)
+                lowest, highest = _deflated_extremes(self._rows, self._holds, self._denom)
                 self._gap = float(1.0 - max(abs(lowest), highest))
         return self._gap
 
@@ -458,8 +445,8 @@ _LANCZOS_TOL = 1e-14
 _LIST_KERNEL_NNZ = 17000
 
 
-def _deflated_extremes(rows, denom) -> tuple:
-    """Least and greatest eigenvalue of the symmetric P = rows/denom on u-perp.
+def _deflated_extremes(rows, holds, denom) -> tuple:
+    """Least and greatest eigenvalue on u-perp of the symmetric P = (rows, holds) / denom.
 
     u is the uniform unit vector, the known eigenvector of eigenvalue 1, so
     the greatest eigenvalue there is lambda_2.  Lanczos runs from
@@ -475,7 +462,7 @@ def _deflated_extremes(rows, denom) -> tuple:
     ``_extremes_numpy``, the only importer of numpy.
     """
     small = sum(map(len, rows)) <= _LIST_KERNEL_NNZ
-    return (_extremes_lists if small else _extremes_numpy)(rows, denom)
+    return (_extremes_lists if small else _extremes_numpy)(rows, holds, denom)
 
 
 def _lanczos_start(count) -> list:
@@ -490,7 +477,7 @@ def _lanczos_start(count) -> list:
     return [xi / norm for xi in x]
 
 
-def _extremes_lists(rows, denom) -> tuple:
+def _extremes_lists(rows, holds, denom) -> tuple:
     """``_deflated_extremes`` on Python lists, bitwise alike on every Python.
 
     Every float sum is a ``math.fsum``, which is correctly rounded: ``sum``
@@ -501,7 +488,7 @@ def _extremes_lists(rows, denom) -> tuple:
     count = len(rows)
     # a one-element row gets a slice, so that every getter returns a sequence
     getters = [itemgetter(*row) if len(row) > 1 else itemgetter(slice(row[0], row[0] + 1)) for row in rows]
-    hold = [(denom - len(row)) / denom for row in rows]
+    hold = [h / denom for h in holds]
 
     def dot(a, b):
         return fsum(map(mul, a, b))
@@ -524,7 +511,7 @@ def _extremes_lists(rows, denom) -> tuple:
         prev, x = x, [wi / beta for wi in w]
 
 
-def _extremes_numpy(rows, denom) -> tuple:
+def _extremes_numpy(rows, holds, denom) -> tuple:
     """``_deflated_extremes`` in numpy, for rows past ``_LIST_KERNEL_NNZ``.
 
     Each product with P is one ``bincount`` of x[j] / denom over the listed
@@ -536,7 +523,7 @@ def _extremes_numpy(rows, denom) -> tuple:
     count = len(rows)
     row_idx = np.repeat(np.arange(count), [len(row) for row in rows])
     col_idx = np.fromiter(chain.from_iterable(rows), np.intp, len(row_idx))
-    hold = (denom - np.bincount(row_idx, minlength=count)) / denom
+    hold = np.array(holds) / denom
     x, prev = np.array(_lanczos_start(count)), np.zeros(count)
     alphas, betas, beta = [], [], 0.0
     while True:

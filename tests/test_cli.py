@@ -323,16 +323,28 @@ def test_realize_writes_edge_list(tmp_path, capsys):
 
 
 def test_out_holds_the_printed_document(tmp_path, capsys):
+    from switchmix import encode
+
+    # on a 4-vertex path no phase of the repair completes, so it is stuck
+    path4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    save_encoding(encode(path4, path4, Graph(4, [(0, 2), (1, 2), (1, 3)])), tmp_path / "stuck.csv")
     cases = (
         (["validate", "--degrees", "2,2,1,1"], 0, "v.json", "v.json"),
-        (["realize", "--degrees", "3,3,1,1"], 2, "bad.txt", "bad.txt"),
         (["sample", "--degrees", "2,2,2", "--count", "1"], 2, "frozen", "frozen/manifest.json"),
         (["sample", "--degrees", "2,2,2,2,2,2", "--count", "2"], 0, "s", "s/manifest.json"),
+        # realize and repair-encoding put only an edge list in --out, so a
+        # failed realize and a stuck repair print their document and write nothing
+        (["realize", "--degrees", "3,3,1,1"], 2, "bad.txt", None),
+        (["repair-encoding", "--encoding", str(tmp_path / "stuck.csv")], 0, "stuck.txt", None),
     )
     for argv, expected, out, document in cases:
         code = main([*argv, "--out", str(tmp_path / out)])
         assert code == expected, argv
-        assert (tmp_path / document).read_text() == capsys.readouterr().out, argv
+        printed = capsys.readouterr().out
+        if document is None:
+            assert printed and not (tmp_path / out).exists(), argv
+        else:
+            assert (tmp_path / document).read_text() == printed, argv
 
 
 def test_inline_specs_take_only_commas_and_colons(capsys):

@@ -83,6 +83,31 @@ def test_directed_hypotheses_examples():
         DirectedDegreeSequence([(1, 0), (0, 0)]).hypotheses()
 
 
+# (sequence, the one hypothesis it fails or None): each boundary of the
+# theorems' hypotheses, met exactly and then missed by the least step
+BOUNDARIES = {
+    "density_met": (DegreeSequence([4] * 36), None),  # 9 d_max^2 = 144 = M
+    "density_missed": (DegreeSequence([4] * 35 + [2]), "density_ok"),  # M = 142
+    "d_max_3": (DegreeSequence([3, 3] + [2] * 40), None),
+    "d_max_2": (DegreeSequence([2] * 43), "d_max_ok"),
+    "d_min_1": (DegreeSequence([1, 1] + [3] * 28), None),
+    "d_min_0": (DegreeSequence([0, 0] + [3] * 28), "d_min_ok"),
+    "r_density_met": (DirectedDegreeSequence([(2, 2)] * 32), None),  # 16 r_max^2 = 64 = m
+    "r_density_missed": (DirectedDegreeSequence([(2, 2)] * 31 + [(1, 1)]), "density_ok"),  # m = 63
+    "r_max_2": (DirectedDegreeSequence([(2, 2)] + [(1, 1)] * 63), None),
+    "r_max_1": (DirectedDegreeSequence([(1, 1)] * 65), "r_max_ok"),
+    "r_min_1": (DirectedDegreeSequence([(2, 2)] * 32 + [(1, 1)]), None),
+    "r_min_0": (DirectedDegreeSequence([(2, 2)] * 32 + [(1, 0), (0, 1)]), "r_min_ok"),
+}
+
+
+@pytest.mark.parametrize("case", BOUNDARIES)
+def test_hypotheses_at_their_exact_boundaries(case):
+    seq, fails = BOUNDARIES[case]
+    failed = [name for name, ok in seq.hypotheses().items() if not ok]
+    assert failed == ([] if fails is None else [fails, "applicable"])
+
+
 def test_digraphical_matches_search_n4():
     for n in range(1, 5):
         vals = list(itertools.product(range(n), range(n)))

@@ -5,24 +5,36 @@ the same fixed set of examples and writes nothing under ``.hypothesis/``.
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import count_nonadjacent_edge_pairs, erdos_gallai_quadratic, fulkerson_quadratic
+from conftest import (
+    count_nonadjacent_edge_pairs,
+    dense_tv_curve,
+    erdos_gallai_quadratic,
+    fulkerson_quadratic,
+    oracle_neighbour_states,
+    relabelling_orbits_by_tuples,
+    switch_rows_by_tuples,
+)
 from switchmix import (
     DegreeSequence,
     Digraph,
     DirectedDegreeSequence,
     Graph,
     NotRealizableError,
+    StateSpaceAnalysis,
     advance,
     enum_states,
     realize,
     realize_directed,
 )
+from switchmix.chain import VARIANT_ALL_PAIRS, VARIANT_EXACT
+from switchmix.statespace import step_denominator
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
@@ -57,17 +69,24 @@ def test_digraphical_iff_states_iff_realize_directed(pairs):
     assert _realizes(realize_directed, seq) == digraphical
 
 
-def _graphs(store, pairs_of):
-    """A store on 4 to 8 vertices holding the drawn subset of its possible pairs."""
-    return st.integers(4, 8).flatmap(
+def _graphs(store, pairs_of, least, most):
+    """A store on ``least`` to ``most`` vertices holding the drawn subset of its possible pairs."""
+    return st.integers(least, most).flatmap(
         lambda n: st.lists(st.booleans(), min_size=len(pairs_of(n)), max_size=len(pairs_of(n))).map(
             lambda keep: store(n, [p for p, k in zip(pairs_of(n), keep) if k])
         )
     )
 
 
-UNDIRECTED = _graphs(Graph, lambda n: list(combinations(range(n), 2)))
-DIRECTED = _graphs(Digraph, lambda n: list(permutations(range(n), 2)))
+def _undirected(least, most):
+    return _graphs(Graph, lambda n: list(combinations(range(n), 2)), least, most)
+
+
+def _directed(least, most):
+    return _graphs(Digraph, lambda n: list(permutations(range(n), 2)), least, most)
+
+
+UNDIRECTED, DIRECTED = _undirected(4, 8), _directed(4, 8)
 
 
 def _degrees(g):
@@ -85,3 +104,37 @@ def test_advance_keeps_degrees_and_passes_audit(variant, data, seed, steps):
     advance(g, random.Random(seed), steps, a)
     assert _degrees(g) == before
     g.audit()
+
+
+# mode -> (directed, variant, a strategy for the graphs whose degrees are analysed)
+SPACES = {
+    "exact": (False, VARIANT_EXACT, _undirected(1, 6)),
+    "all_pairs": (False, VARIANT_ALL_PAIRS, _undirected(1, 6)),
+    "directed": (True, VARIANT_EXACT, _directed(1, 4)),
+}
+
+
+@pytest.mark.parametrize("mode", SPACES)
+@PROPERTY
+@given(data=st.data())
+def test_keyed_analysis_matches_tuple_references(mode, data):
+    """Sparse and dense analysis agree: the mask-keyed rows, holding masses,
+    orbit labels and start index equal the tuple references, and the sparse
+    TV curve equals dense propagation of the matrix the references give."""
+    directed, variant, graphs = SPACES[mode]
+    seq = data.draw(graphs).degree_sequence()
+    states = enum_states(seq)
+    an = StateSpaceAnalysis(seq, states, variant)
+    rows = switch_rows_by_tuples(states, directed)
+    denom = step_denominator(seq, variant)
+    assert an._rows == rows
+    assert an._holds == [denom - len(oracle_neighbour_states(state, directed)) for state in states]
+    assert an.relabelling_orbits() == relabelling_orbits_by_tuples(seq, states)
+    greedy = realize_directed(seq) if directed else realize(seq)
+    assert an.start_index == states.index(greedy.canonical())
+    count = len(states)
+    matrix = [
+        [Fraction(row.count(j) + (denom - len(row) if i == j else 0), denom) for j in range(count)]
+        for i, row in enumerate(rows)
+    ]
+    assert an.tv_curve(4) == dense_tv_curve(matrix, 4, an.start_index)

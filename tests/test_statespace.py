@@ -37,11 +37,7 @@ from switchmix import (
     realize_directed,
 )
 from switchmix import statespace
-from switchmix.statespace import (
-    components,
-    relabelling_orbits,
-    switch_rows,
-)
+from switchmix.statespace import components
 
 GOLDEN_CASES = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "analyze_exact.json").read_text()
@@ -422,7 +418,7 @@ def test_periodic_matches_two_colouring_oracle(balanced_directed_corpus):
         an = StateSpaceAnalysis(seq, states)
         if not an.irreducible:
             continue
-        rows = switch_rows(an.states, directed=True)
+        rows = an._rows
         holds = any(len(row) < an._denom for row in rows)
         assert an._periodic() == (not holds and two_colourable(rows)), seq
         periodic += an._periodic()
@@ -506,7 +502,7 @@ KERNELS = [statespace._extremes_lists, statespace._extremes_numpy]
 
 
 def kernel_gap(kernel, an) -> float:
-    lowest, highest = kernel(an._rows, an._denom)
+    lowest, highest = kernel(an._rows, an._holds, an._denom)
     return float(1.0 - max(abs(lowest), highest))
 
 
@@ -554,7 +550,7 @@ def test_numpy_kernel_peaks_under_28_bytes_per_nonzero():
     an = analyze(DegreeSequence([2] * 8))
     tracemalloc.start()
     try:
-        statespace._extremes_numpy(an._rows, an._denom)
+        statespace._extremes_numpy(an._rows, an._holds, an._denom)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -576,10 +572,10 @@ def test_list_kernel_stops_two7_within_34_steps(monkeypatch):
 def test_rows_up_to_the_crossover_take_the_list_kernel(monkeypatch):
     taken = []
     for kernel in ("_extremes_lists", "_extremes_numpy"):
-        monkeypatch.setattr(statespace, kernel, lambda rows, denom, kernel=kernel: taken.append(kernel) or (0.0, 0.0))
+        monkeypatch.setattr(statespace, kernel, lambda rows, holds, denom, kernel=kernel: taken.append(kernel) or (0.0, 0.0))
     crossover = statespace._LIST_KERNEL_NNZ
-    statespace._deflated_extremes([[1] * (crossover - 1), [0]], 1)
-    statespace._deflated_extremes([[1] * crossover, [0]], 1)
+    statespace._deflated_extremes([[1] * (crossover - 1), [0]], [0, 0], 1)
+    statespace._deflated_extremes([[1] * crossover, [0]], [0, 0], 1)
     assert taken == ["_extremes_lists", "_extremes_numpy"]
 
 
@@ -614,14 +610,14 @@ def test_enum_states_keeps_under_250_bytes_per_state():
 @pytest.mark.parametrize("directed", [False, True])
 def test_switch_rows_match_tuple_oracle(rng, directed):
     for an in _random_spaces(rng, directed, 12, max_states=400):
-        rows = switch_rows(an.states, directed)
+        rows = an._rows
         assert rows == switch_rows_by_tuples(an.states, directed)
         assert all(len(set(row)) == len(row) for row in rows)  # one proposal per neighbour
 
 
 def test_switch_rows_match_tuple_oracle_on_3507_states():
     states = enum_states(DegreeSequence([2] * 8))
-    rows = switch_rows(states)
+    rows = StateSpaceAnalysis(DegreeSequence([2] * 8), states)._rows
     assert rows == switch_rows_by_tuples(states)
     assert all(len(set(row)) == len(row) for row in rows)
 
@@ -652,7 +648,7 @@ ANALYSED_SPACES = [
         [[], [], []],  # isolated vertices
         [[], [4], [3], [4, 2], [3, 1], []],  # the path 1-4-3-2, listed backwards
         [[3], [2, 5], [1], [0, 4], [3], [1]],  # two components, interleaved
-        switch_rows(enum_states(DirectedDegreeSequence([(1, 1)] * 3)), directed=True),
+        analyze(DirectedDegreeSequence([(1, 1)] * 3))._rows,
     ],
 )
 def test_components_label_each_class_with_its_least_index(rows):
@@ -666,4 +662,4 @@ def test_relabelling_orbits_match_tuple_oracle(rng, directed):
     spaces += [an.seq for an in _random_spaces(rng, directed, 12, max_states=400)]
     for seq in spaces:
         states = enum_states(seq)
-        assert relabelling_orbits(seq, states) == relabelling_orbits_by_tuples(seq, states), seq
+        assert StateSpaceAnalysis(seq, states).relabelling_orbits() == relabelling_orbits_by_tuples(seq, states), seq
