@@ -37,7 +37,7 @@ def realize(d: DegreeSequence) -> Graph:
             res[v] -= 1
             if res[v]:
                 heapq.heappush(heap, -res[v] * n + v)
-    assert g.degree == list(d.degrees)
+    assert g.degree_sequence() == d
     return g
 
 
@@ -58,15 +58,11 @@ def realize_directed(dd: DirectedDegreeSequence) -> Digraph:
     """
     if not dd.directed:
         raise TypeError("realize_directed takes a DirectedDegreeSequence; use realize for a DegreeSequence")
-    if dd.sum_in != dd.sum_out:
-        raise NotRealizableError(
-            f"in-degree sum {dd.sum_in} differs from out-degree sum {dd.sum_out}"
-        )
+    dd.m  # NotRealizableError on unbalanced in/out sums
     if not dd.is_digraphical():
         raise NotRealizableError(f"{list(dd.pairs)} is not digraphical")
     n = dd.n
-    in_res = [a for a, _ in dd.pairs]
-    out_res = [b for _, b in dd.pairs]
+    in_res, out_res = list(dd.ins), list(dd.outs)
 
     # Digraphical semi-degrees are below n, so base n keeps the fields apart.
     def source_key(v):
@@ -103,6 +99,5 @@ def realize_directed(dd: DirectedDegreeSequence) -> Digraph:
         out_res[s] = 0
         if in_res[s]:  # s skipped its own entry; spending its out-degree changed its key
             heapq.heappush(targets, target_key(s))
-    assert dg.in_degree == [a for a, _ in dd.pairs]
-    assert dg.out_degree == [b for _, b in dd.pairs]
+    assert dg.degree_sequence() == dd
     return dg

@@ -41,7 +41,45 @@ def _erdos_gallai(degrees) -> bool:
     return True
 
 
-class DegreeSequence:
+def _degree(x) -> int:
+    """``x`` by ``operator.index``'s rule: ints and bools pass; 2.7, 2.0 and "3" raise ValueError."""
+    try:
+        return type(x).__index__(x)
+    except AttributeError:
+        raise ValueError(f"degree {x!r} is not an integer") from None
+
+
+class _Sequence:
+    """The body both sequence classes share: per-vertex items (a degree, or an
+    (in, out) pair), ``n``, ==, hash and repr, and the in- and out-degree
+    columns ``ins`` and ``outs``.  A graph's degree is both, so its two
+    columns are one tuple, as ``Encoding`` aliases ``ones_in``/``ones_out``."""
+
+    __slots__ = ("_items", "n", "ins", "outs")
+
+    def __init__(self, items):
+        if self.directed:
+            items = tuple((_degree(a), _degree(b)) for a, b in items)
+            self.ins, self.outs = tuple(a for a, _ in items), tuple(b for _, b in items)
+        else:
+            items = self.ins = self.outs = tuple(map(_degree, items))
+        if not items:
+            raise ValueError("empty directed degree sequence" if self.directed else "empty degree sequence")
+        if min(self.ins) < 0 or min(self.outs) < 0:
+            raise ValueError("degrees must be non-negative")
+        self._items, self.n = items, len(items)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._items == other._items
+
+    def __hash__(self):
+        return hash((type(self).__name__, self._items))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({list(self._items)!r})"
+
+
+class DegreeSequence(_Sequence):
     """Prescribed degrees for a simple undirected graph on vertices 0..n-1.
 
     Immutable; derived statistics are computed once at construction.
@@ -52,36 +90,18 @@ class DegreeSequence:
     is odd (no realization exists, so the quantity is undefined).
     """
 
-    __slots__ = ("degrees", "n", "M", "M2", "d_min", "d_max", "a")
+    __slots__ = ("M", "M2", "d_min", "d_max", "a")
 
     directed = False
+    degrees = _Sequence._items  # the shared slot under this class's name
 
     def __init__(self, degrees):
-        degrees = tuple(int(d) for d in degrees)
-        if not degrees:
-            raise ValueError("empty degree sequence")
-        if any(d < 0 for d in degrees):
-            raise ValueError("degrees must be non-negative")
-        self.degrees = degrees
-        self.n = len(degrees)
-        self.M = sum(degrees)
-        self.M2 = sum(d * (d - 1) for d in degrees)
-        self.d_min = min(degrees)
-        self.d_max = max(degrees)
-        if self.M % 2:
-            self.a = None
-        else:
-            half = self.M // 2
-            self.a = half * (half - 1) // 2 - self.M2 // 2
-
-    def __eq__(self, other):
-        return isinstance(other, DegreeSequence) and self.degrees == other.degrees
-
-    def __hash__(self):
-        return hash(("DegreeSequence", self.degrees))
-
-    def __repr__(self):
-        return f"DegreeSequence({list(self.degrees)!r})"
+        super().__init__(degrees)
+        self.M = sum(self.degrees)
+        self.M2 = sum(d * (d - 1) for d in self.degrees)
+        self.d_min, self.d_max = min(self.degrees), max(self.degrees)
+        half = self.M // 2
+        self.a = None if self.M % 2 else half * (half - 1) // 2 - self.M2 // 2
 
     def is_graphical(self) -> bool:
         """Erdos-Gallai test (with the even-sum requirement) in O(n log n)."""
@@ -103,39 +123,22 @@ class DegreeSequence:
         return (self.d_max - self.d_min + 1) ** 2 <= 4 * self.d_min * (self.n - self.d_max + 1)
 
 
-class DirectedDegreeSequence:
+class DirectedDegreeSequence(_Sequence):
     """Prescribed (in-degree, out-degree) pairs for a simple digraph.
 
     Loops are forbidden; antiparallel arc pairs are allowed.  ``r_min`` and
     ``r_max`` are taken over all 2n semi-degrees.
     """
 
-    __slots__ = ("pairs", "n", "sum_in", "sum_out", "r_min", "r_max")
+    __slots__ = ("sum_in", "sum_out", "r_min", "r_max")
 
     directed = True
+    pairs = _Sequence._items  # the shared slot under this class's name
 
     def __init__(self, pairs):
-        pairs = tuple((int(a), int(b)) for a, b in pairs)
-        if not pairs:
-            raise ValueError("empty directed degree sequence")
-        if any(a < 0 or b < 0 for a, b in pairs):
-            raise ValueError("degrees must be non-negative")
-        self.pairs = pairs
-        self.n = len(pairs)
-        self.sum_in = sum(a for a, _ in pairs)
-        self.sum_out = sum(b for _, b in pairs)
-        semis = [x for p in pairs for x in p]
-        self.r_min = min(semis)
-        self.r_max = max(semis)
-
-    def __eq__(self, other):
-        return isinstance(other, DirectedDegreeSequence) and self.pairs == other.pairs
-
-    def __hash__(self):
-        return hash(("DirectedDegreeSequence", self.pairs))
-
-    def __repr__(self):
-        return f"DirectedDegreeSequence({list(self.pairs)!r})"
+        super().__init__(pairs)
+        self.sum_in, self.sum_out = sum(self.ins), sum(self.outs)
+        self.r_min, self.r_max = min(self.ins + self.outs), max(self.ins + self.outs)
 
     @property
     def m(self) -> int:
@@ -161,7 +164,7 @@ class DirectedDegreeSequence:
         ps = sorted(self.pairs, key=lambda p: (p[1], p[0]), reverse=True)
         n = self.n
         count = [0] * (n + 1)  # count[j]: heads with in-degree j (n means >= n)
-        for a, _ in ps:
+        for a in self.ins:
             count[min(a, n)] += 1
         seen = [0] * (n + 1)  # the same counts over the first k - 1 vertices
         at_least_k = n  # #{i : in_i >= k}

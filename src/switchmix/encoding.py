@@ -218,11 +218,7 @@ class Encoding:
         if not isinstance(target, (DegreeSequence, DirectedDegreeSequence)):
             raise TypeError("an encoding needs a DegreeSequence or DirectedDegreeSequence target")
         self.directed = target.directed
-        if self.directed:
-            self.target_in = tuple(a for a, _ in target.pairs)
-            self.target_out = tuple(b for _, b in target.pairs)
-        else:
-            self.target_in = self.target_out = target.degrees
+        self.target_in, self.target_out = target.ins, target.outs
         self.target = target
         self.n = n = target.n
         self.two = set()
@@ -815,7 +811,7 @@ def _placeable(target, p, q, level) -> bool:
     asks of every layout it accepts."""
     directed = target.directed
     good = level == "good" and not directed
-    classes = Counter(target.pairs if directed else zip(target.degrees, target.degrees))
+    classes = Counter(zip(target.ins, target.outs))
     for template in _CATALOGS[directed]:
         for sub in _subsets_with_counts(template, p, q):
             sides = _defect_sides([(lab, (x, y)) for x, y, lab in sub], directed)

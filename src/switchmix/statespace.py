@@ -50,25 +50,19 @@ def enum_states(seq, cap: int = DEFAULT_CAP) -> list:
 
     Vertex u, in index order, takes its remaining out-residual as partners
     among the vertices that still have in-residual.  A digraph's partners
-    are any other vertex.  A graph's one residual list is both ``in_res``
-    and ``out_res`` (as ``Encoding`` aliases ``ones_in`` and ``ones_out``),
-    so the vertices before u are spent and its partners are higher-indexed.
-    Graphs prune on Erdos-Gallai over the later residuals, digraphs on each
+    are any other vertex.  A graph's ``in_res`` is its ``out_res``, as its
+    ``seq.ins`` is its ``seq.outs``, so the vertices before u are spent and
+    its partners are higher-indexed.  Graphs prune on Erdos-Gallai over the
+    later residuals (which refuses an odd degree sum), digraphs on each
     in-residual against the rows still able to send to it.  States share
     their pair tuples, from one n x n table.  Rows go in index order and a
     row's partners are combinations of an ascending list, so each state is
     emitted sorted and the states in lexicographic order, with no sort.
     """
-    directed = seq.directed
-    if directed:
-        in_res = [a for a, _ in seq.pairs]
-        out_res = [b for _, b in seq.pairs]
-        if seq.sum_in != seq.sum_out:
-            return []
-    else:
-        in_res = out_res = list(seq.degrees)
-        if seq.M % 2:
-            return []
+    in_res = list(seq.ins)
+    out_res = in_res if seq.outs is seq.ins else list(seq.outs)
+    if sum(in_res) != sum(out_res):
+        return []
     n = len(in_res)
     pairs = [[(u, v) for v in range(n)] for u in range(n)]
     states = []
@@ -76,7 +70,7 @@ def enum_states(seq, cap: int = DEFAULT_CAP) -> list:
 
     def feasible(u):
         # can the residuals still be met once vertices before u are done?
-        if directed:
+        if seq.directed:
             # vertex v needs in_res[v] more arcs, one from each of the rows
             # from u on that it is not itself
             rows = n - u
@@ -247,16 +241,16 @@ class StateSpaceAnalysis:
         """Least state index in each state's orbit under degree-preserving relabellings.
 
         Such relabellings commute with the switch chain, so states of one orbit
-        have identical TV curves.  Adjacent transpositions inside each degree
-        class ((in, out) class when directed) generate the group, so the orbits
-        are the ``components`` of rows listing each state's image under each
+        have identical TV curves.  Adjacent transpositions inside each class of
+        equal (in, out) degrees generate the group, so the orbits are the
+        ``components`` of rows listing each state's image under each
         transposition (symmetric, as a transposition is its own inverse), with
         no isomorphism test.  A transposition acts on the ``_bit`` keys as a
         map from each pair to the bit of its image, a pair of some state.
         """
         key = (Digraph if self.directed else Graph)._key
         classes = {}
-        for v, label in enumerate(self.seq.pairs if self.directed else self.seq.degrees):
+        for v, label in enumerate(zip(self.seq.ins, self.seq.outs)):
             classes.setdefault(label, []).append(v)
         bit, index = self._bit, self._index
         perms = [{u: v, v: u} for vs in classes.values() for u, v in zip(vs, vs[1:])]

@@ -696,3 +696,101 @@ def reference_sample(start, count, *, steps=0, seed=0, variant=VARIANT_EXACT, th
         reference_advance(g, rng, thinning, a)
         out.append(g.canonical())
     return out
+
+
+# Exact stationary laws at every n, on families whose uniform law has a
+# closed-form statistic.  All lie outside the theorems' hypotheses (every
+# semi-degree 1; d_max <= 2), so they check the sampler, not the theorems.
+
+
+def law_of(weights) -> dict:
+    """Weights or counts keyed by j, as exact probabilities; zero weights are left out."""
+    total = sum(weights.values())
+    return {j: Fraction(w, total) for j, w in weights.items() if w}
+
+
+def _cycles_at_least_3(n: int) -> list:
+    """A(k) for k <= n: permutations of k points with every cycle of length
+    >= 3, by A(k) = (k-1) A(k-1) + (k-1)(k-2) A(k-3), A(0) = 1, A(1) = A(2) = 0
+    (point k's cycle has length >= 4, so deleting it leaves a permutation
+    counted by A(k-1), or it is a 3-cycle, leaving A(k-3))."""
+    a = [1, 0, 0]
+    for k in range(3, n + 1):
+        a.append((k - 1) * a[k - 1] + (k - 1) * (k - 2) * a[k - 3])
+    return a[: n + 1]
+
+
+def two_cycle_law(n: int) -> dict:
+    """Law of the number of 2-cycles in a uniform realization of [(1,1)]*n.
+
+    A realization is a derangement sigma (arc u -> sigma(u)), and j 2-cycles
+    are C(n, 2j) * (2j-1)!! ways to pair 2j points, times A(n-2j) for the
+    rest.  As n grows the law tends to Poisson(1/2)."""
+    a = _cycles_at_least_3(n)
+    return law_of({
+        j: math.comb(n, 2 * j) * math.prod(range(1, 2 * j, 2)) * a[n - 2 * j]
+        for j in range(n // 2 + 1)
+    })
+
+
+def _cycles_at_least_4(n: int) -> list:
+    """B(k) for k <= n: triangle-free 2-regular graphs on k labelled vertices,
+    by B(k) = sum_{L=4..k} C(k-1, L-1) (L-1)!/2 B(k-L), B(0) = 1 (the cycle
+    through vertex k has L vertices, (L-1)!/2 ways to close it)."""
+    b = [1]
+    for k in range(1, n + 1):
+        b.append(sum(math.comb(k - 1, L - 1) * math.factorial(L - 1) // 2 * b[k - L] for L in range(4, k + 1)))
+    return b
+
+
+def triangle_law(n: int) -> dict:
+    """Law of the number of triangles in a uniform realization of [2]*n.
+
+    A realization is a union of cycles of length >= 3, and j triangles are
+    C(n, 3j) * (3j)! / (6^j j!) ways to lay them out, times B(n-3j) for the
+    rest.  As n grows the law tends to Poisson(1/6), the (d-1)^3/6 of
+    Wormald 1981 ("The asymptotic distribution of short cycles in random
+    regular graphs") at d = 2."""
+    b = _cycles_at_least_4(n)
+    return law_of({
+        j: math.comb(n, 3 * j) * math.factorial(3 * j) // (6**j * math.factorial(j)) * b[n - 3 * j]
+        for j in range(n // 3 + 1)
+    })
+
+
+def two_cycles(arcs) -> int:
+    """2-cycles of a digraph given by its arcs."""
+    members = set(arcs)
+    return sum(1 for u, v in arcs if u < v and (v, u) in members)
+
+
+def triangles_of_2_regular(edges) -> int:
+    """Triangles of a 2-regular graph given by its (u < v) edges: a vertex
+    lies on one exactly when its two neighbours are adjacent."""
+    nbrs = {}
+    for u, v in edges:
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+    members = set(edges)
+    return sum(1 for v, w in nbrs.values() if (min(v, w), max(v, w)) in members) // 3
+
+
+def matching_half_law(n: int) -> dict:
+    """Law of the number of edges inside the first n/2 labels in a uniform
+    realization of [1]*n (n even): the states are the perfect matchings.
+
+    With k = n/2, j edges inside the first half leave k - 2j of its
+    vertices matched across, so as many of the second half, which then
+    holds j edges too: (C(k, 2j) (2j-1)!!)^2 (k-2j)! matchings, of
+    (n-1)!! in all.  Unlike the cycle counts, this statistic reads the
+    labels, so it sees a switch that favours joining low labels."""
+    k = n // 2
+    return law_of({
+        j: (math.comb(k, 2 * j) * math.prod(range(1, 2 * j, 2))) ** 2 * math.factorial(k - 2 * j)
+        for j in range(k // 2 + 1)
+    })
+
+
+def edges_below(edges, h: int) -> int:
+    """Edges (u < v) with both ends below label h."""
+    return sum(1 for _, v in edges if v < h)

@@ -41,6 +41,41 @@ def test_degree_sequence_validation():
         DirectedDegreeSequence([(1, 0), (-1, 0)])
 
 
+@pytest.mark.parametrize("bad", [[2.7, 1.2, 1], [2.0, 2], ["3", 1]])
+def test_a_non_integral_degree_is_refused_not_truncated(bad):
+    with pytest.raises(ValueError, match=f"degree {bad[0]!r} is not an integer"):
+        DegreeSequence(bad)
+    with pytest.raises(ValueError, match=f"degree {bad[0]!r} is not an integer"):
+        DirectedDegreeSequence([(bad[0], 1)] + [(d, d) for d in bad[1:]])
+    with pytest.raises(ValueError, match=f"degree {bad[0]!r} is not an integer"):
+        DirectedDegreeSequence([(1, bad[0])])
+
+
+def test_ints_and_bools_pass_as_under_operator_index():
+    assert DegreeSequence([True, 1, False]).degrees == (1, 1, 0)
+    assert DirectedDegreeSequence([(True, 0), (0, True)]).pairs == ((1, 0), (0, 1))
+    assert all(type(d) is int for d in DegreeSequence([True, 1]).degrees)
+
+
+def test_both_modes_carry_in_and_out_columns():
+    d = DegreeSequence([3, 2, 1])
+    assert d.ins is d.outs
+    assert d.ins == d.degrees == (3, 2, 1)
+    dd = DirectedDegreeSequence([(2, 0), (0, 1), (1, 2)])
+    assert (dd.ins, dd.outs) == ((2, 0, 1), (0, 1, 2))
+    assert dd.pairs == tuple(zip(dd.ins, dd.outs))
+
+
+def test_repr_eq_and_hash_by_class_and_items():
+    d, dd = DegreeSequence([1, 1]), DirectedDegreeSequence([(1, 0), (0, 1)])
+    assert repr(d) == "DegreeSequence([1, 1])"
+    assert repr(dd) == "DirectedDegreeSequence([(1, 0), (0, 1)])"
+    assert hash(d) == hash(("DegreeSequence", (1, 1)))
+    assert hash(dd) == hash(("DirectedDegreeSequence", ((1, 0), (0, 1))))
+    assert d == DegreeSequence((1, 1)) and dd == DirectedDegreeSequence([[1, 0], [0, 1]])
+    assert d != DirectedDegreeSequence([(1, 1), (1, 1)]) and d != (1, 1)
+
+
 def test_hypotheses_examples():
     assert not DegreeSequence([3, 3, 1, 1]).hypotheses()["graphical"]
     assert DegreeSequence([2, 2, 1, 1]).hypotheses()["graphical"]

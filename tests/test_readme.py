@@ -19,3 +19,12 @@ def test_readme_library_sketch_runs(tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_claims_row_names_a_test_that_exists():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Claims", 1)[1].split("\n## ", 1)[0]
+    named = re.findall(r"`(tests/\w+\.py)::(\w+)`", table)
+    assert len(named) + table.count("| pending |") == 5
+    for path, name in named:
+        assert re.search(rf"^def {name}\(", (ROOT / path).read_text(encoding="utf-8"), re.M), name
