@@ -60,11 +60,12 @@ def _digest(path) -> str:
 
 def _manifest(args) -> dict:
     flags = {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None}
-    digests = {}
-    for key in ("degrees", "encoding", "sidecar", "z"):
-        val = getattr(args, key, None)
-        if val and os.path.exists(val):
-            digests[val] = _digest(val)
+    read = [getattr(args, key, None) for key in ("degrees", "z")]
+    if args.subcommand == "repair-encoding":
+        from .encoding import _sidecar_path
+
+        read += [args.encoding, _sidecar_path(args.encoding, args.sidecar)]
+    digests = {path: _digest(path) for path in read if path and os.path.exists(path)}
     return {
         "artifact": "switchmix",
         "version": __version__,

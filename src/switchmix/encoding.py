@@ -13,10 +13,10 @@ respect minimum-degree conditions.  A defect-free encoding is just a graph
 with the target degrees.
 
 No encoding keeps a dense n x n matrix or any per-vertex counter: label-1
-entries are per-vertex bitmasks and defects are two position sets, from
-which the per-vertex defect counts are tallied on each read.  An encoding
-takes O(n + m) space and its checks, counts and searches walk set bits and
-defect keys.
+entries are per-vertex bitmasks and defects are one map from position to
+label, from which the per-vertex defect counts are tallied on each read.
+An encoding takes O(n + m) space and its checks, counts and searches walk
+set bits and defect keys.
 
 3-switches walk a 6-cycle pattern on six distinct vertices, decrementing
 three entries and incrementing three others, so they preserve every row and
@@ -197,9 +197,10 @@ class Encoding:
     label-1 entries are bitmask rows: bit v of ``ones_out[u]`` is set when
     L(u, v) = 1 and bit u of ``ones_in[v]`` likewise; in undirected mode
     ``ones_in`` is ``ones_out``, which the mirrored entries keep symmetric.
-    The defects are the keys in ``two`` and ``minus`` (unordered pairs when
-    undirected).  Any other entry is 0.  One copy therefore takes O(n + m)
-    space, and ``matrix`` builds a fresh dense list of lists on each read.
+    The defects are the map ``defects`` from position (an unordered pair
+    when undirected) to its label, 2 or -1.  Any other entry is 0.  One copy
+    therefore takes O(n + m) space, and ``matrix`` builds a fresh dense list
+    of lists on each read.
     """
 
     __slots__ = (
@@ -208,8 +209,7 @@ class Encoding:
         "target_in",
         "target_out",
         "n",
-        "two",
-        "minus",
+        "defects",
         "ones_in",
         "ones_out",
     )
@@ -221,27 +221,27 @@ class Encoding:
         self.target_in, self.target_out = target.ins, target.outs
         self.target = target
         self.n = n = target.n
-        self.two = set()
-        self.minus = set()
+        self.defects = {}
         self.ones_out = [0] * n
         self.ones_in = [0] * n if self.directed else self.ones_out
         if matrix is not None:
             self._load_matrix(matrix)
 
-    def _tally(self, keys, side):
-        """Per-vertex count of the defect ``keys`` at their tail (side 0,
+    def _tally(self, label, side):
+        """Per-vertex count of the ``label`` defects at their tail (side 0,
         rows) or head (side 1, columns); an undirected key counts at both
         of its ends."""
         counts = [0] * self.n
-        for pos in keys:
-            for o in _orientations(pos, self.directed):
-                counts[o[side]] += 1
+        for pos, lab in self.defects.items():
+            if lab == label:
+                for o in _orientations(pos, self.directed):
+                    counts[o[side]] += 1
         return counts
 
-    zeta_out = property(lambda self: self._tally(self.two, 0), doc="2-entries per row.")
-    zeta_in = property(lambda self: self._tally(self.two, 1), doc="2-entries per column.")
-    eta_out = property(lambda self: self._tally(self.minus, 0), doc="(-1)-entries per row.")
-    eta_in = property(lambda self: self._tally(self.minus, 1), doc="(-1)-entries per column.")
+    zeta_out = property(lambda self: self._tally(2, 0), doc="2-entries per row.")
+    zeta_in = property(lambda self: self._tally(2, 1), doc="2-entries per column.")
+    eta_out = property(lambda self: self._tally(-1, 0), doc="(-1)-entries per row.")
+    eta_in = property(lambda self: self._tally(-1, 1), doc="(-1)-entries per column.")
 
     @property
     def matrix(self):
@@ -286,7 +286,7 @@ class Encoding:
     # -- low-level entry update ----------------------------------------------
 
     def _key(self, u, v):
-        """The defect-set key of entry (u, v): the unordered pair when undirected."""
+        """The defect-map key of entry (u, v): the unordered pair when undirected."""
         return (u, v) if self.directed or u < v else (v, u)
 
     def _set(self, u, v, val):
@@ -297,21 +297,13 @@ class Encoding:
         old = self.entry(u, v)
         if old == val:
             return
-        key = self._key(u, v)
-        if old == 2:
-            self.two.discard(key)
-        elif old == -1:
-            self.minus.discard(key)
-        elif old == 1:
-            self.ones_out[u] &= ~(1 << v)
-            self.ones_in[v] &= ~(1 << u)
-        if val == 2:
-            self.two.add(key)
-        elif val == -1:
-            self.minus.add(key)
-        elif val == 1:
-            self.ones_out[u] |= 1 << v
-            self.ones_in[v] |= 1 << u
+        if old == 1 or val == 1:  # the entry enters or leaves label 1
+            self.ones_out[u] ^= 1 << v
+            self.ones_in[v] ^= 1 << u
+        if val in (2, -1):
+            self.defects[self._key(u, v)] = val
+        else:
+            self.defects.pop(self._key(u, v), None)
 
     # -- construction helpers ----------------------------------------------
 
@@ -322,8 +314,7 @@ class Encoding:
         enc.target_in = self.target_in
         enc.target_out = self.target_out
         enc.n = self.n
-        enc.two = set(self.two)
-        enc.minus = set(self.minus)
+        enc.defects = dict(self.defects)
         enc.ones_out = list(self.ones_out)
         enc.ones_in = list(self.ones_in) if self.directed else enc.ones_out
         return enc
@@ -333,12 +324,11 @@ class Encoding:
             isinstance(other, Encoding)
             and self.directed == other.directed
             and self.ones_out == other.ones_out
-            and self.two == other.two
-            and self.minus == other.minus
+            and self.defects == other.defects
         )
 
     def __repr__(self):
-        p, q = len(self.two), len(self.minus)
+        p, q = self.defect_counts()
         return f"Encoding(directed={self.directed}, n={self.n}, p={p}, q={q})"
 
     # -- queries -------------------------------------------------------------
@@ -346,21 +336,21 @@ class Encoding:
     def entry(self, u, v) -> int:
         if self.ones_out[u] >> v & 1:
             return 1
-        key = self._key(u, v)
-        return 2 if key in self.two else -1 if key in self.minus else 0
+        return self.defects.get(self._key(u, v), 0)
 
     def _masks(self, labels, cols=False):
         """Bitmask rows of the entries labelled in ``labels`` (of 1, 2, -1):
         bit v of row u is set when L(u, v) is; with ``cols``, bit u of column v."""
         masks = list(self.ones_in if cols else self.ones_out) if 1 in labels else [0] * self.n
-        for label, keys in ((2, self.two), (-1, self.minus)):
-            for pos in keys if label in labels else ():
+        for pos, label in self.defects.items():
+            if label in labels:
                 for u, v in _orientations(pos[::-1] if cols else pos, self.directed):
                     masks[u] |= 1 << v
         return masks
 
     def defect_counts(self):
-        return len(self.two), len(self.minus)
+        p = sum(1 for label in self.defects.values() if label == 2)
+        return p, len(self.defects) - p  # every other defect is a -1
 
     def ones_pairs(self) -> list:
         """Ordered pairs with label 1, in lexicographic order."""
@@ -373,14 +363,14 @@ class Encoding:
         if Z.n != self.n or Z.degree_sequence() != self.target:
             return False
         has_z = Z.has_edge
-        return not any(
-            has_z(*o) for pos in self.two for o in _orientations(pos, self.directed)
-        ) and all(has_z(*o) for pos in self.minus for o in _orientations(pos, self.directed))
+        return all(
+            has_z(*o) == (label == -1)
+            for pos, label in self.defects.items()
+            for o in _orientations(pos, self.directed)
+        )
 
     def _defect_edges(self):
-        out = [(u, v, 2) for (u, v) in self.two]
-        out.extend((u, v, -1) for (u, v) in self.minus)
-        return sorted(out)
+        return sorted((u, v, label) for (u, v), label in self.defects.items())
 
     def is_valid(self) -> bool:
         """Defect layout embeds in the fixed catalog of configurations."""
@@ -408,19 +398,19 @@ class Encoding:
 
     def as_graph(self):
         """The defect-free encoding as a Graph, or as a Digraph when directed."""
-        if self.two or self.minus:
+        if self.defects:
             raise ValueError("encoding still has defects")
         key = self._key
         store = Digraph if self.directed else Graph
         return store(self.n, [pos for pos in self.ones_pairs() if key(*pos) == pos])
 
     def audit(self):
-        """Recompute ``ones_in`` from ``ones_out`` and compare; the defect sets
-        are disjoint, each defect key is an off-diagonal canonical position
-        that no label-1 bit claims, and no 1-bit is on the diagonal."""
-        assert not self.two & self.minus
-        for u, v in self.two | self.minus:
-            assert u != v and self._key(u, v) == (u, v) and not self.ones_out[u] >> v & 1
+        """Recompute ``ones_in`` from ``ones_out`` and compare; each defect
+        key is an off-diagonal canonical position labelled 2 or -1 that no
+        label-1 bit claims, and no 1-bit is on the diagonal."""
+        for (u, v), label in self.defects.items():
+            assert label in (2, -1) and u != v and self._key(u, v) == (u, v)
+            assert not self.ones_out[u] >> v & 1
         ones_in = [0] * self.n
         for u, v in self.ones_pairs():
             assert u != v
@@ -441,7 +431,7 @@ def encode(G, Gp, Z) -> Encoding:
     ds = G.degree_sequence()
     if Gp.degree_sequence() != ds or Z.degree_sequence() != ds:
         raise ValueError("degree sequences differ")
-    # edge keys are the encoding's defect-set keys: unordered pairs when undirected
+    # edge keys are the encoding's defect-map keys: unordered pairs when undirected
     values = Counter(G.edges)
     values.update(Gp.edges)
     values.subtract(Z.edges)
@@ -592,11 +582,7 @@ def find_phase_switch(L: Encoding, phase: str):
     zero_in = [full & ~mask for mask in L._masks((1, 2, -1), cols=True)]
     # bit a2 of second_in[b1] is set when L(a2, b1) has the phase's second label
     second_in = zero_in if spec.second == 0 else L._masks((spec.second,), cols=True)
-    if spec.first == 1:
-        firsts = L.ones_pairs()
-    else:
-        keys = L.two if spec.first == 2 else L.minus
-        firsts = sorted(o for pos in keys for o in _orientations(pos, L.directed))
+    firsts = [(a1, b1) for a1, mask in enumerate(L._masks((spec.first,))) for b1 in _bits(mask)]
     # walking set bits upwards visits the (a2, b2) and (a3, b3) label-1
     # entries in lexicographic order, so the first hit is the least tuple
     for a1, b1 in firsts:
@@ -1060,8 +1046,13 @@ def enum_good_encodings(Z, require_good: bool = True) -> list:
 # Serialization: dense CSV matrix plus a JSON sidecar.
 
 
+def _sidecar_path(csv_path, sidecar_path=None):
+    """Where an encoding's JSON sidecar lives: ``sidecar_path``, else beside the CSV."""
+    return sidecar_path or str(csv_path) + ".json"
+
+
 def save_encoding(L: Encoding, csv_path, sidecar_path=None):
-    sidecar_path = sidecar_path or (str(csv_path) + ".json")
+    sidecar_path = _sidecar_path(csv_path, sidecar_path)
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerows(L.matrix)
@@ -1095,7 +1086,7 @@ def _sidecar_ints(doc, key, size):
 
 def load_encoding(csv_path, sidecar_path=None) -> Encoding:
     """Read a CSV matrix and its JSON sidecar; ValueError on any malformed part."""
-    sidecar_path = sidecar_path or (str(csv_path) + ".json")
+    sidecar_path = _sidecar_path(csv_path, sidecar_path)
     with open(sidecar_path, "r", encoding="utf-8") as fh:
         sidecar = json.load(fh)
     with open(csv_path, "r", newline="", encoding="utf-8") as fh:
@@ -1141,7 +1132,7 @@ def verify_counting_identities(L: Encoding):
     hat_out = [mask.bit_count() for mask in L._masks((1, 2, -1))]
     hat_in = [mask.bit_count() for mask in L._masks((1, 2, -1), cols=True)]
     p, q = L.defect_counts()
-    per_key = 1 if L.directed else 2  # entries behind one defect-set key
+    per_key = 1 if L.directed else 2  # entries behind one defect-map key
     expected = sum(L.target_out) - per_key * (2 * p - q)
     if sum(n_out) != expected:
         raise ValueError(f"non-defect entry count {sum(n_out)} != {expected}")

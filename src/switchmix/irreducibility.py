@@ -31,6 +31,10 @@ class LamarPartition(NamedTuple):
     leftover: tuple
 
 
+# an outside vertex x's class by its pattern (arcs from x into U, arcs from U to x)
+_CLASS_OF = {(0, 0): "U0", (3, 0): "Uminus", (0, 3): "Uplus", (3, 3): "Upm"}
+
+
 class UsefulWitness(NamedTuple):
     kind: str  # "neighbour" | "arc"
     value: object  # vertex, or ordered pair
@@ -55,31 +59,12 @@ def _check_triangle(dg: Digraph, U):
 def lamar_classes(dg: Digraph, U) -> LamarPartition:
     """Partition the outside vertices by their arc pattern against U."""
     U = _check_triangle(dg, U)
-    uset = set(U)
-    u0, uminus, uplus, upm, leftover = [], [], [], [], []
+    classes = {name: [] for name in LamarPartition._fields[1:]}
     for x in range(dg.n):
-        if x in uset:
-            continue
-        outgoing = sum(1 for u in U if dg.has_edge(x, u))
-        incoming = sum(1 for u in U if dg.has_edge(u, x))
-        if outgoing == 0 and incoming == 0:
-            u0.append(x)
-        elif outgoing == 3 and incoming == 0:
-            uminus.append(x)
-        elif outgoing == 0 and incoming == 3:
-            uplus.append(x)
-        elif outgoing == 3 and incoming == 3:
-            upm.append(x)
-        else:
-            leftover.append(x)
-    return LamarPartition(
-        U=U,
-        U0=tuple(u0),
-        Uminus=tuple(uminus),
-        Uplus=tuple(uplus),
-        Upm=tuple(upm),
-        leftover=tuple(leftover),
-    )
+        if x not in U:
+            pattern = (sum(dg.has_edge(x, u) for u in U), sum(dg.has_edge(u, x) for u in U))
+            classes[_CLASS_OF.get(pattern, "leftover")].append(x)
+    return LamarPartition(U, *map(tuple, classes.values()))
 
 
 def find_useful(dg: Digraph, U) -> UsefulWitness | None:
@@ -93,18 +78,16 @@ def find_useful(dg: Digraph, U) -> UsefulWitness | None:
     part = lamar_classes(dg, U)
     if part.leftover:
         return UsefulWitness("neighbour", min(part.leftover))
-    src_i = sorted(part.U0 + part.Uplus)
-    dst_i = sorted(part.U0 + part.Uminus)
-    for x in src_i:
-        for y in dst_i:
-            if x != y and dg.has_edge(x, y):
-                return UsefulWitness("arc", (x, y), "i")
-    src_ii = sorted(part.Uminus + part.Upm)
-    dst_ii = sorted(part.Uplus + part.Upm)
-    for x in src_ii:
-        for y in dst_ii:
-            if x != y and not dg.has_edge(x, y):
-                return UsefulWitness("arc", (x, y), "ii")
+    # (condition, whether the arc is present, its tails, its heads)
+    conditions = (
+        ("i", True, part.U0 + part.Uplus, part.U0 + part.Uminus),
+        ("ii", False, part.Uminus + part.Upm, part.Uplus + part.Upm),
+    )
+    for condition, present, tails, heads in conditions:
+        for x in sorted(tails):
+            for y in sorted(heads):
+                if x != y and dg.has_edge(x, y) == present:
+                    return UsefulWitness("arc", (x, y), condition)
     return None
 
 

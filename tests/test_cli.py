@@ -427,13 +427,120 @@ def test_repair_encoding_cli(tmp_path, capsys):
     assert res["repaired"] and res["switches"] <= 3
     assert res["flags"]["valid"] and res["flags"]["consistent"]
     # one edge fewer keeps L + Z in range but realizes other degrees
-    assert (0, 1) in Z.edges and (0, 1) not in L.minus
+    assert (0, 1) in Z.edges and L.defects.get((0, 1)) != -1
     write_edge_list(Graph(Z.n, [e for e in Z.edges if e != (0, 1)]), zpath)
     code, doc = run_cli(
         capsys, "repair-encoding", "--encoding", str(csv_path), "--z", str(zpath)
     )
     assert code == 0
     assert doc["result"]["repaired"] and not doc["result"]["flags"]["consistent"]
+
+
+def test_manifest_digests_the_sidecar_read_beside_the_encoding(tmp_path, capsys):
+    # without --sidecar, repair-encoding reads <encoding>.json: two runs on
+    # different implicit sidecars give different results, so their
+    # manifests must name different inputs
+    from switchmix import encode
+
+    cycle = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    csv_path = tmp_path / "enc.csv"
+    sidecar = tmp_path / "enc.csv.json"
+    save_encoding(encode(cycle, cycle, cycle), csv_path)
+    code, undirected = run_cli(capsys, "repair-encoding", "--encoding", str(csv_path))
+    doc = json.loads(sidecar.read_text())
+    degrees = doc.pop("degrees")
+    sidecar.write_text(json.dumps({**doc, "mode": "directed", "in_degrees": degrees, "out_degrees": degrees}))
+    code2, directed = run_cli(capsys, "repair-encoding", "--encoding", str(csv_path))
+    assert code == code2 == 0
+    assert (len(undirected["result"]["result_edges"]), len(directed["result"]["result_edges"])) == (4, 8)
+    digests = [d["manifest"]["input_digests"] for d in (undirected, directed)]
+    assert [sorted(d) for d in digests] == [sorted([str(csv_path), str(sidecar)])] * 2
+    assert digests[0][str(csv_path)] == digests[1][str(csv_path)]
+    assert digests[0][str(sidecar)] != digests[1][str(sidecar)]
+    # a named sidecar is the one digested, and the implicit one is not read
+    code, named = run_cli(capsys, "repair-encoding", "--encoding", str(csv_path), "--sidecar", str(sidecar))
+    assert named["manifest"]["input_digests"] == digests[1]
+    other = tmp_path / "other.json"
+    other.write_text(sidecar.read_text())
+    code, named = run_cli(capsys, "repair-encoding", "--encoding", str(csv_path), "--sidecar", str(other))
+    assert sorted(named["manifest"]["input_digests"]) == sorted([str(csv_path), str(other)])
+
+
+def test_seeded_encoding_files_exit_with_documented_codes(tmp_path, capsys):
+    # repair-encoding on seeded mutations of saved encodings in both modes:
+    # CSV cells and rows, sidecar fields and --z edge lists; each call
+    # returns exit 0, 1 or 2, raises nothing and prints no traceback
+    from switchmix import realize_directed
+
+    huge = "99999999999999999999"
+    cells = ["-2", "3", "-1", "0", "1", "2", "x", "", " 1", "1.5", huge, "-" + huge]
+    values = [None, 0, -1, 1, 8, 9, int(huge), 1.5, "8", "directed", "undirected", [], [3] * 8,
+              [-1] * 8, [int(huge)] * 8, {"p": 1, "q": 1}, {}]
+    edge_lines = ["", "0 0", "0 1", "1 0", "7 8", "-1 2", "a b", "1", "1 2 3", f"0 {huge}", "n 8", "n", f"n {huge}"]
+    saved = []
+    for name, Z, profile in (
+        ("u", realize(DegreeSequence([3] * 8)), (1, 1)),
+        ("d", realize_directed(DirectedDegreeSequence([(2, 2)] * 8)), (2, 1)),
+    ):
+        csv_path, z_path = tmp_path / f"{name}.csv", tmp_path / f"{name}.z"
+        save_encoding(make_test_encoding(Z, random.Random(5), profile=profile), csv_path)
+        write_edge_list(Z, z_path)
+        rows = [row.split(",") for row in csv_path.read_text().splitlines()]
+        saved.append((rows, json.loads((tmp_path / f"{name}.csv.json").read_text()), z_path.read_text().splitlines()))
+
+    def mutate_rows(rows):
+        rows = [list(row) for row in rows]
+        r = rng.randrange(len(rows))
+        kind = rng.randrange(4)
+        if kind == 0:
+            rows[r][rng.randrange(len(rows[r]))] = rng.choice(cells)
+        elif kind == 1:
+            del rows[r]
+        elif kind == 2:
+            rows.insert(r, list(rows[rng.randrange(len(rows))]))
+        else:
+            rows[r].pop()
+        return "\n".join(",".join(row) for row in rows) + "\n"
+
+    def mutate_sidecar(doc):
+        doc = json.loads(json.dumps(doc))
+        target = doc["profile"] if rng.random() < 0.25 else doc
+        key = rng.choice(sorted(target) + ["in_degrees", "degrees"])
+        if rng.random() < 0.2:
+            target.pop(key, None)
+        else:
+            target[key] = rng.choice(values)
+        return json.dumps(doc)
+
+    def mutate_lines(lines):
+        lines = list(lines)
+        r = rng.randrange(len(lines))
+        if rng.random() < 0.3:
+            del lines[r]
+        else:
+            lines[r] = rng.choice(edge_lines)
+        return "\n".join(lines) + "\n"
+
+    rng = random.Random(0)
+    enc, side, zfile = tmp_path / "m.csv", tmp_path / "m.csv.json", tmp_path / "m.z"
+    codes = set()
+    for i in range(180):
+        rows, doc, lines = saved[i % 2]
+        part = rng.randrange(3)
+        enc.write_text(mutate_rows(rows) if part == 0 else "\n".join(",".join(row) for row in rows) + "\n")
+        side.write_text(mutate_sidecar(doc) if part == 1 else json.dumps(doc))
+        zfile.write_text(mutate_lines(lines) if part == 2 else "\n".join(lines) + "\n")
+        argv = ["repair-encoding", "--encoding", str(enc), "--z", str(zfile)]
+        if rng.random() < 0.3:
+            argv += ["--sidecar", str(side)]
+        try:
+            code = main(argv)
+        except Exception as exc:
+            raise AssertionError(f"case {i} raised {exc!r}") from exc
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2) and "Traceback" not in err, (i, code, err)
+        codes.add(code)
+    assert codes == {0, 1}
 
 
 def test_usage_error_exit_code(capsys):

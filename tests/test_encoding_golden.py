@@ -118,7 +118,8 @@ def _profile_record(L):
         counters = {"zeta": None, "eta": None, **sided}
     else:
         counters = {"zeta": L.zeta_out, "eta": L.eta_out, **dict.fromkeys(sided)}
-    return {"p": p, "q": q, "two_defects": sorted(L.two), "minus_defects": sorted(L.minus), **counters}
+    keys = {label: sorted(pos for pos, lab in L.defects.items() if lab == label) for label in (2, -1)}
+    return {"p": p, "q": q, "two_defects": keys[2], "minus_defects": keys[-1], **counters}
 
 
 def _generation_record(Z, profile, level, seed):

@@ -54,19 +54,81 @@ def test_classes_require_induced_cycle():
     assert lamar_classes(Digraph(3, [(1, 0), (2, 1), (0, 2)]), (0, 1, 2)).U == (0, 1, 2)
 
 
+CLASSES = ("U0", "Uminus", "Uplus", "Upm", "leftover")
+
+
+def _planted(rng):
+    """A 3-cycle on 0, 1, 2 whose outside vertices each send and receive a
+    drawn number of arcs to and from it (a class's 0 or 3 either way nine
+    times in ten, else any count), with arcs among them at a drawn density."""
+    n = rng.randint(4, 8)
+    U = (0, 1, 2) if rng.random() < 0.5 else (0, 2, 1)
+    arcs = [(U[0], U[1]), (U[1], U[2]), (U[2], U[0])]
+    for x in range(3, n):
+        counts = (0, 3) if rng.random() < 0.9 else range(4)
+        into, out_of = rng.choice(counts), rng.choice(counts)
+        arcs += [(x, u) for u in rng.sample(U, into)] + [(u, x) for u in rng.sample(U, out_of)]
+    density = rng.choice((0.1, 0.5, 0.9))
+    arcs += [(x, y) for x in range(3, n) for y in range(3, n) if x != y and rng.random() < density]
+    return Digraph(n, arcs)
+
+
 def test_classes_partition_random(rng):
-    for _ in range(200):
-        n = rng.randint(4, 8)
-        dg = Digraph(n)
-        for u in range(n):
-            for v in range(n):
-                if u != v and rng.random() < 0.3 and not dg.has_edge(u, v):
-                    dg.add_edge(u, v)
+    seen = Counter()
+    for k in range(400):
+        if k % 2:
+            dg = _planted(rng)
+        else:
+            n = rng.randint(4, 8)
+            dg = Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.3])
+        n = dg.n
         for tri in induced_triangles(dg):
             part = lamar_classes(dg, tri)
             pieces = [part.U0, part.Uminus, part.Uplus, part.Upm, part.leftover]
             flat = [x for piece in pieces for x in piece]
             assert sorted(flat) == [v for v in range(n) if v not in tri]
+            for x in flat:
+                into = sum(dg.has_edge(x, u) for u in tri)
+                out_of = sum(dg.has_edge(u, x) for u in tri)
+                # the classes as LamarPartition's docstring defines them
+                defined = {
+                    "U0": into == out_of == 0,
+                    "Uminus": into == 3 and out_of == 0,
+                    "Uplus": into == 0 and out_of == 3,
+                    "Upm": into == out_of == 3,
+                }
+                want = [name for name, holds in defined.items() if holds] or ["leftover"]
+                assert [name for name in CLASSES if x in getattr(part, name)] == want, (dg, tri, x)
+            seen.update(name for name in CLASSES if getattr(part, name))
+            seen[_check_witness(dg, part, find_useful(dg, tri))] += 1
+    # every class and every kind of witness occurs in the sample
+    assert set(seen) == {*CLASSES, "neighbour", "i", "ii", None}, seen
+
+
+def _check_witness(dg, part, w):
+    """Assert that ``w`` holds in ``dg`` and is the first of its kind in
+    ``find_useful``'s order; return its kind ("neighbour", "i", "ii") or None."""
+    arcs_i = [(x, y) for x in sorted(part.U0 + part.Uplus) for y in sorted(part.U0 + part.Uminus)
+              if x != y and dg.has_edge(x, y)]
+    arcs_ii = [(x, y) for x in sorted(part.Uminus + part.Upm) for y in sorted(part.Uplus + part.Upm)
+               if x != y and not dg.has_edge(x, y)]
+    if w is None:
+        # only an obstruction-shaped partition has no witness
+        assert not part.leftover and not arcs_i and not arcs_ii
+        return None
+    if w.kind == "neighbour":
+        assert w.value in part.leftover and w.value == min(part.leftover)
+        return "neighbour"
+    (x, y), kind = w.value, w.condition
+    assert w.kind == "arc" and not part.leftover and x != y
+    if kind == "i":
+        assert dg.has_edge(x, y) and x in part.U0 + part.Uplus and y in part.U0 + part.Uminus
+        assert w.value == arcs_i[0]
+    else:
+        assert kind == "ii" and not arcs_i
+        assert not dg.has_edge(x, y) and x in part.Uminus + part.Upm and y in part.Uplus + part.Upm
+        assert w.value == arcs_ii[0]
+    return kind
 
 
 def test_find_useful_bare_cycle_none():

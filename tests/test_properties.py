@@ -2,9 +2,13 @@
 
 Every property runs derandomized with no example database, so a run is
 the same fixed set of examples and writes nothing under ``.hypothesis/``.
+
+``python tests/test_properties.py N`` runs the natural-encoding property
+with N examples per mode instead of the suite's 60.
 """
 
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -27,11 +31,15 @@ from switchmix import (
     DirectedDegreeSequence,
     Graph,
     NotRealizableError,
+    RepairStuckError,
     StateSpaceAnalysis,
     advance,
+    encode,
     enum_states,
     realize,
     realize_directed,
+    repair,
+    verify_counting_identities,
 )
 from switchmix.chain import VARIANT_ALL_PAIRS, VARIANT_EXACT
 from switchmix.statespace import step_denominator
@@ -138,3 +146,38 @@ def test_keyed_analysis_matches_tuple_references(mode, data):
         for i, row in enumerate(rows)
     ]
     assert an.tv_curve(4) == dense_tv_curve(matrix, 4, an.start_index)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@PROPERTY
+@given(data=st.data())
+def test_natural_encodings_repair_to_the_target_or_stick(directed, data):
+    """L = G + G' - Z over three states of one small sequence is consistent
+    with Z and passes the counting identities; repair either returns Z's
+    degrees within p + q switches or is stuck after fewer.  A good encoding
+    may still stick: these sequences are outside the theorems' hypotheses."""
+    seq = data.draw(_directed(6, 6) if directed else _undirected(6, 7)).degree_sequence()
+    states = enum_states(seq)
+    store = Digraph if directed else Graph
+    G, Gp, Z = (store(seq.n, data.draw(st.sampled_from(states))) for _ in range(3))
+    L = encode(G, Gp, Z)
+    assert L.is_consistent_with(Z)
+    verify_counting_identities(L)
+    p, q = L.defect_counts()
+    assume(p + q)
+    try:
+        res = repair(L)
+    except RepairStuckError as exc:
+        assert len(exc.log) < p + q
+    else:
+        assert len(res.switch_log) <= p + q
+        assert res.result.degree_sequence() == Z.degree_sequence()
+
+
+if __name__ == "__main__":
+    examples = int(sys.argv[1])
+    body = test_natural_encodings_repair_to_the_target_or_stick.hypothesis.inner_test
+    scaled = settings(PROPERTY, max_examples=examples)(given(data=st.data())(body))
+    for directed in (False, True):
+        scaled(directed)
+        print(f"natural encodings, directed={directed}: {examples} examples passed")
